@@ -139,12 +139,7 @@ def cmd_costdist(args, _=None) -> tuple[int, dict]:
     if args.scheme == "closed":
         total = cd.total_cost_distribution(space, classes, t, r_max=args.rmax)
         r_max = len(total.mass) - 1
-        with open(out / "cost_dist.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t"] + [f"q{k + 1}" for k in range(space.K)] + ["r", "probability"])
-            for i, q in enumerate(space.states):
-                for r in range(r_max + 1):
-                    w.writerow([_fmt(t)] + list(q) + [r, _fmt(cd.closed_form_continuous(space, classes, t, i, r, dist=dist))])
+        cd.write_cost_grid(out / "cost_dist.csv", space, cd.closed_form_grid(space, classes, t, r_max, dist=dist))
         cd.write_total_cost(out / "total_cost.csv", t, total.mass)
         cd.write_risk(out / "risk.csv", total)
         if total.leakage > cd.LEAKAGE_WARN:
@@ -153,23 +148,14 @@ def cmd_costdist(args, _=None) -> tuple[int, dict]:
 
     rate = cd.max_outflow_rate(space, classes)
     steps = args.steps if args.steps else int(np.ceil(t * rate / cd.STEP_LIMIT))
-    r_max = args.rmax
-    if r_max is None:
-        bound = t * sum(c.lam * c.omega for c in classes)
-        r_max = int(np.ceil(bound + 10.0 * np.sqrt(bound + 1.0))) + 1
+    r_max = args.rmax if args.rmax is not None else cd.default_r_max(classes, t)
     evolve = cd.evolve_shadow_costs if args.scheme == "shadow" else cd.evolve_simple_costs
     grid = evolve(space, classes, t, steps, r_max, warn=False)
     if grid.leakage > cd.LEAKAGE_WARN:
         warnings += 1
     cd.write_cost_grid(out / "cost_dist.csv", space, grid)
-    total_mass = grid.total_cost()
-    cd.write_total_cost(out / "total_cost.csv", t, total_mass)
-    cum = np.cumsum(total_mass)
-    risk = cd.TotalCostDistribution(
-        t=t, mass=total_mass, mean=grid.mean_cost(), analytic_mean=t * dist.g,
-        q95=int(np.searchsorted(cum, 0.95)), q99=int(np.searchsorted(cum, 0.99)),
-        leakage=grid.leakage,
-    )
+    risk = cd.TotalCostDistribution.from_mass(t, grid.total_cost(), t * dist.g, grid.leakage)
+    cd.write_total_cost(out / "total_cost.csv", t, risk.mass)
     cd.write_risk(out / "risk.csv", risk)
     return warnings, {"states": len(space), "scheme": args.scheme, "steps": steps, "r_max": r_max}
 

@@ -9,8 +9,11 @@ charging schemes are implemented.
   the occupancy chain, started from an empty system.
 * The *simple* scheme decouples cost from occupancy: in state q cost accrues
   as if the admission sets were frozen, which makes the joint law a product
-  of the stationary law and per-state compound binomial/Poisson laws, given
-  in closed form (`closed_form_discrete` / `closed_form_continuous`).
+  of the stationary law and one cost law per charging mask (the blocked
+  classes with lam > 0 and omega > 0): compound Poisson by Panjer's
+  recursion in continuous time, the n-fold convolution of the one-step law
+  in discrete time.  Both start from the probability of no charge; when it
+  underflows, :class:`NumericsError` is raised instead of zero cells.
 
 Both schemes generate the same average cost rate g, so the tractable simple
 scheme is the practical risk model; the recursion for the shadow scheme is
@@ -26,7 +29,6 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -39,7 +41,6 @@ from .model import (
     StateSpace,
     StationaryDistribution,
     TrafficClass,
-    build_generator,
     stationary,
 )
 
@@ -54,6 +55,8 @@ __all__ = [
     "evolve_simple_costs",
     "closed_form_discrete",
     "closed_form_continuous",
+    "closed_form_grid",
+    "default_r_max",
     "total_cost_distribution",
     "detailed_balance_counterexample",
     "recursion_solve",
@@ -186,13 +189,13 @@ def evolve_simple_costs(
     r_max: int,
     warn: bool = True,
 ) -> CostGrid:
-    """Evolve the product-form simple scheme from the stationary occupancy.
+    """Evolve the simple scheme step by step from the stationary occupancy.
 
-    The occupancy marginal stays stationary, so the coupling term (the
-    conditional cost law times the marginal increment) vanishes and each
-    state's cost column evolves independently: in state q only blocked
-    classes charge, moving mass from r to r + omega_j at rate lam_j.
-    Cost starts at 0.
+    Occupancy is frozen at its stationary law, so each state's cost column
+    evolves on its own: in state q only blocked classes charge, moving mass
+    from r to r + omega_j with probability dt * lam_j per step.  Cost
+    starts at 0.  This lattice recursion is the independent check on
+    :func:`closed_form_discrete`, which gives the same law in closed form.
     """
     classes = tuple(classes)
     dt = _check_step(space, classes, horizon, steps)
@@ -201,21 +204,14 @@ def evolve_simple_costs(
 
     mass = np.zeros((n, r_max + 1))
     mass[:, 0] = dist.pi
-    Q = build_generator(space, classes)
 
     leakage = 0.0
     for _ in range(steps):
-        marg = mass.sum(axis=1)
-        dmarg = dt * (Q.T @ marg)  # stationary start keeps this at rounding level
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cond = np.where(marg[:, None] > 0, mass / np.where(marg[:, None] > 0, marg[:, None], 1.0), 0.0)
-        new = mass + cond * dmarg[:, None]
+        new = mass.copy()
         for j, c in enumerate(classes):
             blocked = ~space.admissible[:, j]
-            if not blocked.any():
-                continue
-            if c.omega == 0:
-                continue  # charge and refund cancel exactly
+            if c.omega == 0 or not blocked.any():
+                continue  # a zero-cost charge and its refund cancel exactly
             w = c.omega
             new[blocked] -= dt * c.lam * mass[blocked]
             if w <= r_max:
@@ -228,33 +224,61 @@ def evolve_simple_costs(
                     leakage=leakage, scheme="simple")
 
 
-def _chargeable(space: StateSpace, classes: Sequence[TrafficClass], i: int) -> tuple[tuple[float, int], ...]:
-    """(rate, cost) for blocked classes that actually charge in state i.
+def _charging(space: StateSpace, classes: Sequence[TrafficClass]):
+    """(lam, omega, mask): class j charges in state i when it is blocked there
+    with lam_j > 0 and omega_j > 0; other blocked classes never move cost
+    mass and are marginalized out exactly."""
+    lam = np.array([c.lam for c in classes], dtype=float)
+    omega = np.array([c.omega for c in classes], dtype=np.int64)
+    return lam, omega, ~space.admissible & (lam > 0) & (omega > 0)
 
-    Blocked classes with omega = 0 or lam = 0 never move cost mass; they are
-    marginalized out exactly (their events are invisible on the cost lattice).
+
+def _no_charge(p0: float, t: float, rate: float) -> float:
+    if p0 < np.finfo(float).tiny:
+        raise NumericsError(f"probability of no charge underflows at t={t:g}, blocked rate {rate:g}")
+    return p0
+
+
+def _poisson_law(t: float, r_max: int, lam: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """Law of sum_j omega_j N_j, N_j ~ Poisson(t lam_j), on 0..r_max.
+
+    Panjer's recursion f(r) = (1/r) sum_j t lam_j omega_j f(r - omega_j)
+    from f(0) = exp(-t sum_j lam_j).
     """
-    out = []
-    for j in space.blocked_classes(i):
-        c = classes[j]
-        if c.omega > 0 and c.lam > 0:
-            out.append((c.lam, c.omega))
-    return tuple(out)
+    rate = float(lam.sum())
+    f = [_no_charge(math.exp(-t * rate), t, rate)]
+    terms = [(t * float(l) * int(w), int(w)) for l, w in zip(lam, omega)]
+    for r in range(1, r_max + 1):
+        f.append(sum(a * f[r - w] for a, w in terms if w <= r) / r)
+    return np.array(f)
 
 
-@lru_cache(maxsize=None)
-def _cost_vectors(omegas: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]:
-    """All count vectors with sum_i omegas[i] * n_i = r (bounded knapsack)."""
-    if r == 0:
-        return ((0,) * len(omegas),)
-    if not omegas:
-        return ()
-    head = omegas[0]
-    out = []
-    for n0 in range(r // head + 1):
-        for rest in _cost_vectors(omegas[1:], r - head * n0):
-            out.append((n0,) + rest)
-    return tuple(out)
+def _binomial_law(n: int, step: float, r_max: int, lam: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """Cost law after n steps in which class j adds omega_j with probability
+    step * lam_j, on 0..r_max.
+
+    The n-fold convolution power of the one-step law by repeated squaring.
+    Cost never decreases, so truncating every product at r_max is exact.
+    """
+    rate = float(lam.sum())
+    decay = 1.0 - step * rate
+    if decay < 0:
+        raise StepSizeError(f"step {step:g} too large for blocked rate {rate:g}")
+    if decay > 0:
+        _no_charge(decay ** n, n * step, rate)
+    one = np.zeros(r_max + 1)
+    one[0] = decay
+    fits = omega <= r_max
+    np.add.at(one, omega[fits], step * lam[fits])
+    law = np.zeros(r_max + 1)
+    law[0] = 1.0
+    while n:
+        if n & 1:
+            law = np.convolve(law, one)[:r_max + 1]
+        n >>= 1
+        if n:
+            one = np.convolve(one, one)[:r_max + 1]
+    return law
 
 
 def closed_form_discrete(
@@ -269,42 +293,20 @@ def closed_form_discrete(
     """Simple-scheme joint probability of (state, cost r) after n steps of
     size ``step``, using the stationary occupancy marginal.
 
-    Sums multinomial terms over all ways the charging classes of the state
-    can split the cost r; evaluated in log domain.  Pass a precomputed
-    ``dist`` when calling in a loop.
+    The state's cost law is the n-fold convolution of its one-step law, in
+    which charging class j adds omega_j with probability step * lam_j.
+    Raises :class:`StepSizeError` when no charge has negative probability
+    and :class:`NumericsError` when its n-th power underflows.  Pass a
+    precomputed ``dist`` when calling in a loop.
     """
     if r < 0:
         return 0.0
     classes = tuple(classes)
     if dist is None:
         dist = stationary(space, classes)
-    return _discrete_factor(space, classes, n, step, state, r) * float(dist.pi[state])
-
-
-def _discrete_factor(space, classes, n, step, state, r) -> float:
-    charge = _chargeable(space, classes, state)
-    rates = [lam for lam, _ in charge]
-    decay = 1.0 - step * sum(rates)
-    if decay < 0:
-        raise StepSizeError(f"step {step:g} too large for blocked rate {sum(rates):g}")
-    if not charge:
-        return 1.0 if r == 0 else 0.0
-    omegas = tuple(w for _, w in charge)
-    log_beta = [math.log(step * lam) for lam in rates]
-    total = 0.0
-    for counts in _cost_vectors(omegas, r):
-        s = sum(counts)
-        if s > n:
-            continue
-        if decay == 0.0 and n > s:
-            continue
-        logp = math.lgamma(n + 1) - math.lgamma(n - s + 1)
-        if n > s:
-            logp += (n - s) * math.log(decay)
-        for ci, lb in zip(counts, log_beta):
-            logp += ci * lb - math.lgamma(ci + 1)
-        total += math.exp(logp)
-    return total
+    lam, omega, charge = _charging(space, classes)
+    law = _binomial_law(n, step, r, lam[charge[state]], omega[charge[state]])
+    return float(law[r]) * float(dist.pi[state])
 
 
 def closed_form_continuous(
@@ -318,35 +320,46 @@ def closed_form_continuous(
     """Continuous-time limit of the simple-scheme joint law.
 
     In state q the cost after time t is a compound Poisson sum over the
-    charging classes; the joint probability is that law times pi(q).
+    charging classes, evaluated by Panjer's recursion; the joint
+    probability is that law times pi(q).  Raises :class:`NumericsError`
+    when exp(-t * sum_j lam_j) underflows.
     """
     if r < 0:
         return 0.0
     classes = tuple(classes)
     if dist is None:
         dist = stationary(space, classes)
-    return _continuous_factor(space, classes, t, state, r) * float(dist.pi[state])
+    lam, omega, charge = _charging(space, classes)
+    law = _poisson_law(t, r, lam[charge[state]], omega[charge[state]])
+    return float(law[r]) * float(dist.pi[state])
 
 
-def _continuous_factor(space, classes, t, state, r) -> float:
-    charge = _chargeable(space, classes, state)
-    if not charge:
-        return 1.0 if r == 0 else 0.0
-    omegas = tuple(w for _, w in charge)
-    log_rate = [math.log(t * lam) for lam, _ in charge]
-    expo = -t * sum(lam for lam, _ in charge)
-    total = 0.0
-    for counts in _cost_vectors(omegas, r):
-        logp = expo
-        for ci, lr in zip(counts, log_rate):
-            logp += ci * lr - math.lgamma(ci + 1)
-        total += math.exp(logp)
-    return total
+def closed_form_grid(
+    space: StateSpace,
+    classes: Sequence[TrafficClass],
+    t: float,
+    r_max: int,
+    dist: StationaryDistribution | None = None,
+) -> CostGrid:
+    """:func:`closed_form_continuous` for every state and r = 0..r_max.
+
+    ``steps`` is 0 (continuous time); ``leakage`` is the mass past r_max.
+    """
+    classes = tuple(classes)
+    if dist is None:
+        dist = stationary(space, classes)
+    # one law per distinct charging mask, gathered back to the states
+    lam, omega, charge = _charging(space, classes)
+    masks, inverse = np.unique(charge, axis=0, return_inverse=True)
+    laws = np.array([_poisson_law(t, r_max, lam[m], omega[m]) for m in masks])
+    mass = dist.pi[:, None] * laws[inverse.reshape(-1)]
+    return CostGrid(mass=mass, horizon=t, steps=0, r_max=r_max,
+                    leakage=max(0.0, 1.0 - float(mass.sum())), scheme="closed")
 
 
 @dataclass(frozen=True)
 class TotalCostDistribution:
-    """Cost marginal sum_q of the continuous simple-scheme law at time t."""
+    """Cost marginal sum_q of the simple-scheme law at time t."""
 
     t: float
     mass: np.ndarray
@@ -356,9 +369,21 @@ class TotalCostDistribution:
     q99: int
     leakage: float
 
+    @classmethod
+    def from_mass(cls, t: float, mass: np.ndarray, analytic_mean: float,
+                  leakage: float) -> "TotalCostDistribution":
+        """Risk summary of a truncated cost law: mean and 95%/99% quantiles
+        (the smallest r whose cumulative mass reaches the level)."""
+        cum = np.cumsum(mass)
+        return cls(t, mass, float(mass @ np.arange(len(mass))), analytic_mean,
+                   int(np.searchsorted(cum, 0.95)), int(np.searchsorted(cum, 0.99)), leakage)
 
-def _quantile(cum: np.ndarray, level: float) -> int:
-    return int(np.searchsorted(cum, level))
+
+def default_r_max(classes: Sequence[TrafficClass], t: float) -> int:
+    """Cost truncation mean + 10 sqrt(mean) of the dominating Poisson bound
+    (all arrivals charging their cost) over time t."""
+    bound = t * sum(c.lam * c.omega for c in classes)
+    return int(math.ceil(bound + 10.0 * math.sqrt(bound + 1.0))) + 1
 
 
 def total_cost_distribution(
@@ -370,38 +395,19 @@ def total_cost_distribution(
 ) -> TotalCostDistribution:
     """Marginal law of the accumulated cost at time t under the simple scheme.
 
-    ``r_max`` defaults to mean + 10 sqrt(mean) of the dominating Poisson
-    bound (all arrivals charging their cost) and is doubled until the
+    ``r_max`` defaults to :func:`default_r_max` and is doubled until the
     truncated tail is below ``leak_tol``.
     """
     classes = tuple(classes)
     dist = stationary(space, classes)
     if r_max is None:
-        bound = t * sum(c.lam * c.omega for c in classes)
-        r_max = int(math.ceil(bound + 10.0 * math.sqrt(bound + 1.0))) + 1
+        r_max = default_r_max(classes, t)
     for _ in range(20):
-        mass = np.zeros(r_max + 1)
-        for i in range(len(space)):
-            pi_i = float(dist.pi[i])
-            if pi_i == 0.0:
-                continue
-            for r in range(r_max + 1):
-                mass[r] += _continuous_factor(space, classes, t, i, r) * pi_i
-        leakage = max(0.0, 1.0 - float(mass.sum()))
-        if leakage <= leak_tol:
+        grid = closed_form_grid(space, classes, t, r_max, dist)
+        if grid.leakage <= leak_tol:
             break
         r_max *= 2
-    mean = float(mass @ np.arange(r_max + 1))
-    cum = np.cumsum(mass)
-    return TotalCostDistribution(
-        t=t,
-        mass=mass,
-        mean=mean,
-        analytic_mean=t * dist.g,
-        q95=_quantile(cum, 0.95),
-        q99=_quantile(cum, 0.99),
-        leakage=leakage,
-    )
+    return TotalCostDistribution.from_mass(t, grid.total_cost(), t * dist.g, grid.leakage)
 
 
 @dataclass(frozen=True)
@@ -431,27 +437,22 @@ def detailed_balance_counterexample(
     tol: float = 1e-9,
 ) -> BalanceViolation:
     """Search (state, class, cost) for the largest violation of
-    mu_i (q_i + 1) s(q+e_i, r) = lam_i s(q, r) under the product-form law."""
+    mu_i (q_i + 1) s(q+e_i, r) = lam_i s(q, r) under the product-form law.
+
+    Ties go to the first (state, class, r) in lexicographic order."""
     classes = tuple(classes)
-    dist = stationary(space, classes)
-    worst = BalanceViolation(False, None, None, None, 0.0, 0.0, 0.0)
-    for i in range(len(space)):
-        for k in range(space.K):
-            u = space.up[i, k]
-            if u < 0:
-                continue
-            for r in range(r_limit + 1):
-                lhs = (
-                    classes[k].mu
-                    * (space.states[i][k] + 1)
-                    * _continuous_factor(space, classes, t, u, r)
-                    * float(dist.pi[u])
-                )
-                rhs = classes[k].lam * _continuous_factor(space, classes, t, i, r) * float(dist.pi[i])
-                gap = abs(lhs - rhs)
-                if gap > worst.magnitude and gap > tol:
-                    worst = BalanceViolation(True, i, k, r, lhs, rhs, gap)
-    return worst
+    s = closed_form_grid(space, classes, t, r_limit).mass
+    has_up = space.up >= 0
+    mu = np.array([c.mu for c in classes])
+    lam = np.array([c.lam for c in classes])
+    lhs = (mu * (space.occupancy + 1))[:, :, None] * s[np.where(has_up, space.up, 0)]
+    rhs = lam[:, None] * s[:, None, :]
+    gap = np.where(has_up[:, :, None], np.abs(lhs - rhs), 0.0)
+    i, k, r = np.unravel_index(int(np.argmax(gap)), gap.shape)
+    if not gap[i, k, r] > max(tol, 0.0):
+        return BalanceViolation(False, None, None, None, 0.0, 0.0, 0.0)
+    return BalanceViolation(True, int(i), int(k), int(r), float(lhs[i, k, r]),
+                            float(rhs[i, k, r]), float(gap[i, k, r]))
 
 
 @dataclass(frozen=True)

@@ -148,6 +148,13 @@ def test_costdist_mean_matches_analytic(tmp_path):
         assert float(risk["mean"]) == pytest.approx(2.5 * g, abs=1e-6)
 
 
+def test_costdist_closed_underflow_exits_2(tmp_path, capsys):
+    model = _write(tmp_path, K1_MODEL)
+    assert main(["costdist", "--model", model, "--out", str(tmp_path / "o"), "--t", "1000",
+                 "--scheme", "closed"]) == 2
+    assert "underflows" in capsys.readouterr().err
+
+
 def test_costdist_requires_t(tmp_path):
     model = _write(tmp_path, K1_MODEL)
     assert main(["costdist", "--model", model, "--out", str(tmp_path / "o"), "--scheme", "simple", "--t", "0"]) == 1

@@ -8,7 +8,7 @@ import scipy.stats
 
 import losscost as lc
 from losscost import costdist as cd
-from conftest import k1_instance, k2_reference
+from conftest import k1_instance, k2_reference, random_instance
 
 
 def chain_marginal(space, classes, horizon, steps):
@@ -95,6 +95,32 @@ def test_simple_evolution_matches_discrete_closed_form():
     assert worst <= 1e-6
 
 
+def test_simple_evolution_matches_discrete_closed_form_under_leakage():
+    # truncation leaks a fifth of the mass; each state's column still
+    # evolves on its own, so the kept cells are the truncated closed form
+    classes, space = k2_reference()
+    dist = lc.stationary(space, classes)
+    t, steps, r_max = 4.0, 400, 4
+    grid = lc.evolve_simple_costs(space, classes, t, steps, r_max, warn=False)
+    assert grid.leakage > 0.1
+    for i in range(len(space)):
+        for r in range(r_max + 1):
+            ref = lc.closed_form_discrete(space, classes, steps, t / steps, i, r, dist=dist)
+            assert abs(grid.mass[i, r] - ref) <= 1e-12
+
+
+def test_closed_form_grid_matches_cells():
+    classes, space = k2_reference()
+    dist = lc.stationary(space, classes)
+    grid = cd.closed_form_grid(space, classes, 2.0, 30, dist=dist)
+    assert grid.mass.shape == (len(space), 31)
+    for i in range(len(space)):
+        for r in range(31):
+            assert grid.mass[i, r] == pytest.approx(
+                lc.closed_form_continuous(space, classes, 2.0, i, r, dist=dist), rel=1e-13, abs=1e-300)
+    assert grid.leakage == pytest.approx(1.0 - grid.mass.sum(), abs=1e-15)
+
+
 def test_non_blocking_states_never_charge():
     classes, space = k2_reference()
     dist = lc.stationary(space, classes)
@@ -115,6 +141,34 @@ def test_discrete_zero_cost_entry():
     lam_blocked = classes[0].lam
     want = (1.0 - dt * lam_blocked) ** n * dist.pi[i]
     assert lc.closed_form_discrete(space, classes, n, dt, i, 0, dist=dist) == pytest.approx(want, rel=1e-12)
+
+
+def test_discrete_certain_charge_every_step():
+    # step * lam = 1: the blocking state charges on every one of the n steps
+    classes, space = k1_instance()
+    dist = lc.stationary(space, classes)
+    i = space.index[(2,)]
+    for r in range(5):
+        want = dist.pi[i] if r == 3 else 0.0
+        assert lc.closed_form_discrete(space, classes, 3, 1.0, i, r, dist=dist) == want
+    with pytest.raises(cd.StepSizeError):
+        lc.closed_form_discrete(space, classes, 3, 1.5, i, 3, dist=dist)
+
+
+def test_closed_form_underflow_is_loud():
+    # exp(-t lam) and (1 - step lam)^n underflow float range; every cell
+    # would read 0, so the kernel refuses instead
+    classes, space = k1_instance()
+    dist = lc.stationary(space, classes)
+    i = space.index[(2,)]
+    with pytest.raises(lc.NumericsError, match="t=1000"):
+        lc.closed_form_continuous(space, classes, 1000.0, i, 0, dist=dist)
+    with pytest.raises(lc.NumericsError, match="underflows"):
+        lc.total_cost_distribution(space, classes, t=1000.0)
+    with pytest.raises(lc.NumericsError, match="underflows"):
+        lc.closed_form_discrete(space, classes, 2000, 0.5, i, 0, dist=dist)
+    # non-blocking states never charge and are unaffected
+    assert lc.closed_form_continuous(space, classes, 1000.0, 0, 0, dist=dist) == dist.pi[0]
 
 
 def test_discrete_single_class_is_binomial():
@@ -223,6 +277,32 @@ def test_balance_counterexample_found():
     lhs = classes[0].mu * 1 * lc.closed_form_continuous(space, classes, t, 1, 1, dist=dist)
     rhs = classes[0].lam * lc.closed_form_continuous(space, classes, t, 0, 1, dist=dist)
     assert abs(lhs - rhs) > 1e-6
+
+
+def test_balance_search_matches_cellwise_loop(rng):
+    # reference: scan (state, class, r) in order, keeping the first strict
+    # maximum above tol, from per-cell closed-form values
+    for _ in range(6):
+        classes, space = random_instance(rng, max_capacity=6)
+        dist = lc.stationary(space, classes)
+        t, r_limit = 1.0, 8
+        best = (0.0, None)
+        for i in range(len(space)):
+            for k in range(space.K):
+                u = space.up[i, k]
+                if u < 0:
+                    continue
+                for r in range(r_limit + 1):
+                    lhs = classes[k].mu * (space.states[i][k] + 1) * lc.closed_form_continuous(
+                        space, classes, t, u, r, dist=dist)
+                    rhs = classes[k].lam * lc.closed_form_continuous(space, classes, t, i, r, dist=dist)
+                    if abs(lhs - rhs) > max(best[0], 1e-9):
+                        best = (abs(lhs - rhs), (i, k, r))
+        report = lc.detailed_balance_counterexample(space, classes, t=t, r_limit=r_limit)
+        assert report.found == (best[1] is not None)
+        if report.found:
+            assert (report.state, report.cls, report.r) == best[1]
+            assert report.magnitude == pytest.approx(best[0], rel=1e-12)
 
 
 def test_balance_holds_without_blocking():
