@@ -12,8 +12,8 @@ charging schemes are implemented.
   of the stationary law and one cost law per charging mask (the blocked
   classes with lam > 0 and omega > 0): compound Poisson by Panjer's
   recursion in continuous time, the n-fold convolution of the one-step law
-  in discrete time.  Both start from the probability of no charge; when it
-  underflows, :class:`NumericsError` is raised instead of zero cells.
+  in discrete time.  Both carry a log scale, so horizons whose probability
+  of no charge underflows still give every representable cell.
 
 Both schemes generate the same average cost rate g, so the tractable simple
 scheme is the practical risk model; the recursion for the shadow scheme is
@@ -233,24 +233,26 @@ def _charging(space: StateSpace, classes: Sequence[TrafficClass]):
     return lam, omega, ~space.admissible & (lam > 0) & (omega > 0)
 
 
-def _no_charge(p0: float, t: float, rate: float) -> float:
-    if p0 < np.finfo(float).tiny:
-        raise NumericsError(f"probability of no charge underflows at t={t:g}, blocked rate {rate:g}")
-    return p0
-
-
 def _poisson_law(t: float, r_max: int, lam: np.ndarray, omega: np.ndarray) -> np.ndarray:
     """Law of sum_j omega_j N_j, N_j ~ Poisson(t lam_j), on 0..r_max.
 
     Panjer's recursion f(r) = (1/r) sum_j t lam_j omega_j f(r - omega_j)
-    from f(0) = exp(-t sum_j lam_j).
+    from f(0) = exp(-t sum_j lam_j), run on log f so that long horizons,
+    whose f(0) underflows, keep every representable cell.
     """
-    rate = float(lam.sum())
-    f = [_no_charge(math.exp(-t * rate), t, rate)]
-    terms = [(t * float(l) * int(w), int(w)) for l, w in zip(lam, omega)]
+    terms = [(math.log(t * float(l) * int(w)), int(w)) for l, w in zip(lam, omega)]
+    logf = [-t * float(lam.sum())]
     for r in range(1, r_max + 1):
-        f.append(sum(a * f[r - w] for a, w in terms if w <= r) / r)
-    return np.array(f)
+        xs = [a + logf[r - w] for a, w in terms if w <= r]
+        top = max(xs, default=-math.inf)
+        logf.append(top + math.log(sum(math.exp(x - top) for x in xs)) - math.log(r)
+                    if top > -math.inf else top)
+    return np.exp(logf)
+
+
+def _rescaled(law: np.ndarray, log_scale: float) -> tuple[np.ndarray, float]:
+    top = law.max()
+    return (law / top, log_scale + math.log(top)) if top > 0 else (law, -math.inf)
 
 
 def _binomial_law(n: int, step: float, r_max: int, lam: np.ndarray, omega: np.ndarray) -> np.ndarray:
@@ -259,26 +261,28 @@ def _binomial_law(n: int, step: float, r_max: int, lam: np.ndarray, omega: np.nd
 
     The n-fold convolution power of the one-step law by repeated squaring.
     Cost never decreases, so truncating every product at r_max is exact.
+    Every factor is kept scaled to a maximum of 1 with its log scale
+    carried alongside, so (1 - step sum_j lam_j)^n may underflow.
     """
     rate = float(lam.sum())
     decay = 1.0 - step * rate
     if decay < 0:
         raise StepSizeError(f"step {step:g} too large for blocked rate {rate:g}")
-    if decay > 0:
-        _no_charge(decay ** n, n * step, rate)
     one = np.zeros(r_max + 1)
     one[0] = decay
     fits = omega <= r_max
     np.add.at(one, omega[fits], step * lam[fits])
+    one, one_scale = _rescaled(one, 0.0)
     law = np.zeros(r_max + 1)
     law[0] = 1.0
+    scale = 0.0
     while n:
         if n & 1:
-            law = np.convolve(law, one)[:r_max + 1]
+            law, scale = _rescaled(np.convolve(law, one)[:r_max + 1], scale + one_scale)
         n >>= 1
         if n:
-            one = np.convolve(one, one)[:r_max + 1]
-    return law
+            one, one_scale = _rescaled(np.convolve(one, one)[:r_max + 1], 2 * one_scale)
+    return law * math.exp(scale)
 
 
 def closed_form_discrete(
@@ -295,9 +299,8 @@ def closed_form_discrete(
 
     The state's cost law is the n-fold convolution of its one-step law, in
     which charging class j adds omega_j with probability step * lam_j.
-    Raises :class:`StepSizeError` when no charge has negative probability
-    and :class:`NumericsError` when its n-th power underflows.  Pass a
-    precomputed ``dist`` when calling in a loop.
+    Raises :class:`StepSizeError` when no charge has negative probability.
+    Pass a precomputed ``dist`` when calling in a loop.
     """
     if r < 0:
         return 0.0
@@ -321,8 +324,7 @@ def closed_form_continuous(
 
     In state q the cost after time t is a compound Poisson sum over the
     charging classes, evaluated by Panjer's recursion; the joint
-    probability is that law times pi(q).  Raises :class:`NumericsError`
-    when exp(-t * sum_j lam_j) underflows.
+    probability is that law times pi(q).
     """
     if r < 0:
         return 0.0
@@ -332,6 +334,16 @@ def closed_form_continuous(
     lam, omega, charge = _charging(space, classes)
     law = _poisson_law(t, r, lam[charge[state]], omega[charge[state]])
     return float(law[r]) * float(dist.pi[state])
+
+
+def _mask_laws(space: StateSpace, classes: Sequence[TrafficClass], t: float,
+               r_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(inverse, laws): one continuous-time cost law on 0..r_max per distinct
+    charging mask, and the index of each state's law."""
+    lam, omega, charge = _charging(space, classes)
+    masks, inverse = np.unique(charge, axis=0, return_inverse=True)
+    laws = np.array([_poisson_law(t, r_max, lam[m], omega[m]) for m in masks])
+    return inverse.reshape(-1), laws
 
 
 def closed_form_grid(
@@ -348,11 +360,8 @@ def closed_form_grid(
     classes = tuple(classes)
     if dist is None:
         dist = stationary(space, classes)
-    # one law per distinct charging mask, gathered back to the states
-    lam, omega, charge = _charging(space, classes)
-    masks, inverse = np.unique(charge, axis=0, return_inverse=True)
-    laws = np.array([_poisson_law(t, r_max, lam[m], omega[m]) for m in masks])
-    mass = dist.pi[:, None] * laws[inverse.reshape(-1)]
+    inverse, laws = _mask_laws(space, classes, t, r_max)
+    mass = dist.pi[:, None] * laws[inverse]
     return CostGrid(mass=mass, horizon=t, steps=0, r_max=r_max,
                     leakage=max(0.0, 1.0 - float(mass.sum())), scheme="closed")
 
@@ -403,11 +412,13 @@ def total_cost_distribution(
     if r_max is None:
         r_max = default_r_max(classes, t)
     for _ in range(20):
-        grid = closed_form_grid(space, classes, t, r_max, dist)
-        if grid.leakage <= leak_tol:
+        inverse, laws = _mask_laws(space, classes, t, r_max)
+        mass = np.bincount(inverse, weights=dist.pi, minlength=len(laws)) @ laws
+        leakage = max(0.0, 1.0 - float(mass.sum()))
+        if leakage <= leak_tol:
             break
         r_max *= 2
-    return TotalCostDistribution.from_mass(t, grid.total_cost(), t * dist.g, grid.leakage)
+    return TotalCostDistribution.from_mass(t, mass, t * dist.g, leakage)
 
 
 @dataclass(frozen=True)

@@ -148,11 +148,15 @@ def test_costdist_mean_matches_analytic(tmp_path):
         assert float(risk["mean"]) == pytest.approx(2.5 * g, abs=1e-6)
 
 
-def test_costdist_closed_underflow_exits_2(tmp_path, capsys):
+def test_costdist_closed_long_horizon(tmp_path):
+    # exp(-t lam) underflows at t = 1000; the closed law must not
     model = _write(tmp_path, K1_MODEL)
-    assert main(["costdist", "--model", model, "--out", str(tmp_path / "o"), "--t", "1000",
-                 "--scheme", "closed"]) == 2
-    assert "underflows" in capsys.readouterr().err
+    out = tmp_path / "o"
+    assert main(["costdist", "--model", model, "--out", str(out), "--t", "1000",
+                 "--scheme", "closed"]) == 0
+    risk = _read_csv(out / "risk.csv")[0]
+    assert float(risk["mean"]) == pytest.approx(200.0, rel=1e-9)
+    assert int(risk["q95"]) == 1021  # 0.8 + 0.2 F(r) >= 0.95, F the Poisson(1000) cdf
 
 
 def test_costdist_requires_t(tmp_path):

@@ -155,20 +155,50 @@ def test_discrete_certain_charge_every_step():
         lc.closed_form_discrete(space, classes, 3, 1.5, i, 3, dist=dist)
 
 
-def test_closed_form_underflow_is_loud():
-    # exp(-t lam) and (1 - step lam)^n underflow float range; every cell
-    # would read 0, so the kernel refuses instead
+def test_long_horizon_laws_survive_underflow():
+    # t lam = 1000: the probability of no charge, exp(-1000) or 0.5^2000,
+    # underflows, yet the cells near the mean are of order 1e-2
     classes, space = k1_instance()
     dist = lc.stationary(space, classes)
     i = space.index[(2,)]
-    with pytest.raises(lc.NumericsError, match="t=1000"):
-        lc.closed_form_continuous(space, classes, 1000.0, i, 0, dist=dist)
-    with pytest.raises(lc.NumericsError, match="underflows"):
-        lc.total_cost_distribution(space, classes, t=1000.0)
-    with pytest.raises(lc.NumericsError, match="underflows"):
-        lc.closed_form_discrete(space, classes, 2000, 0.5, i, 0, dist=dist)
-    # non-blocking states never charge and are unaffected
-    assert lc.closed_form_continuous(space, classes, 1000.0, 0, 0, dist=dist) == dist.pi[0]
+    t, r_max = 1000.0, 1300
+    grid = cd.closed_form_grid(space, classes, t, r_max, dist=dist)
+    want = dist.pi[i] * scipy.stats.poisson.pmf(np.arange(r_max + 1), t)
+    np.testing.assert_allclose(grid.mass[i], want, rtol=1e-9, atol=1e-300)
+    assert grid.mass[i, 1000] > 1e-3
+    assert lc.closed_form_continuous(space, classes, t, i, 1000, dist=dist) == pytest.approx(
+        want[1000], rel=1e-9)
+    assert lc.closed_form_continuous(space, classes, t, 0, 0, dist=dist) == dist.pi[0]
+    total = lc.total_cost_distribution(space, classes, t=t)
+    assert total.mean == pytest.approx(t * dist.g, rel=1e-9)
+    for r in (0, 900, 1000, 1100):
+        want = scipy.stats.binom.pmf(r, 2000, 0.5) * dist.pi[i]
+        got = lc.closed_form_discrete(space, classes, 2000, 0.5, i, r, dist=dist)
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-300)
+
+
+def test_continuous_mixed_costs_match_poisson_convolution():
+    # costs 1, 2, 3: reference law of sum_j omega_j N_j by convolving the
+    # Poisson laws of the charging classes, scaled onto the cost lattice
+    classes = (lc.TrafficClass(4.0, 1.0, 1, 1), lc.TrafficClass(2.0, 1.0, 2, 2),
+               lc.TrafficClass(1.0, 1.0, 3, 3))
+    space = lc.enumerate_states(classes, lc.FullSharing(capacity=20))
+    dist = lc.stationary(space, classes)
+    t, r_max = 2.0, 40
+    grid = cd.closed_form_grid(space, classes, t, r_max, dist=dist)
+    masks = set()
+    for i in range(len(space)):
+        ref = np.zeros(r_max + 1)
+        ref[0] = 1.0
+        for j, c in enumerate(classes):
+            if space.admissible[i, j]:
+                continue
+            law = np.zeros(r_max + 1)
+            law[::c.omega] = scipy.stats.poisson.pmf(np.arange(len(law[::c.omega])), t * c.lam)
+            ref = np.convolve(ref, law)[:r_max + 1]
+        masks.add(tuple(space.admissible[i]))
+        np.testing.assert_allclose(grid.mass[i], dist.pi[i] * ref, rtol=1e-12, atol=1e-17)
+    assert len(masks) == 4
 
 
 def test_discrete_single_class_is_binomial():
