@@ -16,6 +16,7 @@ from .model import (
     blocking_probabilities,
     build_generator,
     enumerate_states,
+    sparse_generator,
     stationary,
     verify_consistency,
 )

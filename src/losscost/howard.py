@@ -12,8 +12,10 @@ The solution is unique up to an additive constant; everything here anchors
 v(empty) = 0, which leaves the shadow prices p_k(q) = v(q+e_k) - v(q)
 unchanged.
 
-Besides the dense exact solve this module has the closed form for the
-symmetric single-service-rate case, two cheap closed-form approximations for
+The exact solve factors the sparse (CSR/CSC) generator with SuperLU, one
+equation replaced at the most likely state, so no n x n matrix is formed.
+Besides it this module has the closed form for the symmetric
+single-service-rate case, two cheap closed-form approximations for
 asymmetric systems, and an iterative series completion that tries to refine
 any starting approximation by per-class quasi-inversion of the generator.
 """
@@ -28,15 +30,16 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
-from scipy.sparse.linalg import LinearOperator, onenormest
+import scipy.sparse
+from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
 from .model import (
     ModelError,
     NumericsError,
     StateSpace,
     TrafficClass,
-    build_generator,
+    _log_weights,
+    sparse_generator,
 )
 
 __all__ = [
@@ -134,7 +137,7 @@ def howard_residual(
     r: np.ndarray,
 ) -> float:
     """Max-norm residual of the policy-evaluation equation for v."""
-    Q = build_generator(space, classes)
+    Q = sparse_generator(space, classes)
     return float(np.max(np.abs(Q @ v - (g - r))))
 
 
@@ -146,35 +149,54 @@ def solve_howard_exact(
     anchor: int = 0,
     cond_limit: float = 1e12,
 ) -> RelativeCosts:
-    """Solve the policy-evaluation equation by a dense anchored linear solve.
+    """Solve the policy-evaluation equation by a sparse LU factorization.
 
     The generator is singular (constants are in its null space), so the
-    ``anchor`` row is replaced by v(anchor) = 0.  Fails with
+    equation of the most likely state q* is replaced by v(q*) = 0.  The
+    dropped equation is the pi-weighted sum of all the others, so its
+    residual is theirs scaled by up to 1/pi(q*); at q* that factor is at most
+    the state count, while at the empty state of a heavily loaded link it
+    is 1/pi(empty), about 1e13 for three classes at rho_k = 10 on 40 units.
+    The anchored CSC matrix is factored with SuperLU
+    (``scipy.sparse.linalg.splu``) and the solution shifted so that
+    v(``anchor``) = 0, which leaves every shadow price unchanged.  Fails with
     :class:`NumericsError` when the anchored system's estimated condition
     number exceeds ``cond_limit`` or the residual misses ``RESIDUAL_TOL``.
     """
-    Q = build_generator(space, classes)
+    Q = sparse_generator(space, classes)
     n = len(space)
-    A = Q.copy()
-    rhs = (g - np.asarray(r, dtype=float)).copy()
-    A[anchor, :] = 0.0
-    A[anchor, anchor] = 1.0
-    rhs[anchor] = 0.0
+    r = np.asarray(r, dtype=float)
+    pivot = int(np.argmax(_log_weights(space, classes)))
+    coo = Q.tocoo()
+    keep = coo.row != pivot
+    A = scipy.sparse.csc_matrix(
+        (
+            np.append(coo.data[keep], 1.0),
+            (np.append(coo.row[keep], pivot), np.append(coo.col[keep], pivot)),
+        ),
+        shape=(n, n),
+    )
+    rhs = g - r
+    rhs[pivot] = 0.0
 
-    lu, piv = scipy.linalg.lu_factor(A)
+    # the generator is structurally symmetric; minimum degree on A^T + A
+    # gives about half the fill of the default column ordering
+    lu = splu(A, permc_spec="MMD_AT_PLUS_A")
     if n > 1:
         inv_op = LinearOperator(
             (n, n),
-            matvec=lambda x: scipy.linalg.lu_solve((lu, piv), x),
-            rmatvec=lambda x: scipy.linalg.lu_solve((lu, piv), x, trans=1),
+            matvec=lu.solve,
+            rmatvec=lambda x: lu.solve(x, trans="T"),
+            dtype=float,
         )
-        cond_est = onenormest(inv_op) * np.linalg.norm(A, 1)
+        cond_est = onenormest(inv_op) * scipy.sparse.linalg.norm(A, 1)
         if cond_est > cond_limit:
             raise NumericsError(
                 f"anchored system too ill-conditioned: estimate {cond_est:.3e} "
                 f"exceeds limit {cond_limit:.1e}"
             )
-    v = scipy.linalg.lu_solve((lu, piv), rhs)
+    v = lu.solve(rhs)
+    v -= v[anchor]
 
     residual = float(np.max(np.abs(Q @ v - (g - r))))
     if residual > RESIDUAL_TOL:
@@ -182,14 +204,6 @@ def solve_howard_exact(
             f"relative-cost solve residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}"
         )
     return RelativeCosts(v=v, g=g, anchor=anchor, residual=residual)
-
-
-def _inner_sum(p: int, inv_rho: float) -> float:
-    # S(p) = sum_{m=0}^{p} p!/(p-m)! * inv_rho^m, via S(p) = 1 + p*inv_rho*S(p-1)
-    s = 1.0
-    for k in range(1, p + 1):
-        s = 1.0 + k * inv_rho * s
-    return s
 
 
 def _double_sum(q: int, rho: float) -> float:
@@ -202,6 +216,23 @@ def _double_sum(q: int, rho: float) -> float:
             s = 1.0 + p * inv * s
         total += s
     return total
+
+
+def _total_tables(n: int, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    # Over total call counts t = 0..n: the load increment E(t) = S(t-1)/rho
+    # and the double sum D(t) = S(0) + ... + S(t-1) of _double_sum, from one
+    # pass of the inner-sum recursion S(p) = 1 + p/rho * S(p-1), S(0) = 1.
+    # Same operations in the same order as the scalar forms, so bit-identical;
+    # rho is only divided by when some state holds a call.
+    S = np.empty(n)
+    s = 1.0
+    for p in range(n):
+        if p > 0:
+            s = 1.0 + p * (1.0 / rho) * s
+        S[p] = s
+    E = np.concatenate([[0.0], S / rho])
+    D = np.concatenate([[0.0], np.cumsum(S)])
+    return E, D
 
 
 def relative_cost_symmetric(q: int, g: float, mu: float, rho: float) -> float:
@@ -230,9 +261,9 @@ def symmetric_relative_costs(
     mu = _require_equal([c.mu for c in classes], "service rates")
     _require_equal([c.bandwidth for c in classes], "bandwidths")
     rho = sum(c.rho for c in classes)
-    v = np.array(
-        [relative_cost_symmetric(sum(q), g, mu, rho) for q in space.states]
-    )
+    totals = space.occupancy.sum(axis=1)
+    _, D = _total_tables(int(totals.max()), rho)
+    v = g / (mu * rho) * D[totals]
     return RelativeCosts(v=v, g=g, anchor=0, residual=math.nan)
 
 
@@ -289,15 +320,13 @@ def relative_cost_general_approx(
     return out
 
 
-def _load_increment(q: int, rho: float) -> float:
-    # E(q) = h1(q) - h1(q-1); satisfies rho*E(q+1) - q*E(q) = 1
-    if q <= 0:
-        return 0.0
-    return _inner_sum(q - 1, 1.0 / rho) / rho
-
-
 def default_series_start(classes: Sequence[TrafficClass]) -> Callable[[tuple[int, ...]], float]:
-    """Symmetric-shaped starting approximation u(q) = h1(total q, rho) / sum_j mu_j."""
+    """Symmetric-shaped starting approximation u(q) = h1(total q, rho) / sum_j mu_j.
+
+    This is the start :func:`series_refine` uses when ``u`` is None; it
+    tabulates the same values by total call count instead of calling this
+    point by point.
+    """
     classes = tuple(classes)
     rho = sum(c.rho for c in classes)
     mu_sum = sum(c.mu for c in classes)
@@ -325,9 +354,6 @@ class _BoxFn:
         for q in itertools.product(*[range(l + 1) for l in limits]):
             out.a[q] = fn(q)
         return out
-
-    def points(self, shrink: int = 0):
-        return itertools.product(*[range(l + 1 - shrink) for l in self.limits])
 
 
 def _delta_k(f: _BoxFn, k: int, lam: float, mu: float) -> _BoxFn:
@@ -399,8 +425,6 @@ def series_refine(
     """
     classes = tuple(classes)
     K = space.K
-    if u is None:
-        u = default_series_start(classes)
     if any(c.lam == 0.0 for c in classes):
         # the per-class quasi-inverse weights carry inverse powers of the
         # per-class load
@@ -409,22 +433,25 @@ def series_refine(
     rho_j = [c.rho for c in classes]
 
     limits = [int(space.occupancy[:, k].max()) + n_terms + 2 for k in range(K)]
-    ubox = _BoxFn.from_callable(limits, u)
-
-    def share(q, j):
-        total = sum(q)
-        return rho_j[j] * _load_increment(total + 1, rho) - q[j] * _load_increment(total, rho)
+    grid = np.indices([l + 1 for l in limits])
+    totals = grid.sum(axis=0)
+    # E(t) is the load increment; its shares c_j(q) sum to one over j
+    E, D = _total_tables(int(totals.max()) + 1, rho)
+    if u is None:
+        ubox = _BoxFn(limits, D[totals] / (rho * sum(c.mu for c in classes)))
+    else:
+        ubox = _BoxFn.from_callable(limits, u)
 
     f = []
     for j in range(K):
         dju = _delta_k(ubox, j, classes[j].lam, classes[j].mu)
-        fj = _BoxFn(limits)
-        for q in ubox.points():
-            fj.a[q] = share(q, j) - dju.a[q]
-        f.append(fj)
+        share = rho_j[j] * E[totals + 1] - grid[j] * E[totals]
+        f.append(_BoxFn(limits, share - dju.a))
+
+    occupied = tuple(space.occupancy.T)
 
     def measure(vbox: _BoxFn) -> tuple[np.ndarray, float]:
-        v = np.array([vbox.a[q] for q in space.states])
+        v = vbox.a[occupied]
         v = v - v[0]
         return v, howard_residual(space, classes, v, g, r)
 
@@ -485,13 +512,7 @@ def series_refine(
 def shadow_prices(costs: RelativeCosts | np.ndarray, space: StateSpace) -> ShadowPriceTable:
     """Price table p_k(q) = v(q+e_k) - v(q) over pairs with q+e_k admitted."""
     v = costs.v if isinstance(costs, RelativeCosts) else np.asarray(costs, dtype=float)
-    n = len(space)
-    p = np.full((n, space.K), np.nan)
-    for i in range(n):
-        for k in range(space.K):
-            u = space.up[i, k]
-            if u >= 0:
-                p[i, k] = v[u] - v[i]
+    p = np.where(space.up >= 0, v[space.up] - v[:, None], np.nan)
     return ShadowPriceTable(p=p)
 
 

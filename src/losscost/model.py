@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
+import scipy.sparse
 
 __all__ = [
     "ModelError",
@@ -29,6 +30,7 @@ __all__ = [
     "StationaryDistribution",
     "enumerate_states",
     "build_generator",
+    "sparse_generator",
     "verify_consistency",
     "stationary",
     "blocking_probabilities",
@@ -223,36 +225,56 @@ def verify_consistency(space: StateSpace) -> bool:
     q + e_j: a blocked class must have no successor state (no sneak path into
     it either), and an admitted class must have one.  Both admission policies
     above satisfy this by construction; a hand-built space may not.
+    ``space.up`` already records membership of q + e_j, so this is one array
+    comparison.
     """
-    for i, q in enumerate(space.states):
-        for j in range(space.K):
-            upq = q[:j] + (q[j] + 1,) + q[j + 1:]
-            if bool(space.admissible[i, j]) != (upq in space.index):
-                return False
-    return True
+    return bool(np.array_equal(space.admissible, space.up >= 0))
+
+
+def sparse_generator(
+    space: StateSpace, classes: Sequence[TrafficClass]
+) -> scipy.sparse.csr_matrix:
+    """Continuous-time generator in CSR form: arrivals at rate lam into
+    admitted successors, departures at rate mu * q_j, diagonal = -row sum.
+
+    Raises :class:`ModelError` when an admitted class has no successor state.
+    """
+    classes = tuple(classes)
+    n = len(space)
+    orphan = np.argwhere(space.admissible & (space.up < 0))
+    if len(orphan):
+        i, j = orphan[0]
+        raise ModelError(
+            f"state {space.states[i]} admits class {j} but has no successor"
+        )
+    lam = np.array([c.lam for c in classes])
+    mu = np.array([c.mu for c in classes])
+    arrive = np.where(space.admissible, lam, 0.0)
+    depart = mu * space.occupancy
+    # the diagonal is accumulated class by class, arrival before departure,
+    # so that it is bit-identical to a per-entry build
+    diag = np.zeros(n)
+    for j in range(space.K):
+        diag -= arrive[:, j]
+        diag -= depart[:, j]
+    ui, uj = np.nonzero(space.admissible)
+    di, dj = np.nonzero(space.occupancy)
+    rows = np.arange(n)
+    return scipy.sparse.csr_matrix(
+        (
+            np.concatenate([lam[uj], depart[di, dj], diag]),
+            (
+                np.concatenate([ui, di, rows]),
+                np.concatenate([space.up[ui, uj], space.down[di, dj], rows]),
+            ),
+        ),
+        shape=(n, n),
+    )
 
 
 def build_generator(space: StateSpace, classes: Sequence[TrafficClass]) -> np.ndarray:
-    """Dense continuous-time generator: arrivals at rate lam into admitted
-    successors, departures at rate mu * q_j, diagonal = -row sum."""
-    classes = tuple(classes)
-    n = len(space)
-    Q = np.zeros((n, n))
-    for i in range(n):
-        for j in range(space.K):
-            if space.admissible[i, j]:
-                u = space.up[i, j]
-                if u < 0:
-                    raise ModelError(
-                        f"state {space.states[i]} admits class {j} but has no successor"
-                    )
-                Q[i, u] += classes[j].lam
-                Q[i, i] -= classes[j].lam
-            qj = space.states[i][j]
-            if qj > 0:
-                Q[i, space.down[i, j]] += classes[j].mu * qj
-                Q[i, i] -= classes[j].mu * qj
-    return Q
+    """Dense form of :func:`sparse_generator`; n x n memory, for small models."""
+    return sparse_generator(space, classes).toarray()
 
 
 @dataclass(frozen=True)

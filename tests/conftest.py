@@ -58,6 +58,32 @@ def random_instance(rng, symmetric=False, max_classes=3, max_capacity=12):
     return classes, lc.enumerate_states(classes, policy)
 
 
+def heavy_instance(capacity):
+    """Heavy load: three unit-bandwidth classes with rho_k = C/4 on one link,
+    blocking costs (1, 2, 3).  The empty state carries almost no mass."""
+    classes = tuple(
+        lc.TrafficClass(lam=capacity / 4, mu=1.0, bandwidth=1, omega=w) for w in (1, 2, 3)
+    )
+    return classes, lc.enumerate_states(classes, lc.FullSharing(capacity=capacity))
+
+
+def kaufman_roberts(classes, capacity):
+    """Full-sharing blocking probabilities and average cost rate g from the
+    Kaufman-Roberts recursion c P(c) = sum_k rho_k b_k P(c - b_k) over the
+    occupied capacity c: O(C K) work, no state enumeration."""
+    P = np.zeros(capacity + 1)
+    P[0] = 1.0
+    for c in range(1, capacity + 1):
+        P[c] = sum(cl.rho * cl.bandwidth * P[c - cl.bandwidth]
+                   for cl in classes if cl.bandwidth <= c) / c
+        if P[c] > 1e200:
+            P[: c + 1] /= P[c]
+    P /= P.sum()
+    blocking = np.array([P[capacity - cl.bandwidth + 1:].sum() for cl in classes])
+    g = float(sum(cl.lam * cl.omega * b for cl, b in zip(classes, blocking)))
+    return blocking, g
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240917)

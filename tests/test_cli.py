@@ -97,6 +97,24 @@ def test_shadow_exact_equals_symmetric_closed_form(tmp_path):
                     assert ra[key] == rb[key]
 
 
+HEAVY_MODEL = json.dumps({
+    "classes": [{"lambda": 6.25, "mu": 1.0, "bandwidth": 1, "omega": w} for w in (1, 2, 3)],
+    "policy": {"type": "full_sharing", "capacity": 25},
+})
+
+
+def test_shadow_exact_heavy_load(tmp_path):
+    # rho_k = C/4 at C = 25, 3,276 states
+    model = _write(tmp_path, HEAVY_MODEL)
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert main(["shadow", "--model", model, "--out", str(out_a), "--method", "exact"]) == 0
+    assert main(["shadow", "--model", model, "--out", str(out_b), "--method", "symmetric"]) == 0
+    va = np.array([float(r["v"]) for r in _read_csv(out_a / "relative_costs.csv")])
+    vb = np.array([float(r["v"]) for r in _read_csv(out_b / "relative_costs.csv")])
+    assert len(va) == 3276
+    np.testing.assert_allclose(va, vb, rtol=1e-10, atol=0.0)
+
+
 def test_shadow_series_reports_residual_history(tmp_path):
     model = _write(tmp_path, ASYMMETRIC_MODEL)
     out = tmp_path / "o"

@@ -8,7 +8,7 @@ import pytest
 import losscost as lc
 from losscost import howard as hw
 from losscost.howard import _double_sum
-from conftest import k1_instance, k2_reference, random_instance
+from conftest import heavy_instance, k1_instance, k2_reference, random_instance
 
 
 def _solved(classes, space):
@@ -38,6 +38,38 @@ def test_exact_solve_residual_on_random_instances(rng):
         dist, costs = _solved(classes, space)
         assert costs.residual <= 1e-8
         assert hw.howard_residual(space, classes, costs.v, dist.g, dist.r) <= 1e-8
+
+
+def test_exact_solve_heavy_load_matches_closed_form():
+    # pi(empty) is tiny here: dropping the empty state's equation scaled the
+    # residual of the others by 1/pi(empty) and failed RESIDUAL_TOL
+    classes, space = heavy_instance(40)
+    dist = lc.stationary(space, classes)
+    exact = lc.solve_howard_exact(space, classes, dist.g, dist.r)
+    closed = lc.symmetric_relative_costs(space, classes, dist.g)
+    assert exact.residual <= hw.RESIDUAL_TOL
+    assert exact.anchor == 0 and exact.v[0] == 0.0
+    np.testing.assert_allclose(exact.v, closed.v, rtol=1e-10, atol=0.0)
+
+
+def test_symmetric_relative_costs_match_scalar_form(rng):
+    for _ in range(6):
+        classes, space = random_instance(rng, symmetric=True)
+        dist = lc.stationary(space, classes)
+        rho = sum(c.rho for c in classes)
+        want = [lc.relative_cost_symmetric(sum(q), dist.g, classes[0].mu, rho) for q in space.states]
+        assert np.array_equal(lc.symmetric_relative_costs(space, classes, dist.g).v, want)
+
+
+def test_total_tables_match_scalar_sums():
+    for rho in (0.3, 2.0, 17.5):
+        E, D = hw._total_tables(60, rho)
+        assert np.array_equal(D, [_double_sum(t, rho) for t in range(61)])
+        # E is the load increment: rho E(t+1) - t E(t) = 1, up to rounding
+        # of the two terms
+        t = np.arange(60)
+        err = np.abs(rho * E[1:] - t * E[:-1] - 1.0)
+        assert np.all(err <= 1e-13 * (1.0 + rho * E[1:]))
 
 
 def test_symmetric_closed_form_scalar():
@@ -135,6 +167,19 @@ def test_series_with_exact_start_adds_nothing():
     np.testing.assert_allclose(res.costs.v, want, atol=1e-10)
 
 
+def test_series_default_start_equals_callable_start(rng):
+    # the tabulated default start gives the same bits as the scalar one
+    # evaluated point by point
+    for _ in range(4):
+        classes, space = random_instance(rng)
+        dist = lc.stationary(space, classes)
+        a = lc.series_refine(space, classes, dist.g, dist.r, n_terms=3)
+        u = hw.default_series_start(classes)
+        b = lc.series_refine(space, classes, dist.g, dist.r, u=u, n_terms=3)
+        assert np.array_equal(a.costs.v, b.costs.v)
+        assert a.residual_history == b.residual_history
+
+
 def test_series_outcome_is_documented(rng):
     # On asymmetric instances the completion repairs the unconstrained
     # balance but can settle on the wrong boundary increments; either the
@@ -184,6 +229,18 @@ def test_shadow_prices_zero_cost():
     dist, costs = _solved(classes, space)
     table = lc.shadow_prices(costs, space)
     assert np.nanmax(np.abs(table.p)) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_shadow_prices_match_loop(rng):
+    for _ in range(6):
+        classes, space = random_instance(rng)
+        dist, costs = _solved(classes, space)
+        want = np.full((len(space), space.K), np.nan)
+        for i in range(len(space)):
+            for k in range(space.K):
+                if space.up[i, k] >= 0:
+                    want[i, k] = costs.v[space.up[i, k]] - costs.v[i]
+        np.testing.assert_array_equal(lc.shadow_prices(costs, space).p, want)
 
 
 def test_shadow_prices_anchor_invariant():

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 import losscost as lc
-from conftest import k1_instance, k2_reference, random_instance
+from conftest import heavy_instance, k1_instance, k2_reference, kaufman_roberts, random_instance
 
 
 def test_enumerate_k1_full_sharing():
@@ -109,6 +109,70 @@ def test_generator_rows_sum_to_zero(rng):
         classes, space = random_instance(rng)
         Q = lc.build_generator(space, classes)
         np.testing.assert_allclose(Q.sum(axis=1), 0.0, atol=1e-12)
+
+
+def _loop_generator(space, classes):
+    # reference: the dense generator built entry by entry
+    n = len(space)
+    Q = np.zeros((n, n))
+    for i in range(n):
+        for j in range(space.K):
+            if space.admissible[i, j]:
+                Q[i, space.up[i, j]] += classes[j].lam
+                Q[i, i] -= classes[j].lam
+            qj = space.states[i][j]
+            if qj > 0:
+                Q[i, space.down[i, j]] += classes[j].mu * qj
+                Q[i, i] -= classes[j].mu * qj
+    return Q
+
+
+def test_sparse_generator_matches_loop_build(rng):
+    mixed = (lc.TrafficClass(1.2, 0.8, 1, 1), lc.TrafficClass(0.6, 1.7, 2, 2),
+             lc.TrafficClass(0.9, 1.1, 3, 0))
+    instances = [random_instance(rng) for _ in range(16)] + [
+        (mixed, lc.enumerate_states(mixed, lc.FullSharing(capacity=9))),
+        (mixed, lc.enumerate_states(mixed, lc.PerClassThreshold(thresholds=(3, 2, 4)))),
+    ]
+    for classes, space in instances:
+        Q = lc.sparse_generator(space, classes)
+        assert Q.format == "csr"
+        assert np.array_equal(Q.toarray(), _loop_generator(space, classes))
+        assert np.array_equal(lc.build_generator(space, classes), Q.toarray())
+
+
+def test_sparse_generator_rejects_admission_without_successor():
+    # class 1 is admitted at (0, 1) but (1, 1) is not a state
+    states = [(0, 0), (0, 1), (1, 0)]
+    admissible = np.array([[True, True], [True, False], [False, False]])
+    space = lc.StateSpace(states, admissible)
+    with pytest.raises(lc.ModelError, match="no successor"):
+        lc.sparse_generator(space, (lc.TrafficClass(1.0, 1.0), lc.TrafficClass(1.0, 1.0)))
+
+
+def test_stationary_matches_kaufman_roberts(rng):
+    for _ in range(12):
+        K = int(rng.integers(1, 5))
+        classes = tuple(
+            lc.TrafficClass(lam=float(rng.uniform(0.1, 6.0)), mu=float(rng.uniform(0.3, 3.0)),
+                            bandwidth=int(rng.integers(1, 4)), omega=int(rng.integers(0, 4)))
+            for _ in range(K)
+        )
+        capacity = int(rng.integers(3, 16))
+        space = lc.enumerate_states(classes, lc.FullSharing(capacity=capacity))
+        dist = lc.stationary(space, classes)
+        blocking, g = kaufman_roberts(classes, capacity)
+        np.testing.assert_allclose(lc.blocking_probabilities(space, dist.pi), blocking, rtol=1e-10)
+        assert dist.g == pytest.approx(g, rel=1e-10, abs=1e-300)
+
+
+@pytest.mark.parametrize("capacity", [25, 40])
+def test_stationary_heavy_load_matches_kaufman_roberts(capacity):
+    classes, space = heavy_instance(capacity)
+    dist = lc.stationary(space, classes)
+    blocking, g = kaufman_roberts(classes, capacity)
+    np.testing.assert_allclose(lc.blocking_probabilities(space, dist.pi), blocking, rtol=1e-10)
+    assert dist.g == pytest.approx(g, rel=1e-10)
 
 
 def test_stationary_solves_global_balance(rng):
