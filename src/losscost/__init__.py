@@ -27,6 +27,8 @@ from .howard import (
     SeriesResult,
     ShadowPriceTable,
     bill_distribution,
+    equal_bandwidth_relative_costs,
+    general_relative_costs,
     howard_residual,
     relative_cost_equal_bandwidth_approx,
     relative_cost_general_approx,
@@ -54,6 +56,7 @@ from .simulate import (
     SimConfig,
     SimResult,
     empirical_bill_hist,
+    empirical_quantile,
     empirical_total_cost_hist,
     simulate,
     simulate_simple_total_costs,

@@ -17,8 +17,6 @@ seed.  Exit codes: 0 success, 1 validation error, 2 numeric failure,
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 import time
 from pathlib import Path
@@ -26,193 +24,119 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .model import (
-    ModelError,
-    NumericsError,
-    blocking_probabilities,
-    enumerate_states,
-    stationary,
-)
+from .model import (ModelError, NumericsError, _check_horizon, blocking_probabilities,
+                    enumerate_states, stationary)
 from .model_io import load_model
 from . import costdist as cd
 from . import howard as hw
-from .simulate import SimConfig, empirical_bill_hist, empirical_total_cost_hist, simulate
+from . import report
+from .report import fmt
+from .simulate import (SimConfig, empirical_bill_hist, empirical_quantile,
+                       empirical_total_cost_hist, simulate)
 
-_METHODS = ("exact", "symmetric", "equal-bandwidth", "general", "series")
-_SCHEMES = ("shadow", "simple", "closed")
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17e")
-
-
-def _write_pi(path: Path, space, pi) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"q{k + 1}" for k in range(space.K)] + ["probability"])
-        for q, p in zip(space.states, pi):
-            w.writerow(list(q) + [_fmt(p)])
+# relative-cost approximations, v = fn(space, classes, g); looked up in
+# ``howard`` at call time, so wrappers installed on its names see the calls
+_APPROXIMATIONS = {
+    "symmetric": lambda space, classes, g: hw.symmetric_relative_costs(space, classes, g).v,
+    "equal-bandwidth": lambda space, classes, g: hw.equal_bandwidth_relative_costs(space, classes, g).v,
+    "general": lambda space, classes, g: hw.general_relative_costs(space, classes, g).v,
+}
+_METHODS = ("exact", *_APPROXIMATIONS, "series")
 
 
-def _write_summary(path: Path, space, dist) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        head = ["G", "g"] + [f"blocking_prob_{k + 1}" for k in range(space.K)]
-        w.writerow(head)
-        bp = blocking_probabilities(space, dist.pi)
-        gval = _fmt(dist.G) if dist.G is not None else "overflow"
-        w.writerow([gval, _fmt(dist.g)] + [_fmt(b) for b in bp])
+def _load(args):
+    classes, policy = load_model(args.model)
+    space = enumerate_states(classes, policy)
+    return classes, space, stationary(space, classes)
 
 
 def cmd_stationary(args, _=None) -> tuple[int, dict]:
-    classes, policy = load_model(args.model)
-    space = enumerate_states(classes, policy)
-    dist = stationary(space, classes)
+    classes, space, dist = _load(args)
     out = Path(args.out)
-    _write_pi(out / "pi.csv", space, dist.pi)
-    _write_summary(out / "summary.csv", space, dist)
+    report.write_csv(out / "pi.csv", report.state_header(space.K) + ["probability"],
+                     (list(q) + [fmt(p)] for q, p in zip(space.states, dist.pi)))
+    bp = blocking_probabilities(space, dist.pi)
+    report.write_csv(out / "summary.csv", ["G", "g"] + [f"blocking_prob_{k + 1}" for k in range(space.K)],
+                     [[fmt(dist.G) if dist.G is not None else "overflow", fmt(dist.g)] + [fmt(b) for b in bp]])
     return 0, {"states": len(space)}
 
 
 def _relative_costs(space, classes, dist, method: str, terms: int):
-    warnings = 0
-    rows = []
+    """(costs, residual history, warnings) of one ``--method``."""
     if method == "exact":
         costs = hw.solve_howard_exact(space, classes, dist.g, dist.r)
-        rows.append((method, 0, costs.residual))
-    elif method == "symmetric":
-        costs = hw.symmetric_relative_costs(space, classes, dist.g)
-        res = hw.howard_residual(space, classes, costs.v, dist.g, dist.r)
-        costs = hw.RelativeCosts(v=costs.v, g=dist.g, anchor=0, residual=res)
-        rows.append((method, 0, res))
-    elif method == "equal-bandwidth":
-        v = np.array([hw.relative_cost_equal_bandwidth_approx(q, classes, dist.g) for q in space.states])
-        res = hw.howard_residual(space, classes, v, dist.g, dist.r)
-        costs = hw.RelativeCosts(v=v, g=dist.g, anchor=0, residual=res)
-        rows.append((method, 0, res))
-    elif method == "general":
-        v = np.array([hw.relative_cost_general_approx(q, classes, dist.g) for q in space.states])
-        res = hw.howard_residual(space, classes, v, dist.g, dist.r)
-        costs = hw.RelativeCosts(v=v, g=dist.g, anchor=0, residual=res)
-        rows.append((method, 0, res))
-    elif method == "series":
+        return costs, (costs.residual,), 0
+    if method == "series":
         result = hw.series_refine(space, classes, dist.g, dist.r, n_terms=terms)
-        costs = result.costs
-        for nterm, res in enumerate(result.residual_history):
-            rows.append((method, nterm, res))
-        if not result.converged:
-            warnings += 1
-    else:
-        raise ModelError(f"unknown method {method!r}; choose from {_METHODS}")
-    return costs, rows, warnings
+        return result.costs, result.residual_history, int(not result.converged)
+    v = _APPROXIMATIONS[method](space, classes, dist.g)
+    res = hw.howard_residual(space, classes, v, dist.g, dist.r)
+    return hw.RelativeCosts(v=v, g=dist.g, anchor=0, residual=res), (res,), 0
 
 
 def cmd_shadow(args, _=None) -> tuple[int, dict]:
-    classes, policy = load_model(args.model)
-    space = enumerate_states(classes, policy)
-    dist = stationary(space, classes)
-    costs, rows, warnings = _relative_costs(space, classes, dist, args.method, args.terms)
+    classes, space, dist = _load(args)
+    costs, history, warnings = _relative_costs(space, classes, dist, args.method, args.terms)
     out = Path(args.out)
-    hw.write_relative_costs(out / "relative_costs.csv", space, costs)
+    report.write_relative_costs(out / "relative_costs.csv", space, costs)
     prices = hw.shadow_prices(costs, space)
-    hw.write_shadow_prices(out / "shadow_prices.csv", space, prices)
-    bills = hw.bill_distribution(prices, dist.pi, space)
-    hw.write_bill_distribution(out / "bill_dist.csv", bills)
-    with open(out / "residuals.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["method", "terms", "residual"])
-        for m, nterm, res in rows:
-            w.writerow([m, nterm, _fmt(res)])
+    report.write_shadow_prices(out / "shadow_prices.csv", space, prices)
+    report.write_bill_distribution(out / "bill_dist.csv", hw.bill_distribution(prices, dist.pi, space))
+    report.write_csv(out / "residuals.csv", ["method", "terms", "residual"],
+                     ([args.method, n, fmt(res)] for n, res in enumerate(history)))
     return warnings, {"states": len(space), "method": args.method}
 
 
 def cmd_costdist(args, _=None) -> tuple[int, dict]:
-    classes, policy = load_model(args.model)
-    space = enumerate_states(classes, policy)
-    dist = stationary(space, classes)
-    out = Path(args.out)
-    warnings = 0
-    t = args.t
-    if t is None:
-        raise ModelError("costdist requires --t")
-
+    classes, space, dist = _load(args)
+    out, t, meta = Path(args.out), args.t, {}
     if args.scheme == "closed":
         total = cd.total_cost_distribution(space, classes, t, r_max=args.rmax)
-        r_max = len(total.mass) - 1
-        cd.write_cost_grid(out / "cost_dist.csv", space, cd.closed_form_grid(space, classes, t, r_max, dist=dist))
-        cd.write_total_cost(out / "total_cost.csv", t, total.mass)
-        cd.write_risk(out / "risk.csv", total)
-        if total.leakage > cd.LEAKAGE_WARN:
-            warnings += 1
-        return warnings, {"states": len(space), "scheme": args.scheme, "r_max": r_max}
-
-    rate = cd.max_outflow_rate(space, classes)
-    steps = args.steps if args.steps else int(np.ceil(t * rate / cd.STEP_LIMIT))
-    r_max = args.rmax if args.rmax is not None else cd.default_r_max(classes, t)
-    evolve = cd.evolve_shadow_costs if args.scheme == "shadow" else cd.evolve_simple_costs
-    grid = evolve(space, classes, t, steps, r_max, warn=False)
-    if grid.leakage > cd.LEAKAGE_WARN:
-        warnings += 1
-    cd.write_cost_grid(out / "cost_dist.csv", space, grid)
-    risk = cd.TotalCostDistribution.from_mass(t, grid.total_cost(), t * dist.g, grid.leakage)
-    cd.write_total_cost(out / "total_cost.csv", t, risk.mass)
-    cd.write_risk(out / "risk.csv", risk)
-    return warnings, {"states": len(space), "scheme": args.scheme, "steps": steps, "r_max": r_max}
+        grid = cd.closed_form_grid(space, classes, t, len(total.mass) - 1, dist=dist)
+    else:
+        steps = args.steps or int(np.ceil(t * cd.max_outflow_rate(space, classes) / cd.STEP_LIMIT))
+        r_max = args.rmax if args.rmax is not None else cd.default_r_max(classes, t)
+        evolve = cd.evolve_shadow_costs if args.scheme == "shadow" else cd.evolve_simple_costs
+        grid = evolve(space, classes, t, steps, r_max, warn=False)
+        total = cd.TotalCostDistribution.from_mass(t, grid.total_cost(), t * dist.g, grid.leakage)
+        meta["steps"] = steps
+    report.write_cost_grid(out / "cost_dist.csv", space, grid)
+    report.write_total_cost(out / "total_cost.csv", t, total.mass)
+    report.write_risk(out / "risk.csv", total)
+    warnings = int(total.leakage > cd.LEAKAGE_WARN)
+    return warnings, {"states": len(space), "scheme": args.scheme, "r_max": grid.r_max, **meta}
 
 
 def cmd_simulate(args, _=None) -> tuple[int, dict]:
-    classes, policy = load_model(args.model)
-    space = enumerate_states(classes, policy)
-    dist = stationary(space, classes)
-    if args.t is None:
-        raise ModelError("simulate requires --t")
-    if args.reps < 1:
-        raise ModelError(f"replications must be >= 1, got {args.reps}")
-    costs = hw.solve_howard_exact(space, classes, dist.g, dist.r)
-    prices = hw.shadow_prices(costs, space)
+    classes, space, dist = _load(args)
     # a quarter of the horizon is discarded for the stationary estimates
     # (occupancy, bills); cost accumulates from time zero
     config = SimConfig(horizon=args.t, replications=args.reps, seed=args.seed,
                        record_bills=True, warmup=args.t / 4.0)
+    costs = hw.solve_howard_exact(space, classes, dist.g, dist.r)
+    prices = hw.shadow_prices(costs, space)
     result = simulate(space, classes, config, prices=prices)
     out = Path(args.out)
+    t, n, states = fmt(args.t), args.reps, report.state_header(space.K)
 
-    with open(out / "pi_mc.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"q{k + 1}" for k in range(space.K)] + ["probability", "se"])
-        for i, q in enumerate(space.states):
-            w.writerow(list(q) + [_fmt(result.occupancy[i]), _fmt(result.occupancy_se[i])])
-    r_max = int(result.total_cost_samples.max()) if len(result.total_cost_samples) else 0
-    with open(out / "cost_dist_mc.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t"] + [f"q{k + 1}" for k in range(space.K)] + ["r", "probability", "se"])
-        cells: dict[tuple[int, int], int] = {}
-        for st, r in zip(result.final_states, result.total_cost_samples):
-            cells[(int(st), int(r))] = cells.get((int(st), int(r)), 0) + 1
-        for (st, r), cnt in sorted(cells.items()):
-            prob = cnt / args.reps
-            se = np.sqrt(prob * (1.0 - prob) / args.reps)
-            w.writerow([_fmt(args.t)] + list(space.states[st]) + [r, _fmt(prob), _fmt(se)])
-    p, lo, hi = empirical_total_cost_hist(result.total_cost_samples, r_max)
-    with open(out / "total_cost_mc.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "r", "probability", "wilson_low", "wilson_high"])
-        for r in range(r_max + 1):
-            w.writerow([_fmt(args.t), r, _fmt(p[r]), _fmt(lo[r]), _fmt(hi[r])])
-    with open(out / "risk_mc.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "mean", "se", "q95", "q99"])
-        samples = np.sort(result.total_cost_samples)
-        q95 = samples[min(len(samples) - 1, int(0.95 * len(samples)))]
-        q99 = samples[min(len(samples) - 1, int(0.99 * len(samples)))]
-        w.writerow([_fmt(args.t), _fmt(result.mean_cost()), _fmt(result.mean_cost_se()), int(q95), int(q99)])
-    with open(out / "bill_dist_mc.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["class", "price", "probability"])
-        for k in range(space.K):
-            if len(result.bill_samples[k]):
-                for price, freq in empirical_bill_hist(result, k):
-                    w.writerow([k + 1, _fmt(price), _fmt(freq)])
+    report.write_csv(out / "pi_mc.csv", states + ["probability", "se"],
+                     (list(q) + [fmt(p), fmt(se)]
+                      for q, p, se in zip(space.states, result.occupancy, result.occupancy_se)))
+    cells, counts = np.unique(np.column_stack([result.final_states, result.total_cost_samples]),
+                              axis=0, return_counts=True)
+    prob = counts / n
+    report.write_csv(out / "cost_dist_mc.csv", ["t"] + states + ["r", "probability", "se"],
+                     ([t] + list(space.states[st]) + [r, fmt(p), fmt(se)]
+                      for (st, r), p, se in zip(cells, prob, np.sqrt(prob * (1.0 - prob) / n))))
+    samples = result.total_cost_samples
+    hist = empirical_total_cost_hist(samples, int(samples.max()))
+    report.write_csv(out / "total_cost_mc.csv", ["t", "r", "probability", "wilson_low", "wilson_high"],
+                     ([t, r, fmt(p), fmt(lo), fmt(hi)] for r, (p, lo, hi) in enumerate(zip(*hist))))
+    report.write_csv(out / "risk_mc.csv", ["t", "mean", "se", "q95", "q99"],
+                     [[t, fmt(result.mean_cost()), fmt(result.mean_cost_se()),
+                       empirical_quantile(samples, 0.95), empirical_quantile(samples, 0.99)]])
+    report.write_bill_distribution(out / "bill_dist_mc.csv", hw.BillDistribution(tuple(
+        empirical_bill_hist(result, k) if len(result.bill_samples[k]) else () for k in range(space.K))))
 
     # comparison report: analytic references for what the simulation measures.
     # Starting empty, the expected accumulated cost over [0, t] is
@@ -231,22 +155,25 @@ def cmd_simulate(args, _=None) -> tuple[int, dict]:
         # pooled ratio estimator over replications; the delta-method standard
         # error uses per-replication (sum, count) influence terms, which are
         # independent, while bills inside one replication are not
-        if len(result.bill_samples[k]) < 100 or args.reps < 10:
+        if len(result.bill_samples[k]) < 100 or n < 10:
             continue
-        sums = np.bincount(result.bill_reps[k], weights=result.bill_samples[k], minlength=args.reps)
-        counts = np.bincount(result.bill_reps[k], minlength=args.reps).astype(float)
+        sums = np.bincount(result.bill_reps[k], weights=result.bill_samples[k], minlength=n)
+        counts = np.bincount(result.bill_reps[k], minlength=n).astype(float)
         emp = float(sums.sum() / counts.sum())
         ana = bills.mean(k)
         bse = float(np.sqrt(np.sum((sums - emp * counts) ** 2)) / counts.sum())
         z = (emp - ana) / bse if bse > 0 else 0.0
         comparisons.append((f"mean_bill_class_{k + 1}", emp, ana, bse, z, abs(z) <= 3.0))
-    with open(out / "comparison.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["quantity", "simulated", "analytic", "se", "z", "pass"])
-        for name, sim, ana, s, z, ok in comparisons:
-            w.writerow([name, _fmt(sim), _fmt(ana), _fmt(s), _fmt(z), int(ok)])
+    report.write_csv(out / "comparison.csv", ["quantity", "simulated", "analytic", "se", "z", "pass"],
+                     ([name, fmt(sim), fmt(ana), fmt(s), fmt(z), int(ok)]
+                      for name, sim, ana, s, z, ok in comparisons))
     failed = sum(1 for c in comparisons if not c[5])
-    return failed, {"states": len(space), "replications": args.reps, "checks_failed": failed}
+    return failed, {"states": len(space), "replications": n, "checks_failed": failed}
+
+
+def horizon(text: str) -> float:
+    """argparse type of ``--t``: a finite float above zero."""
+    return _check_horizon(float(text))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -270,15 +197,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("costdist", help="accumulated-cost distribution over a horizon")
     common(p)
-    p.add_argument("--t", type=float, default=None, help="time horizon")
-    p.add_argument("--scheme", default="closed", choices=_SCHEMES)
+    p.add_argument("--t", type=horizon, required=True, help="time horizon, finite and > 0")
+    p.add_argument("--scheme", default="closed", choices=("shadow", "simple", "closed"))
     p.add_argument("--steps", type=int, default=None, help="recursion steps (default: minimal valid)")
     p.add_argument("--rmax", type=int, default=None, help="cost truncation (default: automatic)")
     p.set_defaults(fn=cmd_costdist)
 
     p = sub.add_parser("simulate", help="Monte Carlo cross-check")
     common(p)
-    p.add_argument("--t", type=float, default=None, help="horizon per replication")
+    p.add_argument("--t", type=horizon, required=True, help="horizon per replication, finite and > 0")
     p.add_argument("--reps", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_simulate)
@@ -314,9 +241,7 @@ def main(argv=None) -> int:
         "warnings": warnings,
         **meta,
     }
-    with open(out / "run_manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    report.write_manifest(out / "run_manifest.json", manifest)
     return 3 if warnings else 0
 
 

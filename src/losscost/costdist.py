@@ -25,11 +25,9 @@ rho (q+1) f(q) = 0 that appears when separating such cost chains.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import mpmath as mp
@@ -41,8 +39,10 @@ from .model import (
     StateSpace,
     StationaryDistribution,
     TrafficClass,
+    _check_horizon,
     stationary,
 )
+from .report import write_cost_grid, write_risk, write_total_cost
 
 __all__ = [
     "CostGrid",
@@ -111,8 +111,7 @@ def max_outflow_rate(space: StateSpace, classes: Sequence[TrafficClass]) -> floa
 def _check_step(space, classes, horizon, steps) -> float:
     if steps < 1:
         raise ModelError(f"steps must be >= 1, got {steps}")
-    if horizon <= 0:
-        raise ModelError(f"horizon must be > 0, got {horizon}")
+    _check_horizon(horizon)
     dt = horizon / steps
     rate = max_outflow_rate(space, classes)
     if dt * rate > STEP_LIMIT:
@@ -326,6 +325,7 @@ def closed_form_continuous(
     charging classes, evaluated by Panjer's recursion; the joint
     probability is that law times pi(q).
     """
+    _check_horizon(t)
     if r < 0:
         return 0.0
     classes = tuple(classes)
@@ -357,6 +357,7 @@ def closed_form_grid(
 
     ``steps`` is 0 (continuous time); ``leakage`` is the mass past r_max.
     """
+    _check_horizon(t)
     classes = tuple(classes)
     if dist is None:
         dist = stationary(space, classes)
@@ -407,6 +408,7 @@ def total_cost_distribution(
     ``r_max`` defaults to :func:`default_r_max` and is doubled until the
     truncated tail is below ``leak_tol``.
     """
+    _check_horizon(t)
     classes = tuple(classes)
     dist = stationary(space, classes)
     if r_max is None:
@@ -591,32 +593,3 @@ def recursion_solve(
             C=float(C),
             f=tuple(float(v) for v in fvals),
         )
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17e")
-
-
-def write_cost_grid(path: str | Path, space: StateSpace, grid: CostGrid) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t"] + [f"q{k + 1}" for k in range(space.K)] + ["r", "probability"])
-        for i, q in enumerate(space.states):
-            for r in range(grid.r_max + 1):
-                w.writerow([_fmt(grid.horizon)] + list(q) + [r, _fmt(grid.mass[i, r])])
-
-
-def write_total_cost(path: str | Path, t: float, mass: np.ndarray) -> None:
-    cum = np.cumsum(mass)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "r", "probability", "cumulative"])
-        for r, (p, c) in enumerate(zip(mass, cum)):
-            w.writerow([_fmt(t), r, _fmt(p), _fmt(c)])
-
-
-def write_risk(path: str | Path, dist: TotalCostDistribution) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "mean", "q95", "q99"])
-        w.writerow([_fmt(dist.t), _fmt(dist.mean), dist.q95, dist.q99])

@@ -22,11 +22,9 @@ any starting approximation by per-class quasi-inversion of the generator.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,6 +39,7 @@ from .model import (
     _log_weights,
     sparse_generator,
 )
+from .report import write_bill_distribution, write_relative_costs, write_shadow_prices
 
 __all__ = [
     "RelativeCosts",
@@ -53,6 +52,8 @@ __all__ = [
     "symmetric_relative_costs",
     "relative_cost_equal_bandwidth_approx",
     "relative_cost_general_approx",
+    "equal_bandwidth_relative_costs",
+    "general_relative_costs",
     "series_refine",
     "shadow_prices",
     "bill_distribution",
@@ -320,6 +321,47 @@ def relative_cost_general_approx(
     return out
 
 
+# Whole-space forms of the two approximations: per-class terms added in the
+# scalar forms' order, double sums read from _total_tables, so v is
+# bit-identical to the scalar functions evaluated state by state.
+
+
+def equal_bandwidth_relative_costs(
+    space: StateSpace, classes: Sequence[TrafficClass], g: float
+) -> RelativeCosts:
+    """:func:`relative_cost_equal_bandwidth_approx` over every state."""
+    classes = tuple(classes)
+    _require_equal([c.bandwidth for c in classes], "bandwidths")
+    q = space.occupancy
+    totals = q.sum(axis=1)
+    rho = sum(c.rho for c in classes)
+    _, D = _total_tables(int(totals.max()), rho)
+    v = np.zeros(len(space))
+    for qj, c in zip(q.T, classes):
+        v += np.where(qj > 0, (qj / np.maximum(totals, 1)) * g / (c.mu * rho) * D[totals], 0.0)
+    return RelativeCosts(v=v, g=g, anchor=0, residual=math.nan)
+
+
+def general_relative_costs(
+    space: StateSpace, classes: Sequence[TrafficClass], g: float
+) -> RelativeCosts:
+    """:func:`relative_cost_general_approx` over every state."""
+    classes = tuple(classes)
+    q = space.occupancy
+    c = q @ np.array([cl.bandwidth for cl in classes])
+    v = np.zeros(len(space))
+    b = sum(cl.bandwidth for cl in classes)
+    rho = sum(cl.rho * (cl.bandwidth / b) ** 2 for cl in classes)
+    if rho == 0.0:
+        return RelativeCosts(v=v, g=g, anchor=0, residual=math.nan)
+    for qj, cl in zip(q.T, classes):
+        level = c // cl.bandwidth
+        _, D = _total_tables(int(level.max()), (b / cl.bandwidth) ** 2 * rho)
+        share = (cl.bandwidth * qj / np.maximum(c, 1)) * (cl.bandwidth / b) ** 2 * g / (cl.mu * rho)
+        v += np.where(qj > 0, share * D[level], 0.0)
+    return RelativeCosts(v=v, g=g, anchor=0, residual=math.nan)
+
+
 def default_series_start(classes: Sequence[TrafficClass]) -> Callable[[tuple[int, ...]], float]:
     """Symmetric-shaped starting approximation u(q) = h1(total q, rho) / sum_j mu_j.
 
@@ -542,36 +584,3 @@ def bill_distribution(
                 atoms.append([price, w])
         per_class.append(tuple((float(p), float(w)) for p, w in atoms))
     return BillDistribution(per_class=tuple(per_class))
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17e")
-
-
-def _state_header(space: StateSpace) -> list[str]:
-    return [f"q{k + 1}" for k in range(space.K)]
-
-
-def write_relative_costs(path: str | Path, space: StateSpace, costs: RelativeCosts) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_state_header(space) + ["v"])
-        for q, v in zip(space.states, costs.v):
-            w.writerow(list(q) + [_fmt(v)])
-
-
-def write_shadow_prices(path: str | Path, space: StateSpace, table: ShadowPriceTable) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_state_header(space) + ["class", "price"])
-        for i, k, price in table.pairs(space):
-            w.writerow(list(space.states[i]) + [k + 1, _fmt(price)])
-
-
-def write_bill_distribution(path: str | Path, bills: BillDistribution) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["class", "price", "probability"])
-        for k, atoms in enumerate(bills.per_class):
-            for price, prob in atoms:
-                w.writerow([k + 1, _fmt(price), _fmt(prob)])

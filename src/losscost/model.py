@@ -56,6 +56,12 @@ class NumericsError(RuntimeError):
     """A numeric result is not representable or not trustworthy."""
 
 
+def _check_horizon(t: float) -> float:
+    if not (math.isfinite(t) and t > 0):
+        raise ModelError(f"horizon must be finite and > 0, got {t}")
+    return t
+
+
 @dataclass(frozen=True)
 class TrafficClass:
     """One call class: arrival rate, service rate, bandwidth, blocking cost.

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import ModelError, StateSpace, TrafficClass, stationary
+from .model import ModelError, StateSpace, TrafficClass, _check_horizon, stationary
 from .howard import ShadowPriceTable
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "simulate",
     "simulate_simple_total_costs",
     "empirical_total_cost_hist",
+    "empirical_quantile",
     "empirical_bill_hist",
     "batch_means_se",
 ]
@@ -48,8 +49,7 @@ class SimConfig:
     warmup: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.horizon <= 0:
-            raise ModelError(f"horizon must be > 0, got {self.horizon}")
+        _check_horizon(self.horizon)
         if self.replications < 1:
             raise ModelError(f"replications must be >= 1, got {self.replications}")
         if not 0 <= self.warmup < self.horizon:
@@ -290,6 +290,12 @@ def empirical_total_cost_hist(
     center = (p + z * z / (2 * n)) / denom
     half = z * np.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
     return p, center - half, center + half
+
+
+def empirical_quantile(samples: np.ndarray, level: float) -> int:
+    """Smallest cost whose empirical cumulative share reaches ``level``: the
+    rule :meth:`TotalCostDistribution.from_mass` applies to a cost law."""
+    return int(np.sort(samples)[math.ceil(level * len(samples)) - 1])
 
 
 def empirical_bill_hist(

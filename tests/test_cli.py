@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -223,3 +224,75 @@ def test_costdist_truncation_warning_exit(tmp_path):
     assert code == 3
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["warnings"] >= 1
+
+
+@pytest.mark.parametrize("t", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("scheme", ["closed", "simple", "shadow"])
+def test_costdist_rejects_bad_horizon(tmp_path, scheme, t):
+    model = _write(tmp_path, K1_MODEL)
+    assert main(["costdist", "--model", model, "--out", str(tmp_path / "o"),
+                 "--scheme", scheme, f"--t={t}"]) == 1
+
+
+@pytest.mark.parametrize("t", ["0", "-1", "nan", "inf"])
+def test_simulate_rejects_bad_horizon(tmp_path, t):
+    model = _write(tmp_path, K1_MODEL)
+    assert main(["simulate", "--model", model, "--out", str(tmp_path / "o"),
+                 f"--t={t}", "--reps", "2"]) == 1
+
+
+def test_simulate_risk_quantiles_follow_cost_law_rule(tmp_path):
+    # q95/q99 of risk_mc.csv are the smallest costs whose empirical
+    # cumulative share reaches the level, read back from cost_dist_mc.csv
+    model = _write(tmp_path, K1_MODEL)
+    out = tmp_path / "o"
+    main(["simulate", "--model", model, "--out", str(out), "--t", "30", "--reps", "200", "--seed", "2"])
+    counts = {}
+    for row in _read_csv(out / "cost_dist_mc.csv"):
+        r = int(row["r"])
+        counts[r] = counts.get(r, 0) + round(float(row["probability"]) * 200)
+    samples = np.repeat(sorted(counts), [counts[r] for r in sorted(counts)])
+    assert len(samples) == 200
+    risk = _read_csv(out / "risk_mc.csv")[0]
+    assert int(risk["q95"]) == samples[189] and int(risk["q99"]) == samples[197]
+
+
+FLOAT = re.compile(r"-?\d\.\d{17}e[+-]\d{2,3}")
+CSV_HEADERS = {
+    "pi.csv": "q1,probability",
+    "summary.csv": "G,g,blocking_prob_1",
+    "relative_costs.csv": "q1,v",
+    "shadow_prices.csv": "q1,class,price",
+    "bill_dist.csv": "class,price,probability",
+    "residuals.csv": "method,terms,residual",
+    "cost_dist.csv": "t,q1,r,probability",
+    "total_cost.csv": "t,r,probability,cumulative",
+    "risk.csv": "t,mean,q95,q99",
+    "pi_mc.csv": "q1,probability,se",
+    "cost_dist_mc.csv": "t,q1,r,probability,se",
+    "total_cost_mc.csv": "t,r,probability,wilson_low,wilson_high",
+    "risk_mc.csv": "t,mean,se,q95,q99",
+    "bill_dist_mc.csv": "class,price,probability",
+    "comparison.csv": "quantity,simulated,analytic,se,z,pass",
+}
+NOT_FLOAT = {"q1", "class", "method", "terms", "r", "q95", "q99", "quantity", "pass"}
+
+
+def test_csv_file_format(tmp_path):
+    # the determinism tests compare two runs of the same code; this pins the
+    # format itself: every header, and .17e for every float field
+    model = _write(tmp_path, K1_MODEL)
+    out = tmp_path / "o"
+    for argv in (["stationary"], ["shadow"], ["costdist", "--t", "2"],
+                 ["simulate", "--t", "10", "--reps", "50"]):
+        assert main(argv + ["--model", model, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("*.csv")) == sorted(CSV_HEADERS)
+    for name, header in CSV_HEADERS.items():
+        with open(out / name, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert ",".join(rows[0]) == header, name
+        assert len(rows) > 1, name
+        for row in rows[1:]:
+            for key, field in zip(rows[0], row):
+                if key not in NOT_FLOAT:
+                    assert FLOAT.fullmatch(field) or field in ("nan", "overflow"), (name, key, field)

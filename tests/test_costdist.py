@@ -411,3 +411,16 @@ def test_cost_exceeding_truncation_leaks_fully():
         assert grid.mass.sum() + grid.leakage == pytest.approx(1.0, abs=1e-9)
         assert grid.leakage > 0.1
         assert np.all(grid.mass[:, 1:] == 0.0)
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
+def test_closed_forms_reject_bad_horizon(t):
+    classes, space = k1_instance()
+    with pytest.raises(lc.ModelError, match="horizon"):
+        lc.total_cost_distribution(space, classes, t)
+    with pytest.raises(lc.ModelError, match="horizon"):
+        cd.closed_form_grid(space, classes, t, 5)
+    with pytest.raises(lc.ModelError, match="horizon"):
+        lc.closed_form_continuous(space, classes, t, 2, 1)
+    with pytest.raises(lc.ModelError, match="horizon"):
+        lc.evolve_simple_costs(space, classes, t, 10, 5)

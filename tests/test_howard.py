@@ -139,6 +139,26 @@ def test_general_approx_zero_state_and_finite_residual():
     assert math.isfinite(res)  # no accuracy claim, only a measured residual
 
 
+def test_vectorised_approximations_match_scalar_forms(rng):
+    # bit-identical to the scalar functions evaluated state by state; the
+    # symmetric instances get unequal service rates (the state space does
+    # not depend on them) so that equal-bandwidth is not the closed form
+    cases = [heavy_instance(12)]
+    for _ in range(12):
+        classes, space = random_instance(rng, symmetric=True)
+        cases.append((tuple(lc.TrafficClass(c.lam, float(rng.uniform(0.3, 3.0)), c.bandwidth, c.omega)
+                            for c in classes), space))
+    for classes, space in cases:
+        g = lc.stationary(space, classes).g
+        want = [lc.relative_cost_equal_bandwidth_approx(q, classes, g) for q in space.states]
+        assert np.array_equal(lc.equal_bandwidth_relative_costs(space, classes, g).v, want)
+    cases = [heavy_instance(12)] + [random_instance(rng) for _ in range(16)]
+    for classes, space in cases:
+        g = lc.stationary(space, classes).g
+        want = [lc.relative_cost_general_approx(q, classes, g) for q in space.states]
+        assert np.array_equal(lc.general_relative_costs(space, classes, g).v, want)
+
+
 def test_one_class_quasi_inverse_identity(rng):
     # Delta_j (1/mu) h(f, q, rho) must reproduce f exactly on a single class
     lam, mu = 1.3, 0.7

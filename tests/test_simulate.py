@@ -177,3 +177,20 @@ def test_occupancy_standard_errors():
     assert np.all(np.abs(res.occupancy - dist.pi) <= 4.0 * res.occupancy_se)
     single = lc.simulate(space, classes, lc.SimConfig(horizon=100.0, replications=1, seed=23))
     assert np.all(np.isnan(single.occupancy_se))
+
+
+def test_empirical_quantile_rule():
+    # the smallest cost whose cumulative share reaches the level, as for the
+    # cost laws: with costs 0..999 that is the 950th and 990th order statistic
+    costs = np.arange(1000)[::-1]
+    assert lc.empirical_quantile(costs, 0.95) == 949
+    assert lc.empirical_quantile(costs, 0.99) == 989
+    mass = np.full(1000, 1e-3)
+    total = lc.TotalCostDistribution.from_mass(1.0, mass, 0.0, 0.0)
+    assert (total.q95, total.q99) == (949, 989)
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, float("nan"), float("inf")])
+def test_sim_config_rejects_bad_horizon(t):
+    with pytest.raises(lc.ModelError, match="horizon"):
+        lc.SimConfig(horizon=t)
