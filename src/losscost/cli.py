@@ -54,7 +54,7 @@ def cmd_stationary(args, _=None) -> tuple[int, dict]:
     classes, space, dist = _load(args)
     out = Path(args.out)
     report.write_csv(out / "pi.csv", report.state_header(space.K) + ["probability"],
-                     (list(q) + [fmt(p)] for q, p in zip(space.states, dist.pi)))
+                     (q + [fmt(p)] for q, p in zip(space.occupancy.tolist(), dist.pi)))
     bp = blocking_probabilities(space, dist.pi)
     report.write_csv(out / "summary.csv", ["G", "g"] + [f"blocking_prob_{k + 1}" for k in range(space.K)],
                      [[fmt(dist.G) if dist.G is not None else "overflow", fmt(dist.g)] + [fmt(b) for b in bp]])
@@ -118,15 +118,16 @@ def cmd_simulate(args, _=None) -> tuple[int, dict]:
     result = simulate(space, classes, config, prices=prices)
     out = Path(args.out)
     t, n, states = fmt(args.t), args.reps, report.state_header(space.K)
+    occupancy = space.occupancy.tolist()
 
     report.write_csv(out / "pi_mc.csv", states + ["probability", "se"],
-                     (list(q) + [fmt(p), fmt(se)]
-                      for q, p, se in zip(space.states, result.occupancy, result.occupancy_se)))
+                     (q + [fmt(p), fmt(se)]
+                      for q, p, se in zip(occupancy, result.occupancy, result.occupancy_se)))
     cells, counts = np.unique(np.column_stack([result.final_states, result.total_cost_samples]),
                               axis=0, return_counts=True)
     prob = counts / n
     report.write_csv(out / "cost_dist_mc.csv", ["t"] + states + ["r", "probability", "se"],
-                     ([t] + list(space.states[st]) + [r, fmt(p), fmt(se)]
+                     ([t] + occupancy[st] + [r, fmt(p), fmt(se)]
                       for (st, r), p, se in zip(cells, prob, np.sqrt(prob * (1.0 - prob) / n))))
     samples = result.total_cost_samples
     hist = empirical_total_cost_hist(samples, int(samples.max()))

@@ -242,7 +242,7 @@ def relative_cost_symmetric(q: int, g: float, mu: float, rho: float) -> float:
     calls q.  rho is the total offered load sum_k lam_k / mu_k."""
     if q < 0:
         raise ValueError(f"call count must be >= 0, got {q}")
-    if q == 0:
+    if q == 0 or rho == 0.0:
         return 0.0
     return g / (mu * rho) * _double_sum(q, rho)
 
@@ -262,6 +262,8 @@ def symmetric_relative_costs(
     mu = _require_equal([c.mu for c in classes], "service rates")
     _require_equal([c.bandwidth for c in classes], "bandwidths")
     rho = sum(c.rho for c in classes)
+    if rho == 0.0:
+        return RelativeCosts(v=np.zeros(len(space)), g=g, anchor=0, residual=math.nan)
     totals = space.occupancy.sum(axis=1)
     _, D = _total_tables(int(totals.max()), rho)
     v = g / (mu * rho) * D[totals]
@@ -276,9 +278,9 @@ def relative_cost_equal_bandwidth_approx(
     classes = tuple(classes)
     _require_equal([c.bandwidth for c in classes], "bandwidths")
     total = sum(q)
-    if total == 0:
-        return 0.0
     rho = sum(c.rho for c in classes)
+    if total == 0 or rho == 0.0:
+        return 0.0
     ds = _double_sum(total, rho)
     return sum(
         (qj / total) * g / (c.mu * rho) * ds for qj, c in zip(q, classes) if qj > 0
@@ -335,8 +337,10 @@ def equal_bandwidth_relative_costs(
     q = space.occupancy
     totals = q.sum(axis=1)
     rho = sum(c.rho for c in classes)
-    _, D = _total_tables(int(totals.max()), rho)
     v = np.zeros(len(space))
+    if rho == 0.0:
+        return RelativeCosts(v=v, g=g, anchor=0, residual=math.nan)
+    _, D = _total_tables(int(totals.max()), rho)
     for qj, c in zip(q.T, classes):
         v += np.where(qj > 0, (qj / np.maximum(totals, 1)) * g / (c.mu * rho) * D[totals], 0.0)
     return RelativeCosts(v=v, g=g, anchor=0, residual=math.nan)

@@ -11,6 +11,7 @@ occupancy has a product-form stationary law.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -42,6 +43,8 @@ DEFAULT_STATE_CAP = 2_000_000
 # Above this size the normalization constant is accumulated in log domain
 # instead of compensated long-double summation.
 _LOG_DOMAIN_THRESHOLD = 100_000
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class ModelError(ValueError):
@@ -102,9 +105,18 @@ class FullSharing:
         if not isinstance(self.capacity, (int, np.integer)) or self.capacity < 1:
             raise ModelError(f"capacity must be a positive integer, got {self.capacity}")
 
-    def admits(self, q: Sequence[int], classes: Sequence[TrafficClass], j: int) -> bool:
-        used = sum(qk * ck.bandwidth for qk, ck in zip(q, classes))
-        return used <= self.capacity - classes[j].bandwidth
+    def admission_mask(self, occupancy: np.ndarray, classes: Sequence[TrafficClass]) -> np.ndarray:
+        """``mask[i, j]``: one more class-j call fits beside occupancy row i."""
+        b = np.array([c.bandwidth for c in classes], dtype=np.int64)
+        return (occupancy @ b)[:, None] <= self.capacity - b
+
+    def _max_calls(self, prefix: np.ndarray, classes: Sequence[TrafficClass]) -> np.ndarray:
+        # most calls of class j = prefix.shape[1] that fit beside each prefix
+        # row; a capacity past int64 is clamped so that it meets the state
+        # cap instead of overflowing
+        j = prefix.shape[1]
+        used = prefix @ np.array([c.bandwidth for c in classes[:j]], dtype=np.int64)
+        return (min(self.capacity, _INT64_MAX) - used) // classes[j].bandwidth
 
 
 @dataclass(frozen=True)
@@ -118,57 +130,86 @@ class PerClassThreshold:
         if not self.thresholds or any(t < 1 for t in self.thresholds):
             raise ModelError(f"thresholds must be positive integers, got {self.thresholds}")
 
-    def admits(self, q: Sequence[int], classes: Sequence[TrafficClass], j: int) -> bool:
-        return q[j] < self.thresholds[j]
+    def admission_mask(self, occupancy: np.ndarray, classes: Sequence[TrafficClass]) -> np.ndarray:
+        """``mask[i, j]``: occupancy row i holds fewer than ``thresholds[j]``
+        class-j calls."""
+        return occupancy < np.array(self.thresholds, dtype=np.int64)
+
+    def _max_calls(self, prefix: np.ndarray, classes: Sequence[TrafficClass]) -> np.ndarray:
+        return np.full(len(prefix), min(self.thresholds[prefix.shape[1]], _INT64_MAX))
 
 
 AdmissionPolicy = Union[FullSharing, PerClassThreshold]
 
 
 class StateSpace:
-    """Enumerated admitted states with dense indexing and neighbour lookups.
+    """Admitted states with dense indexing and neighbour lookups.
 
-    States are lexicographically ordered tuples of per-class call counts;
-    index 0 is always the empty state.  ``admissible[i, j]`` says whether a
-    class-j arrival is accepted in state i, ``up[i, j]``/``down[i, j]`` hold
-    the dense index of the state after an accepted arrival / a departure
-    (-1 when there is no such state).
+    ``occupancy[i]`` holds the per-class call counts of state i; index 0 is
+    always the empty state, and :func:`enumerate_states` orders the states
+    lexicographically.  ``admissible[i, j]`` says whether a class-j arrival
+    is accepted in state i, ``up[i, j]``/``down[i, j]`` hold the dense index
+    of the state after an accepted arrival / a departure (-1 when there is
+    no such state).  ``states`` (a tuple of tuples) and ``index`` (tuple ->
+    dense index) are built on first use.
+
+    The constructor accepts the states in any order.  Neighbours are found
+    by binary search on mixed-radix codes (last class fastest, radix
+    max q_j + 2, so that q + e_j and q - e_j have codes of their own); codes
+    that would pass int64 are Python integers, which order the same way.
     """
 
-    def __init__(self, states: Sequence[tuple[int, ...]], admissible: np.ndarray):
-        self.states: tuple[tuple[int, ...], ...] = tuple(tuple(int(x) for x in q) for q in states)
-        if not self.states:
+    def __init__(self, states: Sequence[Sequence[int]] | np.ndarray, admissible: np.ndarray):
+        if len(states) == 0:
             raise ModelError("state space is empty")
-        self.K = len(self.states[0])
-        if any(len(q) != self.K for q in self.states):
+        try:
+            occ = np.array(states, dtype=np.int64)
+        except ValueError:
+            raise ModelError("states have inconsistent dimension") from None
+        if occ.ndim != 2:
             raise ModelError("states have inconsistent dimension")
-        self.index: dict[tuple[int, ...], int] = {q: i for i, q in enumerate(self.states)}
-        if len(self.index) != len(self.states):
+        if (occ < 0).any():
+            raise ModelError("call counts must be >= 0")
+        n, self.K = occ.shape
+        radix = [int(m) + 2 for m in occ.max(axis=0)]
+        dtype = np.int64 if math.prod(radix) <= _INT64_MAX else object
+        stride = np.array([math.prod(radix[j + 1:]) for j in range(self.K)], dtype=dtype)
+        codes = occ.astype(dtype) @ stride
+        order = np.argsort(codes, kind="stable")
+        sorted_codes = codes[order]
+        if (sorted_codes[1:] == sorted_codes[:-1]).any():
             raise ModelError("duplicate states")
-        if self.states[0] != (0,) * self.K:
+        if occ[0].any():
             raise ModelError("state space must contain the empty state at index 0")
         self.admissible = np.asarray(admissible, dtype=bool)
-        if self.admissible.shape != (len(self.states), self.K):
+        if self.admissible.shape != (n, self.K):
             raise ModelError("admissible mask has wrong shape")
-        self.occupancy = np.array(self.states, dtype=np.int64)
+        self.occupancy = occ
 
-        n = len(self.states)
-        self.up = np.full((n, self.K), -1, dtype=np.int64)
-        self.down = np.full((n, self.K), -1, dtype=np.int64)
-        for i, q in enumerate(self.states):
-            for j in range(self.K):
-                upq = q[:j] + (q[j] + 1,) + q[j + 1:]
-                if upq in self.index:
-                    self.up[i, j] = self.index[upq]
-                if q[j] > 0:
-                    dnq = q[:j] + (q[j] - 1,) + q[j + 1:]
-                    self.down[i, j] = self.index[dnq]
+        def find(target: np.ndarray) -> np.ndarray:
+            pos = np.minimum(np.searchsorted(sorted_codes, target), n - 1)
+            return np.where(sorted_codes[pos] == target, order[pos], -1)
+
+        # a neighbour outside the box (q_j + 1 past max q_j, or q_j - 1 = -1,
+        # which borrows) gets digit max q_j + 1 or a negative code: no state
+        self.up = find(codes[:, None] + stride)
+        self.down = find(codes[:, None] - stride)
+        if (self.down[occ > 0] < 0).any():
+            raise ModelError("state space is not closed under departures")
+
+    @functools.cached_property
+    def states(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.occupancy.tolist()))
+
+    @functools.cached_property
+    def index(self) -> dict[tuple[int, ...], int]:
+        return {q: i for i, q in enumerate(self.states)}
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.occupancy)
 
     def __repr__(self) -> str:
-        return f"StateSpace(K={self.K}, states={len(self.states)})"
+        return f"StateSpace(K={self.K}, states={len(self)})"
 
     def admitted_classes(self, i: int) -> tuple[int, ...]:
         return tuple(np.flatnonzero(self.admissible[i]))
@@ -184,10 +225,13 @@ def enumerate_states(
 ) -> StateSpace:
     """Enumerate the states reachable from empty under the admission policy.
 
-    Breadth-first closure under accepted arrivals; departures never leave the
-    set because the reachable region is coordinate convex for both policies.
-    Raises :class:`StateSpaceSizeError` when more than ``cap`` states are
-    found.
+    Both policies admit a coordinate-convex region, so the reachable states
+    are all q with q_j <= t_j (thresholds) or sum_j q_j b_j <= C (full
+    sharing).  They are built class by class as integer rows: each partial
+    row for classes 0..j-1 is repeated once for every count class j can
+    still take (``(C - used) // b_j + 1`` or ``t_j + 1``), which keeps the
+    rows in lexicographic order.  Raises :class:`StateSpaceSizeError` when
+    more than ``cap`` states would be built, before allocating them.
     """
     classes = tuple(classes)
     K = len(classes)
@@ -198,30 +242,19 @@ def enumerate_states(
             f"policy has {len(policy.thresholds)} thresholds for {K} classes"
         )
 
-    empty = (0,) * K
-    seen = {empty}
-    frontier = [empty]
-    while frontier:
-        nxt = []
-        for q in frontier:
-            for j in range(K):
-                if policy.admits(q, classes, j):
-                    upq = q[:j] + (q[j] + 1,) + q[j + 1:]
-                    if upq not in seen:
-                        seen.add(upq)
-                        if len(seen) > cap:
-                            raise StateSpaceSizeError(
-                                f"state space exceeds cap of {cap} states"
-                            )
-                        nxt.append(upq)
-        frontier = nxt
-
-    states = sorted(seen)
-    admissible = np.zeros((len(states), K), dtype=bool)
-    for i, q in enumerate(states):
-        for j in range(K):
-            admissible[i, j] = policy.admits(q, classes, j)
-    return StateSpace(states, admissible)
+    occ = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(K):
+        # clipped so that the sum cannot overflow; any clipped count is
+        # already past the cap
+        counts = np.minimum(policy._max_calls(occ, classes), cap) + 1
+        n = int(counts.sum())
+        if n > cap:
+            raise StateSpaceSizeError(f"state space exceeds cap of {cap} states")
+        start = np.cumsum(counts) - counts
+        occ = np.column_stack(
+            [np.repeat(occ, counts, axis=0), np.arange(n) - np.repeat(start, counts)]
+        )
+    return StateSpace(occ, policy.admission_mask(occ, classes))
 
 
 def verify_consistency(space: StateSpace) -> bool:

@@ -43,12 +43,13 @@ def write_manifest(path: str | Path, manifest: dict) -> None:
 
 def write_relative_costs(path: str | Path, space: StateSpace, costs: RelativeCosts) -> None:
     write_csv(path, state_header(space.K) + ["v"],
-              (list(q) + [fmt(v)] for q, v in zip(space.states, costs.v)))
+              (q + [fmt(v)] for q, v in zip(space.occupancy.tolist(), costs.v)))
 
 
 def write_shadow_prices(path: str | Path, space: StateSpace, table: ShadowPriceTable) -> None:
+    occupancy = space.occupancy.tolist()
     write_csv(path, state_header(space.K) + ["class", "price"],
-              (list(space.states[i]) + [k + 1, fmt(p)] for i, k, p in table.pairs(space)))
+              (occupancy[i] + [k + 1, fmt(p)] for i, k, p in table.pairs(space)))
 
 
 def write_bill_distribution(path: str | Path, bills: BillDistribution) -> None:
@@ -60,8 +61,8 @@ def write_bill_distribution(path: str | Path, bills: BillDistribution) -> None:
 def write_cost_grid(path: str | Path, space: StateSpace, grid: CostGrid) -> None:
     t = fmt(grid.horizon)
     write_csv(path, ["t"] + state_header(space.K) + ["r", "probability"],
-              ([t] + list(q) + [r, fmt(grid.mass[i, r])]
-               for i, q in enumerate(space.states) for r in range(grid.r_max + 1)))
+              ([t] + q + [r, fmt(grid.mass[i, r])]
+               for i, q in enumerate(space.occupancy.tolist()) for r in range(grid.r_max + 1)))
 
 
 def write_total_cost(path: str | Path, t: float, mass: np.ndarray) -> None:

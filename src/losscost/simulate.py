@@ -261,15 +261,17 @@ def simulate_simple_total_costs(
     rng = _rng_for(seed, 0)
     states = rng.choice(len(space), size=replications, p=dist.pi)
     costs = np.zeros(replications, dtype=np.int64)
-    for i in range(len(space)):
-        mask = states == i
-        cnt = int(mask.sum())
-        if cnt == 0:
-            continue
-        for j in space.blocked_classes(i):
-            c = classes[j]
-            if c.omega > 0 and c.lam > 0:
-                costs[mask] += c.omega * rng.poisson(t * c.lam, size=cnt)
+    # replications grouped by state once (stable, so in position order); the
+    # Poisson counts are drawn by ascending state, then class, an order the
+    # samples of a seed depend on
+    by_state = np.argsort(states, kind="stable")
+    counts = np.bincount(states, minlength=len(space))
+    ends = np.cumsum(counts)
+    charging = ~space.admissible & np.array([c.omega > 0 and c.lam > 0 for c in classes])
+    for i in np.flatnonzero(charging.any(axis=1) & (counts > 0)):
+        rows = by_state[ends[i] - counts[i]:ends[i]]
+        for j in np.flatnonzero(charging[i]):
+            costs[rows] += classes[j].omega * rng.poisson(t * classes[j].lam, size=counts[i])
     return costs
 
 

@@ -29,6 +29,12 @@ def k2_reference():
 
 def random_instance(rng, symmetric=False, max_classes=3, max_capacity=12):
     """Random small instance; both policy kinds, loads spanning light to heavy."""
+    classes, policy = random_model(rng, symmetric, max_classes, max_capacity)
+    return classes, lc.enumerate_states(classes, policy)
+
+
+def random_model(rng, symmetric=False, max_classes=3, max_capacity=12):
+    """The classes and admission policy of :func:`random_instance`."""
     K = int(rng.integers(1, max_classes + 1))
     if symmetric:
         mu = float(rng.uniform(0.5, 2.0))
@@ -55,7 +61,7 @@ def random_instance(rng, symmetric=False, max_classes=3, max_capacity=12):
             policy = lc.PerClassThreshold(
                 thresholds=tuple(int(rng.integers(1, 5)) for _ in range(K))
             )
-    return classes, lc.enumerate_states(classes, policy)
+    return classes, policy
 
 
 def heavy_instance(capacity):

@@ -64,6 +64,21 @@ def test_stationary_zero_rate_blocking_zero(tmp_path):
     assert float(row["blocking_prob_1"]) == 0.0
 
 
+@pytest.mark.parametrize("method", ["exact", "general", "symmetric", "equal-bandwidth"])
+def test_shadow_zero_load_gives_zero_costs(tmp_path, method):
+    # g = r = 0, so v = 0 solves Howard's equation exactly
+    model = _write(tmp_path, ZERO_RATE_MODEL)
+    out = tmp_path / "out"
+    assert main(["shadow", "--model", model, "--out", str(out), "--method", method]) == 0
+    assert [float(row["v"]) for row in _read_csv(out / "relative_costs.csv")] == [0.0, 0.0, 0.0]
+
+
+def test_shadow_series_zero_load_is_validation_error(tmp_path, capsys):
+    model = _write(tmp_path, ZERO_RATE_MODEL)
+    assert main(["shadow", "--model", model, "--out", str(tmp_path / "out"), "--method", "series"]) == 1
+    assert "arrival rate" in capsys.readouterr().err
+
+
 def test_malformed_model_is_validation_error(tmp_path, capsys):
     model = _write(tmp_path, K1_MODEL.replace('"mu": 1.0', '"mu": -1.0'))
     assert main(["stationary", "--model", model, "--out", str(tmp_path / "o")]) == 1

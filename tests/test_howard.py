@@ -110,6 +110,16 @@ def test_equal_bandwidth_approx_zero_state():
     assert lc.relative_cost_equal_bandwidth_approx((0, 0), classes, g=0.5) == 0.0
 
 
+def test_closed_forms_at_zero_load():
+    classes = (lc.TrafficClass(0.0, 1.0, 1, 1), lc.TrafficClass(0.0, 2.0, 1, 2))
+    space = lc.enumerate_states(classes, lc.FullSharing(capacity=3))
+    assert lc.relative_cost_symmetric(3, 0.0, 1.0, 0.0) == 0.0
+    assert lc.relative_cost_equal_bandwidth_approx((1, 2), classes, 0.0) == 0.0
+    assert not lc.equal_bandwidth_relative_costs(space, classes, 0.0).v.any()
+    same_mu = (classes[0], classes[0])
+    assert not lc.symmetric_relative_costs(space, same_mu, 0.0).v.any()
+
+
 def test_equal_bandwidth_approx_beats_zero_guess():
     classes = (lc.TrafficClass(1.0, 1.0, 1, 1), lc.TrafficClass(1.0, 2.0, 1, 1))
     space = lc.enumerate_states(classes, lc.FullSharing(capacity=3))

@@ -2,13 +2,15 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 import losscost as lc
-from conftest import heavy_instance, k1_instance, k2_reference, kaufman_roberts, random_instance
+from conftest import (heavy_instance, k1_instance, k2_reference, kaufman_roberts, random_instance,
+                      random_model)
 
 
 def test_enumerate_k1_full_sharing():
@@ -48,6 +50,107 @@ def test_enumerate_respects_cap():
     classes = (lc.TrafficClass(lam=1.0, mu=1.0),)
     with pytest.raises(lc.StateSpaceSizeError):
         lc.enumerate_states(classes, lc.FullSharing(capacity=100), cap=10)
+
+
+def _box_scan(classes, policy):
+    # oracle: every count vector in the bounding box, filtered by the policy's rule
+    b = [c.bandwidth for c in classes]
+    if isinstance(policy, lc.FullSharing):
+        C = policy.capacity
+        box = [range(C // bj + 1) for bj in b]
+        states = [q for q in itertools.product(*box) if sum(x * y for x, y in zip(q, b)) <= C]
+        admits = [[sum(x * y for x, y in zip(q, b)) + bj <= C for bj in b] for q in states]
+    else:
+        box = [range(t + 1) for t in policy.thresholds]
+        states = list(itertools.product(*box))
+        admits = [[qj < t for qj, t in zip(q, policy.thresholds)] for q in states]
+    return states, np.array(admits, dtype=bool)
+
+
+def _loop_neighbours(states, K):
+    # reference: up/down through a tuple -> index dict, one state at a time
+    index = {q: i for i, q in enumerate(states)}
+    up = np.full((len(states), K), -1, dtype=np.int64)
+    down = np.full((len(states), K), -1, dtype=np.int64)
+    for i, q in enumerate(states):
+        for j in range(K):
+            up[i, j] = index.get(q[:j] + (q[j] + 1,) + q[j + 1:], -1)
+            if q[j] > 0:
+                down[i, j] = index[q[:j] + (q[j] - 1,) + q[j + 1:]]
+    return up, down
+
+
+def _models(rng):
+    wide = (lc.TrafficClass(1.0, 1.0, 1, 1), lc.TrafficClass(1.0, 1.0, 7, 1),
+            lc.TrafficClass(0.5, 2.0, 2, 0))
+    return [random_model(rng) for _ in range(16)] + [
+        (wide, lc.FullSharing(capacity=5)),  # the bandwidth-7 class never fits
+        (wide, lc.PerClassThreshold(thresholds=(3, 1, 2))),
+    ]
+
+
+def test_enumeration_matches_box_scan(rng):
+    for classes, policy in _models(rng):
+        space = lc.enumerate_states(classes, policy)
+        states, admits = _box_scan(classes, policy)
+        assert space.states == tuple(states)
+        assert np.array_equal(space.admissible, admits)
+
+
+def test_neighbours_match_loop_reference(rng):
+    # 40 classes at C=2: 861 states, but a code range of 4**40, past int64
+    models = _models(rng) + [((lc.TrafficClass(1.0, 1.0),) * 40, lc.FullSharing(capacity=2))]
+    for classes, policy in models:
+        space = lc.enumerate_states(classes, policy)
+        up, down = _loop_neighbours(space.states, space.K)
+        assert np.array_equal(space.up, up)
+        assert np.array_equal(space.down, down)
+        assert np.array_equal(space.admissible, policy.admission_mask(space.occupancy, classes))
+        assert all(space.index[q] == i for i, q in enumerate(space.states))
+
+
+def test_hand_built_space_in_any_order(rng):
+    classes, space = k2_reference()
+    perm = np.concatenate([[0], 1 + rng.permutation(len(space) - 1)])
+    shuffled = lc.StateSpace([space.states[i] for i in perm], space.admissible[perm])
+    # state i of the shuffled space is state perm[i] of the sorted one
+    where = np.argsort(perm)
+    assert np.array_equal(shuffled.occupancy, space.occupancy[perm])
+    for new, old in ((shuffled.up, space.up), (shuffled.down, space.down)):
+        assert np.array_equal(new, np.where(old[perm] >= 0, where[old[perm]], -1))
+    assert shuffled.index[(1, 1)] == int(where[space.index[(1, 1)]])
+
+
+@pytest.mark.parametrize("states, admissible, match", [
+    ([], np.zeros((0, 1), dtype=bool), "empty"),
+    ([(0, 0), (1,)], np.zeros((2, 2), dtype=bool), "inconsistent dimension"),
+    ([0, 1], np.zeros((2, 1), dtype=bool), "inconsistent dimension"),
+    ([(0,), (-1,)], np.zeros((2, 1), dtype=bool), ">= 0"),
+    ([(0, 0), (1, 0), (1, 0)], np.zeros((3, 2), dtype=bool), "duplicate"),
+    ([(1,), (0,)], np.zeros((2, 1), dtype=bool), "empty state at index 0"),
+    ([(0,), (1,)], np.zeros((2, 2), dtype=bool), "wrong shape"),
+    ([(0, 0), (1, 1)], np.zeros((2, 2), dtype=bool), "not closed under departures"),
+])
+def test_state_space_rejects(states, admissible, match):
+    with pytest.raises(lc.ModelError, match=match):
+        lc.StateSpace(states, admissible)
+
+
+@pytest.mark.parametrize("policy", [
+    lc.FullSharing(capacity=10**9),
+    lc.FullSharing(capacity=10**30),  # past int64
+    lc.PerClassThreshold(thresholds=(10**30, 1)),
+])
+def test_cap_is_checked_before_allocating(policy):
+    classes = (lc.TrafficClass(1.0, 1.0), lc.TrafficClass(1.0, 1.0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(lc.StateSpaceSizeError):
+            lc.enumerate_states(classes, policy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_traffic_class_validation():
@@ -166,7 +269,8 @@ def test_stationary_matches_kaufman_roberts(rng):
         assert dist.g == pytest.approx(g, rel=1e-10, abs=1e-300)
 
 
-@pytest.mark.parametrize("capacity", [25, 40])
+# C=90 (129,766 states) normalises in log domain
+@pytest.mark.parametrize("capacity", [25, 40, 90])
 def test_stationary_heavy_load_matches_kaufman_roberts(capacity):
     classes, space = heavy_instance(capacity)
     dist = lc.stationary(space, classes)

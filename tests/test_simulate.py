@@ -5,7 +5,8 @@ import pytest
 import scipy.stats
 
 import losscost as lc
-from conftest import k1_instance, k2_reference
+from losscost.simulate import _rng_for
+from conftest import k1_instance, k2_reference, random_instance
 
 
 def _prices(classes, space):
@@ -101,6 +102,33 @@ def test_simple_scheme_sampler_matches_closed_form():
     inside = (ref.mass >= lo - 1e-4) & (ref.mass <= hi + 1e-4)
     assert inside.mean() > 0.95
     assert samples.mean() == pytest.approx(ref.mean, rel=0.02)
+
+
+def _scan_simple_total_costs(space, classes, t, replications, seed):
+    # reference: one scan of every sample per state, drawing in the same order
+    dist = lc.stationary(space, classes)
+    rng = _rng_for(seed, 0)
+    states = rng.choice(len(space), size=replications, p=dist.pi)
+    costs = np.zeros(replications, dtype=np.int64)
+    for i in range(len(space)):
+        mask = states == i
+        cnt = int(mask.sum())
+        if cnt == 0:
+            continue
+        for j in space.blocked_classes(i):
+            c = classes[j]
+            if c.omega > 0 and c.lam > 0:
+                costs[mask] += c.omega * rng.poisson(t * c.lam, size=cnt)
+    return costs
+
+
+def test_simple_sampler_matches_per_state_scan():
+    cases = [(k2_reference(), 2.0, 5000, 3)]
+    for seed in range(8):
+        cases.append((random_instance(np.random.default_rng(seed)), 1.5, 3000, seed))
+    for (classes, space), t, reps, seed in cases:
+        got = lc.simulate_simple_total_costs(space, classes, t, reps, seed=seed)
+        assert np.array_equal(got, _scan_simple_total_costs(space, classes, t, reps, seed))
 
 
 def test_empirical_bills_match_distribution():
