@@ -15,6 +15,13 @@ charging schemes are implemented.
   in discrete time.  Both carry a log scale, so horizons whose probability
   of no charge underflows still give every representable cell.
 
+Both discrete-step recursions run one kernel.  A step applies the CSR
+operator P = (I + dt (Q - diag(charge @ lam)))^T to the (state, cost) mass,
+then shifts dt lam_j of the mass of every state where class j charges from
+r to r + omega_j.  Q is the occupancy generator for the shadow scheme and
+zero for the simple scheme, whose occupancy stays frozen; ``charge`` is the
+same charging mask the closed forms use.
+
 Both schemes generate the same average cost rate g, so the tractable simple
 scheme is the practical risk model; the recursion for the shadow scheme is
 kept as the reference dynamics.  A balance check that exhibits where the
@@ -32,6 +39,7 @@ from typing import Sequence
 
 import mpmath as mp
 import numpy as np
+import scipy.sparse
 
 from .model import (
     ModelError,
@@ -40,6 +48,7 @@ from .model import (
     StationaryDistribution,
     TrafficClass,
     _check_horizon,
+    sparse_generator,
     stationary,
 )
 from .report import write_cost_grid, write_risk, write_total_cost
@@ -122,6 +131,49 @@ def _check_step(space, classes, horizon, steps) -> float:
     return dt
 
 
+def _evolve(
+    space: StateSpace,
+    classes: tuple[TrafficClass, ...],
+    Q: scipy.sparse.spmatrix,
+    start: np.ndarray,
+    horizon: float,
+    steps: int,
+    r_max: int,
+    warn: bool,
+    scheme: str,
+) -> CostGrid:
+    """The step chain of both schemes (see the module docstring) from the
+    occupancy law ``start`` at cost 0.  Blocked classes that never charge
+    keep their mass on P's diagonal; mass pushed past r_max is accumulated
+    as leakage.
+    """
+    if r_max < 0:
+        raise ModelError(f"r_max must be >= 0, got {r_max}")
+    dt = _check_step(space, classes, horizon, steps)
+    lam, omega, charge = _charging(space, classes)
+    n = len(space)
+    P = (scipy.sparse.identity(n, format="csr")
+         + dt * (Q - scipy.sparse.diags(charge @ lam))).T.tocsr()
+    shifts = [(np.flatnonzero(charge[:, j]), dt * lam[j], int(omega[j]))
+              for j in range(space.K) if charge[:, j].any()]
+
+    mass = np.zeros((n, r_max + 1))
+    mass[:, 0] = start
+    leakage = 0.0
+    for _ in range(steps):
+        new = P @ mass
+        for rows, p, w in shifts:
+            src = mass[rows]
+            if w <= r_max:
+                new[rows, w:] += p * src[:, :-w]
+            leakage += p * src[:, max(0, r_max - w + 1):].sum()
+        mass = new
+    if warn and leakage > LEAKAGE_WARN:
+        warnings.warn(f"cost truncation leaked {leakage:.3e} probability past r_max={r_max}")
+    return CostGrid(mass=mass, horizon=horizon, steps=steps, r_max=r_max,
+                    leakage=leakage, scheme=scheme)
+
+
 def evolve_shadow_costs(
     space: StateSpace,
     classes: Sequence[TrafficClass],
@@ -134,50 +186,15 @@ def evolve_shadow_costs(
 
     Per step of length horizon/steps: every arrival moves probability mass --
     admitted arrivals to (q+e_j, r), blocked arrivals to (q, r+omega_j) --
-    and departures move (q, r) to (q-e_j, r).  Mass pushed past r_max is
+    and departures move (q, r) to (q-e_j, r).  The occupancy moves by
+    :func:`~losscost.model.sparse_generator`; mass pushed past r_max is
     accumulated as leakage.
     """
     classes = tuple(classes)
-    dt = _check_step(space, classes, horizon, steps)
-    n = len(space)
-    lam = np.array([c.lam for c in classes])
-    mu = np.array([c.mu for c in classes])
-    occ = space.occupancy
-
-    mass = np.zeros((n, r_max + 1))
-    mass[0, 0] = 1.0
-    stay = 1.0 - dt * (lam.sum() + (occ * mu).sum(axis=1))
-
-    leakage = 0.0
-    for _ in range(steps):
-        new = mass * stay[:, None]
-        for j, c in enumerate(classes):
-            blocked = ~space.admissible[:, j]
-            if c.omega == 0:
-                # blocked zero-cost arrivals land back where they started
-                new[blocked] += dt * c.lam * mass[blocked]
-            else:
-                w = c.omega
-                if w <= r_max:
-                    new[blocked, w:] += dt * c.lam * mass[blocked, :-w]
-                leakage += dt * c.lam * mass[blocked, max(0, r_max - w + 1):].sum()
-            src = space.down[:, j] >= 0
-            if src.any():
-                # arrival admitted in the predecessor state q - e_j
-                pred = space.down[src, j]
-                ok = space.admissible[pred, j]
-                tgt = np.flatnonzero(src)[ok]
-                new[tgt] += dt * c.lam * mass[pred[ok]]
-            has_up = space.up[:, j] >= 0
-            if has_up.any():
-                upidx = space.up[has_up, j]
-                rate = mu[j] * (occ[has_up, j] + 1)
-                new[np.flatnonzero(has_up)] += dt * rate[:, None] * mass[upidx]
-        mass = new
-    if warn and leakage > LEAKAGE_WARN:
-        warnings.warn(f"cost truncation leaked {leakage:.3e} probability past r_max={r_max}")
-    return CostGrid(mass=mass, horizon=horizon, steps=steps, r_max=r_max,
-                    leakage=leakage, scheme="shadow")
+    start = np.zeros(len(space))
+    start[0] = 1.0
+    return _evolve(space, classes, sparse_generator(space, classes), start,
+                   horizon, steps, r_max, warn, "shadow")
 
 
 def evolve_simple_costs(
@@ -190,37 +207,17 @@ def evolve_simple_costs(
 ) -> CostGrid:
     """Evolve the simple scheme step by step from the stationary occupancy.
 
-    Occupancy is frozen at its stationary law, so each state's cost column
-    evolves on its own: in state q only blocked classes charge, moving mass
-    from r to r + omega_j with probability dt * lam_j per step.  Cost
-    starts at 0.  This lattice recursion is the independent check on
+    The same step chain as :func:`evolve_shadow_costs` with a zero generator:
+    occupancy is frozen at its stationary law, so each state's cost column
+    evolves on its own, moving mass from r to r + omega_j with probability
+    dt * lam_j per step for each charging class j.  Cost starts at 0.  This
+    lattice recursion is the independent check on
     :func:`closed_form_discrete`, which gives the same law in closed form.
     """
     classes = tuple(classes)
-    dt = _check_step(space, classes, horizon, steps)
-    dist = stationary(space, classes)
     n = len(space)
-
-    mass = np.zeros((n, r_max + 1))
-    mass[:, 0] = dist.pi
-
-    leakage = 0.0
-    for _ in range(steps):
-        new = mass.copy()
-        for j, c in enumerate(classes):
-            blocked = ~space.admissible[:, j]
-            if c.omega == 0 or not blocked.any():
-                continue  # a zero-cost charge and its refund cancel exactly
-            w = c.omega
-            new[blocked] -= dt * c.lam * mass[blocked]
-            if w <= r_max:
-                new[blocked, w:] += dt * c.lam * mass[blocked, :-w]
-            leakage += dt * c.lam * mass[blocked, max(0, r_max - w + 1):].sum()
-        mass = new
-    if warn and leakage > LEAKAGE_WARN:
-        warnings.warn(f"cost truncation leaked {leakage:.3e} probability past r_max={r_max}")
-    return CostGrid(mass=mass, horizon=horizon, steps=steps, r_max=r_max,
-                    leakage=leakage, scheme="simple")
+    return _evolve(space, classes, scipy.sparse.csr_matrix((n, n)), stationary(space, classes).pi,
+                   horizon, steps, r_max, warn, "simple")
 
 
 def _charging(space: StateSpace, classes: Sequence[TrafficClass]):
@@ -405,10 +402,12 @@ def total_cost_distribution(
 ) -> TotalCostDistribution:
     """Marginal law of the accumulated cost at time t under the simple scheme.
 
-    ``r_max`` defaults to :func:`default_r_max` and is doubled until the
-    truncated tail is below ``leak_tol``.
+    ``r_max`` defaults to :func:`default_r_max` and is doubled (0 grows to
+    1) until the truncated tail is below ``leak_tol``.
     """
     _check_horizon(t)
+    if r_max is not None and r_max < 0:
+        raise ModelError(f"r_max must be >= 0, got {r_max}")
     classes = tuple(classes)
     dist = stationary(space, classes)
     if r_max is None:
@@ -419,7 +418,7 @@ def total_cost_distribution(
         leakage = max(0.0, 1.0 - float(mass.sum()))
         if leakage <= leak_tol:
             break
-        r_max *= 2
+        r_max = max(2 * r_max, 1)
     return TotalCostDistribution.from_mass(t, mass, t * dist.g, leakage)
 
 

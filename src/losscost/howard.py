@@ -471,6 +471,8 @@ def series_refine(
     """
     classes = tuple(classes)
     K = space.K
+    if n_terms < 0:
+        raise ModelError(f"n_terms must be >= 0, got {n_terms}")
     if any(c.lam == 0.0 for c in classes):
         # the per-class quasi-inverse weights carry inverse powers of the
         # per-class load

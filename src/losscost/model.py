@@ -40,10 +40,6 @@ __all__ = [
 
 DEFAULT_STATE_CAP = 2_000_000
 
-# Above this size the normalization constant is accumulated in log domain
-# instead of compensated long-double summation.
-_LOG_DOMAIN_THRESHOLD = 100_000
-
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -349,17 +345,6 @@ def _log_weights(space: StateSpace, classes: Sequence[TrafficClass]) -> np.ndarr
     return logw
 
 
-def _kahan_sum(terms: np.ndarray) -> np.longdouble:
-    total = np.longdouble(0.0)
-    comp = np.longdouble(0.0)
-    for t in terms:
-        y = t - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-    return total
-
-
 def stationary(
     space: StateSpace, classes: Sequence[TrafficClass]
 ) -> StationaryDistribution:
@@ -379,16 +364,11 @@ def stationary(
 
     logw = _log_weights(space, classes)
     m = float(np.max(logw))
-    if len(space) <= _LOG_DOMAIN_THRESHOLD:
-        scaled = np.exp((logw - m).astype(np.longdouble))
-        total = _kahan_sum(scaled)
-        pi = (scaled / total).astype(np.float64)
-        log_G = m + float(np.log(total))
-    else:
-        from scipy.special import logsumexp
-
-        log_G = float(logsumexp(logw))
-        pi = np.exp(logw - log_G)
+    # weights scaled to a maximum of 1, summed correctly rounded
+    scaled = np.exp(logw - m)
+    total = math.fsum(scaled)
+    pi = scaled / total
+    log_G = m + math.log(total)
 
     if not np.isfinite(log_G):
         raise NumericsError("normalization constant is not finite")

@@ -249,6 +249,33 @@ def test_costdist_rejects_bad_horizon(tmp_path, scheme, t):
                  "--scheme", scheme, f"--t={t}"]) == 1
 
 
+@pytest.mark.parametrize("scheme", ["closed", "simple", "shadow"])
+def test_costdist_rejects_negative_rmax(tmp_path, capsys, scheme):
+    model = _write(tmp_path, K1_MODEL)
+    assert main(["costdist", "--model", model, "--out", str(tmp_path / "o"),
+                 "--t", "1.0", "--scheme", scheme, "--rmax", "-1"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_costdist_closed_rmax_zero_grows(tmp_path):
+    # the truncation doubles from 1 until the tail fits, as from --rmax 1
+    model = _write(tmp_path, K1_MODEL)
+    for rmax in ("0", "1"):
+        assert main(["costdist", "--model", model, "--out", str(tmp_path / rmax),
+                     "--t", "2.0", "--scheme", "closed", "--rmax", rmax]) == 0
+    for name in ("total_cost.csv", "risk.csv", "cost_dist.csv"):
+        assert (tmp_path / "0" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+
+
+@pytest.mark.parametrize("terms,code", [("-5", 1), ("0", 0)])
+def test_shadow_series_terms_bound(tmp_path, capsys, terms, code):
+    # no correction term is valid (the start approximation); fewer is not
+    model = _write(tmp_path, K1_MODEL)
+    assert main(["shadow", "--model", model, "--out", str(tmp_path / "o"),
+                 "--method", "series", "--terms", terms]) == code
+    assert ("n_terms" in capsys.readouterr().err) == (code == 1)
+
+
 @pytest.mark.parametrize("t", ["0", "-1", "nan", "inf"])
 def test_simulate_rejects_bad_horizon(tmp_path, t):
     model = _write(tmp_path, K1_MODEL)

@@ -8,7 +8,7 @@ import scipy.stats
 
 import losscost as lc
 from losscost import costdist as cd
-from conftest import k1_instance, k2_reference, random_instance
+from conftest import k1_instance, k2_reference, random_instance, random_model
 
 
 def chain_marginal(space, classes, horizon, steps):
@@ -20,6 +20,122 @@ def chain_marginal(space, classes, horizon, steps):
     for _ in range(steps):
         m = m + dt * (Q.T @ m)
     return m
+
+
+def loop_shadow_costs(space, classes, horizon, steps, r_max):
+    """Reference: the shadow-scheme step written out per class, walking the
+    neighbour tables (fancy-index passes over blocked, predecessor and
+    successor rows)."""
+    dt = horizon / steps
+    lam = np.array([c.lam for c in classes])
+    mu = np.array([c.mu for c in classes])
+    occ = space.occupancy
+    mass = np.zeros((len(space), r_max + 1))
+    mass[0, 0] = 1.0
+    stay = 1.0 - dt * (lam.sum() + (occ * mu).sum(axis=1))
+    leakage = 0.0
+    for _ in range(steps):
+        new = mass * stay[:, None]
+        for j, c in enumerate(classes):
+            blocked = ~space.admissible[:, j]
+            if c.omega == 0:
+                new[blocked] += dt * c.lam * mass[blocked]
+            else:
+                w = c.omega
+                if w <= r_max:
+                    new[blocked, w:] += dt * c.lam * mass[blocked, :-w]
+                leakage += dt * c.lam * mass[blocked, max(0, r_max - w + 1):].sum()
+            src = space.down[:, j] >= 0
+            if src.any():
+                pred = space.down[src, j]
+                ok = space.admissible[pred, j]
+                new[np.flatnonzero(src)[ok]] += dt * c.lam * mass[pred[ok]]
+            has_up = space.up[:, j] >= 0
+            if has_up.any():
+                rate = mu[j] * (occ[has_up, j] + 1)
+                new[np.flatnonzero(has_up)] += dt * rate[:, None] * mass[space.up[has_up, j]]
+        mass = new
+    return mass, leakage
+
+
+def loop_simple_costs(space, classes, horizon, steps, r_max):
+    """Reference: the simple-scheme step written out per blocked class, from
+    the stationary occupancy."""
+    dt = horizon / steps
+    mass = np.zeros((len(space), r_max + 1))
+    mass[:, 0] = lc.stationary(space, classes).pi
+    leakage = 0.0
+    for _ in range(steps):
+        new = mass.copy()
+        for j, c in enumerate(classes):
+            blocked = ~space.admissible[:, j]
+            if c.omega == 0 or not blocked.any():
+                continue
+            w = c.omega
+            new[blocked] -= dt * c.lam * mass[blocked]
+            if w <= r_max:
+                new[blocked, w:] += dt * c.lam * mass[blocked, :-w]
+            leakage += dt * c.lam * mass[blocked, max(0, r_max - w + 1):].sum()
+        mass = new
+    return mass, leakage
+
+
+def _kernel_cases(rng):
+    """(classes, space, horizon, steps, r_max): random models, the reference
+    pair, a lam = 0 class with a cost, a blocked zero-cost class and a cost
+    wider than the whole lattice."""
+    cases = []
+    kinds = set()
+    for _ in range(8):
+        classes, policy = random_model(rng)
+        kinds.add(type(policy))
+        if len({c.bandwidth for c in classes}) > 1:
+            kinds.add("mixed bandwidths")
+        cases.append((classes, lc.enumerate_states(classes, policy), 1.5, None, 12))
+    assert kinds == {lc.FullSharing, lc.PerClassThreshold, "mixed bandwidths"}
+    classes, space = k2_reference()
+    cases.append((classes, space, 3.0, None, 20))
+    for classes, capacity, horizon, steps, r_max in [
+        ((lc.TrafficClass(0.0, 1.0, 1, 2), lc.TrafficClass(1.0, 1.0, 1, 1)), 2, 2.0, None, 15),
+        ((lc.TrafficClass(1.0, 1.0, 1, 0), lc.TrafficClass(0.7, 1.5, 2, 2)), 4, 2.0, None, 15),
+        ((lc.TrafficClass(1.0, 1.0, 1, 5),), 1, 2.0, 200, 2),
+    ]:
+        cases.append((classes, lc.enumerate_states(classes, lc.FullSharing(capacity)),
+                      horizon, steps, r_max))
+    return [(classes, space, horizon,
+             steps or int(math.ceil(horizon * cd.max_outflow_rate(space, classes) / cd.STEP_LIMIT)),
+             r_max) for classes, space, horizon, steps, r_max in cases]
+
+
+def test_step_operator_matches_loops(rng):
+    for classes, space, horizon, steps, r_max in _kernel_cases(rng):
+        for evolve, loop in ((lc.evolve_shadow_costs, loop_shadow_costs),
+                             (lc.evolve_simple_costs, loop_simple_costs)):
+            grid = evolve(space, classes, horizon, steps, r_max, warn=False)
+            mass, leakage = loop(space, classes, horizon, steps, r_max)
+            assert np.abs(grid.mass - mass).max() <= 1e-14
+            assert abs(grid.leakage - leakage) <= 1e-14
+            assert (grid.mass >= -1e-15).all()
+
+
+def test_evolve_rejects_negative_r_max():
+    classes, space = k1_instance()
+    for evolve in (lc.evolve_shadow_costs, lc.evolve_simple_costs):
+        with pytest.raises(lc.ModelError, match="r_max"):
+            evolve(space, classes, 1.0, 10, -1)
+    with pytest.raises(lc.ModelError, match="r_max"):
+        lc.total_cost_distribution(space, classes, 1.0, r_max=-1)
+
+
+def test_total_cost_r_max_zero_grows():
+    # doubling from 0 must reach a lattice, and the same law as from 1
+    classes, space = k1_instance()
+    zero = lc.total_cost_distribution(space, classes, 2.0, r_max=0)
+    one = lc.total_cost_distribution(space, classes, 2.0, r_max=1)
+    assert zero.leakage <= cd.LEAKAGE_WARN
+    np.testing.assert_array_equal(zero.mass, one.mass)
+    assert (zero.q95, zero.q99, zero.leakage) == (one.q95, one.q99, one.leakage)
+    assert zero.q99 < len(zero.mass)
 
 
 def test_shadow_zero_cost_is_pure_chain():

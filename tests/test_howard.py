@@ -384,3 +384,22 @@ def test_series_rejects_zero_rate_class():
     dist = lc.stationary(space, classes)
     with pytest.raises(lc.ModelError, match="arrival rate"):
         lc.series_refine(space, classes, dist.g, dist.r)
+
+
+def test_series_rejects_negative_terms():
+    classes, space = k2_reference()
+    dist = lc.stationary(space, classes)
+    with pytest.raises(lc.ModelError, match="n_terms"):
+        lc.series_refine(space, classes, dist.g, dist.r, n_terms=-5)
+
+
+def test_series_zero_terms_returns_start():
+    # no correction term: the result is g u(q) of the default start
+    classes, space = k2_reference()
+    dist = lc.stationary(space, classes)
+    res = lc.series_refine(space, classes, dist.g, dist.r, n_terms=0)
+    u = hw.default_series_start(classes)
+    want = np.array([dist.g * u(q) for q in space.states])
+    np.testing.assert_allclose(res.costs.v, want, rtol=1e-14, atol=1e-15)
+    assert len(res.residual_history) == 1
+    assert res.costs.residual == res.residual_history[0]
