@@ -94,7 +94,9 @@ def cmd_costdist(args, _=None) -> tuple[int, dict]:
         total = cd.total_cost_distribution(space, classes, t, r_max=args.rmax)
         grid = cd.closed_form_grid(space, classes, t, len(total.mass) - 1, dist=dist)
     else:
-        steps = args.steps or int(np.ceil(t * cd.max_outflow_rate(space, classes) / cd.STEP_LIMIT))
+        steps = args.steps
+        if steps is None:
+            steps = int(np.ceil(t * cd.max_outflow_rate(space, classes) / cd.STEP_LIMIT))
         r_max = args.rmax if args.rmax is not None else cd.default_r_max(classes, t)
         evolve = cd.evolve_shadow_costs if args.scheme == "shadow" else cd.evolve_simple_costs
         grid = evolve(space, classes, t, steps, r_max, warn=False)
@@ -169,7 +171,8 @@ def cmd_simulate(args, _=None) -> tuple[int, dict]:
                      ([name, fmt(sim), fmt(ana), fmt(s), fmt(z), int(ok)]
                       for name, sim, ana, s, z, ok in comparisons))
     failed = sum(1 for c in comparisons if not c[5])
-    return failed, {"states": len(space), "replications": n, "checks_failed": failed}
+    return failed, {"states": len(space), "replications": n, "events": result.events,
+                    "checks_failed": failed}
 
 
 def horizon(text: str) -> float:

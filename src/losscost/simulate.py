@@ -3,8 +3,19 @@
 Competing exponential clocks: class-j arrivals fire at rate lam_j regardless
 of the state (a blocked arrival adds omega_j to the running cost and leaves
 the occupancy alone), departures fire at rate mu_j q_j.  Each replication
-draws from its own counter-based stream keyed by (seed, replication index),
-so results are bit-identical however the replications are scheduled.
+draws from its own counter-based stream, a Philox generator keyed by
+(seed, replication index), so results are bit-identical however many
+replications run and however they are scheduled.
+
+The simulator builds per-state event tables once (cumulative rates, next
+state and charge per event), then walks each replication over them in a
+plain Python loop.  Uniforms come in blocks of ``2 * BLOCK``: holding times
+are exponentials by inversion, -log(1 - u) / rate, and the event is found by
+bisection on the state's cumulative rates.  The walk records only the path
+(states, events, jump times); occupancy, costs, arrival counts, bills and
+batch costs are then computed from the path with array operations.
+Per-replication occupancy is folded into running per-state means and sums
+of squares (Welford), so memory is O(states + one path).
 
 Also contains a direct sampler for the simple charging scheme (stationary
 state, then frozen compound-Poisson charges), which is the Monte Carlo
@@ -14,6 +25,7 @@ counterpart of the closed-form cost law.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,6 +45,12 @@ __all__ = [
     "batch_means_se",
 ]
 
+# events per block of uniforms: one block draws 2 * BLOCK, a holding time
+# and an event choice per event
+BLOCK = 256
+# equal windows of (warmup, horizon] for the single-run batch-means error
+BATCHES = 32
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -40,6 +58,8 @@ class SimConfig:
 
     ``warmup`` time is discarded from occupancy (and rate) estimates only;
     cost accumulation always starts at time zero from the empty state.
+    ``seed`` is the first half of each replication's 128-bit Philox key, so
+    it must lie in [0, 2**64).
     """
 
     horizon: float
@@ -54,6 +74,7 @@ class SimConfig:
             raise ModelError(f"replications must be >= 1, got {self.replications}")
         if not 0 <= self.warmup < self.horizon:
             raise ModelError("warmup must lie in [0, horizon)")
+        _check_seed(self.seed)
 
 
 @dataclass
@@ -63,7 +84,7 @@ class SimResult:
     ``total_cost_samples[i]`` is the integer blocking cost accumulated in
     replication i over [0, horizon] and ``final_states[i]`` the state index
     occupied at the horizon.  ``occupancy`` is the time-average state
-    distribution past warmup, pooled over replications, with
+    distribution past warmup, averaged over replications, with
     ``occupancy_se`` the replication-based standard error per state (NaN for
     a single replication, where the pooled value is the only estimate);
     ``arrival_occupancy`` the state distribution seen by arriving calls
@@ -71,7 +92,8 @@ class SimResult:
     prices charged to admitted class-k arrivals past warmup when bills were
     recorded, and ``bill_reps[k]`` the replication index of each bill so that
     per-replication statistics (independent across replications) can be
-    formed.
+    formed.  ``events`` counts every simulated event (arrivals, blocked or
+    not, and departures) over all replications.
     """
 
     config: SimConfig
@@ -84,6 +106,7 @@ class SimResult:
     bill_reps: list[np.ndarray]
     cost_rate: float
     cost_rate_se: float
+    events: int
 
     def mean_cost(self) -> float:
         return float(self.total_cost_samples.mean())
@@ -95,9 +118,15 @@ class SimResult:
         return float(self.total_cost_samples.std(ddof=1) / math.sqrt(n))
 
 
+def _check_seed(seed: int) -> None:
+    # numpy would wrap a negative key modulo 2**64 without a word
+    if not 0 <= seed < 2**64:
+        raise ModelError(f"seed must lie in [0, 2**64), got {seed}")
+
+
 def _rng_for(seed: int, rep: int) -> np.random.Generator:
-    # Philox is counter based: the (seed, rep) key pins the whole stream.
-    return np.random.Generator(np.random.Philox(key=np.random.SeedSequence((seed, rep)).generate_state(2, np.uint64)))
+    # Philox is counter based: the key (seed, rep) pins the whole stream
+    return np.random.Generator(np.random.Philox(key=[seed, rep]))
 
 
 def batch_means_se(values: np.ndarray, batches: int = 32) -> float:
@@ -112,6 +141,79 @@ def batch_means_se(values: np.ndarray, batches: int = 32) -> float:
     return float(means.std(ddof=1) / math.sqrt(batches))
 
 
+@dataclass(frozen=True)
+class _EventTables:
+    """Per-state event tables; event e < K is a class-e arrival, event K + j
+    a class-j departure.  The walk reads the Python lists, the bookkeeping
+    the arrays."""
+
+    cum: list[list[float]]   # cumulative event rates of each state
+    total: list[float]       # total event rate of each state
+    nxt: list[list[int]]     # state after each event (a blocked arrival stays)
+    charge: np.ndarray       # (states, 2K) int64: omega_j for a blocked arrival
+    admitted: np.ndarray     # (states, 2K) bool: an admitted arrival
+
+
+def _event_tables(space: StateSpace, classes: Sequence[TrafficClass]) -> _EventTables:
+    n, K = len(space), space.K
+    lam = np.array([c.lam for c in classes], dtype=float)
+    mu = np.array([c.mu for c in classes], dtype=float)
+    omega = np.array([c.omega for c in classes], dtype=np.int64)
+    rates = np.hstack([np.broadcast_to(lam, (n, K)), mu * space.occupancy])
+    nxt = np.hstack([np.where(space.admissible, space.up, np.arange(n)[:, None]), space.down])
+    # a zero-rate event is never drawn, so only events that can fire need a
+    # successor; this check stands in for one on every simulated event
+    missing = np.argwhere((rates > 0) & (nxt < 0))
+    if len(missing):
+        i, e = missing[0]
+        event = f"class-{e + 1} arrival" if e < K else f"class-{e - K + 1} departure"
+        raise ModelError(f"a {event} from state {space.occupancy[i].tolist()} leads to no state of the space")
+    cum = np.cumsum(rates, axis=1)
+    departures = np.zeros((n, K), dtype=np.int64)
+    return _EventTables(
+        cum=cum.tolist(),
+        total=cum[:, -1].tolist(),
+        nxt=nxt.tolist(),
+        charge=np.hstack([np.where(space.admissible, 0, omega), departures]),
+        admitted=np.hstack([space.admissible, departures.astype(bool)]),
+    )
+
+
+def _walk(tables: _EventTables, rng: np.random.Generator, horizon: float):
+    """One replication from the empty state over [0, horizon].
+
+    Returns the path as lists: ``states`` (the empty state, then the state
+    after each event), ``events`` (the event fired from ``states[k]`` at
+    ``times[k + 1]``) and ``times`` (0, the jump times, then the horizon).
+    """
+    cum, total, nxt = tables.cum, tables.total, tables.nxt
+    states, events, times = [0], [], [0.0]
+    s, now, pos = 0, 0.0, BLOCK
+    holds = picks = ()
+    while True:
+        rate = total[s]
+        if rate == 0.0:
+            break
+        if pos == BLOCK:
+            u = rng.random(2 * BLOCK)
+            holds = (-np.log1p(-u[:BLOCK])).tolist()
+            picks = u[BLOCK:].tolist()
+            pos = 0
+        now += holds[pos] / rate
+        if now >= horizon:
+            break
+        # u * rate < rate, and a zero-rate column repeats its left neighbour's
+        # cumulative rate, so bisect_right never lands on it
+        e = bisect_right(cum[s], picks[pos] * rate)
+        pos += 1
+        s = nxt[s][e]
+        states.append(s)
+        events.append(e)
+        times.append(now)
+    times.append(horizon)
+    return states, events, times
+
+
 def simulate(
     space: StateSpace,
     classes: Sequence[TrafficClass],
@@ -120,125 +222,89 @@ def simulate(
 ) -> SimResult:
     """Run the loss system and accumulate blocking costs (and bills).
 
-    Deterministic given (model, config): replication i uses the substream
-    keyed by (seed, i) and the merge over replications is order independent.
-    ``prices`` must be supplied when ``record_bills`` is set.
+    Deterministic given (model, config): replication i uses the Philox
+    stream keyed by (seed, i), independent of the replication count.  Each
+    replication is one walk over per-state event tables, holding times
+    drawn by inversion from blocks of uniforms; its path is then reduced
+    with array operations, and per-state occupancy is merged across
+    replications by Welford's update, so memory is O(states + one path).
+    For a single replication ``cost_rate_se`` comes from batch means over
+    32 equal windows of (warmup, horizon].  ``prices`` must be supplied when
+    ``record_bills`` is set.
     """
     classes = tuple(classes)
     if config.record_bills and prices is None:
         raise ModelError("record_bills requires a shadow price table")
-    lam = np.array([c.lam for c in classes])
-    mu = np.array([c.mu for c in classes])
-    omega = np.array([c.omega for c in classes], dtype=np.int64)
-    lam_total = float(lam.sum())
-    K = space.K
-    n = len(space)
+    tables = _event_tables(space, classes)
+    K, n, R = space.K, len(space), config.replications
+    H, W = config.horizon, config.warmup
 
-    total_costs = np.zeros(config.replications, dtype=np.int64)
-    final_states = np.zeros(config.replications, dtype=np.int64)
-    occupancy_time = np.zeros(n)
-    rep_occupancy = np.zeros((config.replications, n)) if config.replications > 1 else None
+    total_costs = np.zeros(R, dtype=np.int64)
+    final_states = np.zeros(R, dtype=np.int64)
+    occ_mean = np.zeros(n)
+    occ_m2 = np.zeros(n)
     arrival_counts = np.zeros(n, dtype=np.int64)
-    bills: list[list[float]] = [[] for _ in range(K)]
-    bill_rep_ids: list[list[int]] = [[] for _ in range(K)]
-    batch_costs: list[float] = []
+    # bills in replication order: class, price, and the count per replication
+    bill_class, bill_price = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
+    bill_count = np.zeros(R, dtype=np.int64)
+    batch_costs = np.zeros(BATCHES)
+    events = 0
 
-    # batch-means bookkeeping for the single-long-run rate estimate
-    n_batches = 32 if config.replications == 1 else 0
-    batch_len = (config.horizon - config.warmup) / n_batches if n_batches else 0.0
+    for rep in range(R):
+        states, event_list, time_list = _walk(tables, _rng_for(config.seed, rep), H)
+        path = np.array(states)
+        times = np.array(time_list)
+        src = path[:-1]                   # the state each event fires from
+        ev = np.array(event_list, dtype=np.intp)
+        at = times[1:-1]                  # the time each event fires
+        charged = tables.charge[src, ev]
+        total_costs[rep] = charged.sum()
+        final_states[rep] = states[-1]
+        events += len(ev)
 
-    for rep in range(config.replications):
-        rng = _rng_for(config.seed, rep)
-        rep_time = rep_occupancy[rep] if rep_occupancy is not None else occupancy_time
-        state = 0
-        now = 0.0
-        cost = 0
-        batch_mark = config.warmup + batch_len if n_batches else math.inf
-        batch_start_cost = 0
-        while True:
-            occ = space.occupancy[state]
-            dep_rates = mu * occ
-            total_rate = lam_total + float(dep_rates.sum())
-            if total_rate == 0.0:
-                rep_time[state] += config.horizon - max(now, config.warmup)
-                break
-            dt = rng.exponential(1.0 / total_rate)
-            event_time = now + dt
-            if event_time >= config.horizon:
-                rep_time[state] += config.horizon - max(now, config.warmup)
-                break
-            if event_time > config.warmup:
-                rep_time[state] += event_time - max(now, config.warmup)
-            now = event_time
-            while n_batches and now > batch_mark and len(batch_costs) < n_batches * (rep + 1):
-                batch_costs.append(cost - batch_start_cost)
-                batch_start_cost = cost
-                batch_mark += batch_len
+        frac = np.bincount(path, weights=np.diff(np.clip(times, W, H)), minlength=n) / (H - W)
+        delta = frac - occ_mean
+        occ_mean += delta / (rep + 1)
+        occ_m2 += delta * (frac - occ_mean)
 
-            u = rng.random() * total_rate
-            if u < lam_total:
-                # arrival; pick the class by rate share
-                j = 0
-                acc = lam[0]
-                while u > acc and j < K - 1:
-                    j += 1
-                    acc += lam[j]
-                if now >= config.warmup:
-                    arrival_counts[state] += 1
-                if space.admissible[state, j]:
-                    if config.record_bills and now >= config.warmup:
-                        bills[j].append(float(prices.p[state, j]))
-                        bill_rep_ids[j].append(rep)
-                    nxt = space.up[state, j]
-                    assert nxt >= 0, "admitted into a state outside the space"
-                    state = int(nxt)
-                else:
-                    cost += int(omega[j])
-            else:
-                u -= lam_total
-                j = 0
-                acc = dep_rates[0]
-                while u > acc and j < K - 1:
-                    j += 1
-                    acc += dep_rates[j]
-                state = int(space.down[state, j])
-                assert state >= 0, "departure from an empty class"
-        total_costs[rep] = cost
-        final_states[rep] = state
+        seen = at >= W
+        arrival_counts += np.bincount(src[seen & (ev < K)], minlength=n)
+        if config.record_bills:
+            billed = seen & tables.admitted[src, ev]
+            bill_class.append(ev[billed])
+            bill_price.append(prices.p[src[billed], ev[billed]])
+            bill_count[rep] = len(bill_class[-1])
+        if R == 1:
+            post = at > W
+            window = np.minimum(((at[post] - W) * (BATCHES / (H - W))).astype(np.intp), BATCHES - 1)
+            batch_costs += np.bincount(window, weights=charged[post], minlength=BATCHES)
 
-    if rep_occupancy is not None:
-        span_per = config.horizon - config.warmup
-        rep_fracs = rep_occupancy / span_per
-        occupancy = rep_fracs.mean(axis=0)
-        occupancy_se = rep_fracs.std(axis=0, ddof=1) / math.sqrt(config.replications)
-    else:
-        span = occupancy_time.sum()
-        occupancy = occupancy_time / span if span > 0 else occupancy_time
-        occupancy_se = np.full(n, math.nan)
+    occupancy_se = np.sqrt(occ_m2 / (R - 1) / R) if R > 1 else np.full(n, math.nan)
     arr_total = arrival_counts.sum()
     arrival_occ = arrival_counts / arr_total if arr_total > 0 else arrival_counts.astype(float)
 
-    horizon_total = config.replications * config.horizon
-    cost_rate = float(total_costs.sum()) / horizon_total
-    if config.replications > 1:
-        per_rep = total_costs / config.horizon
-        se = float(per_rep.std(ddof=1) / math.sqrt(config.replications))
-    elif batch_costs:
-        se = batch_means_se(np.array(batch_costs) / batch_len)
+    cost_rate = float(total_costs.sum()) / (R * H)
+    if R > 1:
+        per_rep = total_costs / H
+        se = float(per_rep.std(ddof=1) / math.sqrt(R))
     else:
-        se = math.nan
+        se = batch_means_se(batch_costs / ((H - W) / BATCHES))
+
+    bill_class, bill_price = np.concatenate(bill_class), np.concatenate(bill_price)
+    bill_rep = np.repeat(np.arange(R, dtype=np.int64), bill_count)
 
     return SimResult(
         config=config,
         total_cost_samples=total_costs,
         final_states=final_states,
-        occupancy=occupancy,
+        occupancy=occ_mean,
         occupancy_se=occupancy_se,
         arrival_occupancy=arrival_occ,
-        bill_samples=[np.array(b) for b in bills],
-        bill_reps=[np.array(b, dtype=np.int64) for b in bill_rep_ids],
+        bill_samples=[bill_price[bill_class == k] for k in range(K)],
+        bill_reps=[bill_rep[bill_class == k] for k in range(K)],
         cost_rate=cost_rate,
         cost_rate_se=se,
+        events=events,
     )
 
 
@@ -257,6 +323,7 @@ def simulate_simple_total_costs(
     sampling counterpart of the closed-form cost law.
     """
     classes = tuple(classes)
+    _check_seed(seed)
     dist = stationary(space, classes)
     rng = _rng_for(seed, 0)
     states = rng.choice(len(space), size=replications, p=dist.pi)

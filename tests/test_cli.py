@@ -338,3 +338,33 @@ def test_csv_file_format(tmp_path):
             for key, field in zip(rows[0], row):
                 if key not in NOT_FLOAT:
                     assert FLOAT.fullmatch(field) or field in ("nan", "overflow"), (name, key, field)
+
+
+def test_simulate_rejects_negative_seed(tmp_path, capsys):
+    model = _write(tmp_path, K1_MODEL)
+    assert main(["simulate", "--model", model, "--out", str(tmp_path / "o"),
+                 "--t", "10", "--reps", "2", "--seed", "-1"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scheme", ["shadow", "simple"])
+def test_costdist_rejects_zero_steps(tmp_path, capsys, scheme):
+    model = _write(tmp_path, K1_MODEL)
+    assert main(["costdist", "--model", model, "--out", str(tmp_path / "o"),
+                 "--t", "2.0", "--scheme", scheme, "--steps", "0"]) == 1
+    assert "steps" in capsys.readouterr().err
+
+
+def test_simulate_manifest_records_events(tmp_path):
+    from losscost import SimConfig, enumerate_states, simulate
+    from losscost.model_io import load_model
+
+    model = _write(tmp_path, K1_MODEL)
+    out = tmp_path / "o"
+    assert main(["simulate", "--model", model, "--out", str(out), "--t", "30.0",
+                 "--reps", "200", "--seed", "9"]) == 0
+    classes, policy = load_model(model)
+    space = enumerate_states(classes, policy)
+    config = SimConfig(horizon=30.0, replications=200, seed=9, warmup=7.5)
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["events"] == simulate(space, classes, config).events > 0

@@ -1,11 +1,13 @@
 """Monte Carlo oracle: determinism, agreement with the analytic layer."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.stats
 
 import losscost as lc
-from losscost.simulate import _rng_for
+from losscost.simulate import _event_tables, _rng_for, _walk
 from conftest import k1_instance, k2_reference, random_instance
 
 
@@ -222,3 +224,156 @@ def test_empirical_quantile_rule():
 def test_sim_config_rejects_bad_horizon(t):
     with pytest.raises(lc.ModelError, match="horizon"):
         lc.SimConfig(horizon=t)
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(lc.ModelError, match="seed"):
+        lc.SimConfig(horizon=1.0, seed=-1)
+    with pytest.raises(lc.ModelError, match="seed"):
+        lc.SimConfig(horizon=1.0, seed=2**64)
+    classes, space = k1_instance()
+    with pytest.raises(lc.ModelError, match="seed"):
+        lc.simulate_simple_total_costs(space, classes, 1.0, 10, seed=-1)
+
+
+def test_single_run_batch_means_exclude_warmup():
+    # the 32 windows cover (warmup, horizon] only; a first batch that also
+    # held the warm-up cost made the error bar about 15x too wide
+    classes, space = k1_instance()
+    res = lc.simulate(space, classes, lc.SimConfig(horizon=2000.0, replications=1, seed=0, warmup=1000.0))
+    assert res.cost_rate_se < 0.05
+
+
+def test_streams_keyed_by_replication():
+    classes, space = k2_reference()
+    a = lc.simulate(space, classes, lc.SimConfig(horizon=20.0, replications=10, seed=31))
+    b = lc.simulate(space, classes, lc.SimConfig(horizon=20.0, replications=20, seed=31))
+    assert np.array_equal(a.total_cost_samples, b.total_cost_samples[:10])
+    assert np.array_equal(a.final_states, b.final_states[:10])
+
+
+def test_occupancy_welford_matches_two_pass():
+    classes, space = k2_reference()
+    cfg = lc.SimConfig(horizon=30.0, replications=40, seed=8, warmup=5.0)
+    res = lc.simulate(space, classes, cfg)
+    tables = _event_tables(space, classes)
+    fracs = np.zeros((cfg.replications, len(space)))
+    for rep in range(cfg.replications):
+        states, _, times = _walk(tables, _rng_for(cfg.seed, rep), cfg.horizon)
+        for k, s in enumerate(states):
+            fracs[rep, s] += max(0.0, min(times[k + 1], cfg.horizon) - max(times[k], cfg.warmup))
+    fracs /= cfg.horizon - cfg.warmup
+    np.testing.assert_allclose(res.occupancy, fracs.mean(axis=0), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(res.occupancy_se, fracs.std(axis=0, ddof=1) / math.sqrt(cfg.replications),
+                               rtol=1e-12, atol=0)
+
+
+def test_event_tables_reject_missing_successor():
+    # the one state admits the class, but the space has no state to enter
+    space = lc.StateSpace([(0,)], np.array([[True]]))
+    with pytest.raises(lc.ModelError, match="arrival"):
+        lc.simulate(space, (lc.TrafficClass(lam=1.0, mu=1.0, omega=1),), lc.SimConfig(horizon=1.0))
+    # a class that never arrives needs no successor
+    res = lc.simulate(space, (lc.TrafficClass(lam=0.0, mu=1.0, omega=1),), lc.SimConfig(horizon=1.0))
+    assert res.events == 0
+
+
+def test_event_count_zero_rate_model():
+    classes = (lc.TrafficClass(lam=0.0, mu=1.0, omega=5),)
+    space = lc.enumerate_states(classes, lc.FullSharing(capacity=2))
+    res = lc.simulate(space, classes, lc.SimConfig(horizon=10.0, replications=3, seed=1))
+    assert res.events == 0
+
+
+def test_event_count_matches_stationary_rate():
+    # every event counts 1: with r(s) the total event rate of state s and
+    # rate = pi r, N(t) - t*rate = martingale + h(X_0) - h(X_t) where
+    # Q h = rate - r and pi h = 0, so the variance rate of N is
+    # sum_s pi_s sum_e rate_e(s) (1 + h(next_e(s)) - h(s))^2
+    classes, space = k1_instance()
+    dist = lc.stationary(space, classes)
+    tables = _event_tables(space, classes)
+    rates = np.diff(np.array(tables.cum), axis=1, prepend=0.0)
+    nxt = np.array(tables.nxt)
+    rate = float(dist.pi @ rates.sum(axis=1))
+    Q = lc.sparse_generator(space, classes).toarray()
+    h = np.linalg.lstsq(np.vstack([Q, dist.pi]), np.append(rate - rates.sum(axis=1), 0.0), rcond=None)[0]
+    jump = np.where(rates > 0, 1.0 + h[np.maximum(nxt, 0)] - h[:, None], 0.0)
+    var_rate = float(dist.pi @ (rates * jump ** 2).sum(axis=1))
+    reps, t = 20, 500.0
+    res = lc.simulate(space, classes, lc.SimConfig(horizon=t, replications=reps, seed=12))
+    assert abs(res.events - reps * t * rate) <= 5.0 * math.sqrt(reps * t * var_rate)
+
+
+def loop_simulate(space, classes, config):
+    """The event loop the simulator had before its event tables: numpy
+    scalar ops on every event, one exponential and one uniform per event,
+    per-replication occupancy rows.  Returns (total costs, occupancy,
+    occupancy standard error); bills and batch means are left out."""
+    lam = np.array([c.lam for c in classes])
+    mu = np.array([c.mu for c in classes])
+    omega = np.array([c.omega for c in classes], dtype=np.int64)
+    lam_total = float(lam.sum())
+    K = space.K
+    rep_occupancy = np.zeros((config.replications, len(space)))
+    total_costs = np.zeros(config.replications, dtype=np.int64)
+    for rep in range(config.replications):
+        rng = _rng_for(config.seed, rep)
+        rep_time = rep_occupancy[rep]
+        state = 0
+        now = 0.0
+        cost = 0
+        while True:
+            dep_rates = mu * space.occupancy[state]
+            total_rate = lam_total + float(dep_rates.sum())
+            if total_rate == 0.0:
+                rep_time[state] += config.horizon - max(now, config.warmup)
+                break
+            event_time = now + rng.exponential(1.0 / total_rate)
+            if event_time >= config.horizon:
+                rep_time[state] += config.horizon - max(now, config.warmup)
+                break
+            if event_time > config.warmup:
+                rep_time[state] += event_time - max(now, config.warmup)
+            now = event_time
+            u = rng.random() * total_rate
+            if u < lam_total:
+                j = 0
+                acc = lam[0]
+                while u > acc and j < K - 1:
+                    j += 1
+                    acc += lam[j]
+                if space.admissible[state, j]:
+                    state = int(space.up[state, j])
+                else:
+                    cost += int(omega[j])
+            else:
+                u -= lam_total
+                j = 0
+                acc = dep_rates[0]
+                while u > acc and j < K - 1:
+                    j += 1
+                    acc += dep_rates[j]
+                state = int(space.down[state, j])
+        total_costs[rep] = cost
+    fracs = rep_occupancy / (config.horizon - config.warmup)
+    return total_costs, fracs.mean(axis=0), fracs.std(axis=0, ddof=1) / math.sqrt(config.replications)
+
+
+@pytest.mark.parametrize("instance", ["k2_reference", "random_0", "random_7"])
+def test_agrees_with_event_loop(instance):
+    if instance == "k2_reference":
+        classes, space = k2_reference()
+    else:
+        classes, space = random_instance(np.random.default_rng(int(instance.split("_")[1])))
+    cfg = lc.SimConfig(horizon=5.0, replications=1000, seed=41, warmup=1.0)
+    res = lc.simulate(space, classes, cfg)
+    # a different seed keeps the two samples independent
+    costs, occ, occ_se = loop_simulate(space, classes, lc.SimConfig(horizon=5.0, replications=1000,
+                                                                    seed=42, warmup=1.0))
+    z = (res.mean_cost() - costs.mean()) / math.hypot(res.mean_cost_se(), costs.std(ddof=1) / math.sqrt(len(costs)))
+    assert abs(z) <= 4.0
+    se = np.hypot(res.occupancy_se, occ_se)
+    seen = se > 0
+    assert np.all(res.occupancy[~seen] == occ[~seen])
+    assert np.all(np.abs(res.occupancy[seen] - occ[seen]) <= 4.0 * se[seen])
