@@ -30,7 +30,6 @@ from .model_io import load_model
 from . import costdist as cd
 from . import howard as hw
 from . import report
-from .report import fmt
 from .simulate import (SimConfig, empirical_bill_hist, empirical_quantile,
                        empirical_total_cost_hist, simulate)
 
@@ -53,11 +52,11 @@ def _load(args):
 def cmd_stationary(args, _=None) -> tuple[int, dict]:
     classes, space, dist = _load(args)
     out = Path(args.out)
-    report.write_csv(out / "pi.csv", report.state_header(space.K) + ["probability"],
-                     (q + [fmt(p)] for q, p in zip(space.occupancy.tolist(), dist.pi)))
+    report.write_table(out / "pi.csv", report.state_header(space.K) + ["probability"],
+                       [*space.occupancy.T, dist.pi])
     bp = blocking_probabilities(space, dist.pi)
-    report.write_csv(out / "summary.csv", ["G", "g"] + [f"blocking_prob_{k + 1}" for k in range(space.K)],
-                     [[fmt(dist.G) if dist.G is not None else "overflow", fmt(dist.g)] + [fmt(b) for b in bp]])
+    report.write_table(out / "summary.csv", ["G", "g"] + [f"blocking_prob_{k + 1}" for k in range(space.K)],
+                       [["overflow"] if dist.G is None else [dist.G], [dist.g], *bp.reshape(-1, 1)])
     return 0, {"states": len(space)}
 
 
@@ -82,8 +81,8 @@ def cmd_shadow(args, _=None) -> tuple[int, dict]:
     prices = hw.shadow_prices(costs, space)
     report.write_shadow_prices(out / "shadow_prices.csv", space, prices)
     report.write_bill_distribution(out / "bill_dist.csv", hw.bill_distribution(prices, dist.pi, space))
-    report.write_csv(out / "residuals.csv", ["method", "terms", "residual"],
-                     ([args.method, n, fmt(res)] for n, res in enumerate(history)))
+    report.write_table(out / "residuals.csv", ["method", "terms", "residual"],
+                       [args.method, np.arange(len(history)), np.array(history, dtype=float)])
     return warnings, {"states": len(space), "method": args.method}
 
 
@@ -119,34 +118,46 @@ def cmd_simulate(args, _=None) -> tuple[int, dict]:
     prices = hw.shadow_prices(costs, space)
     result = simulate(space, classes, config, prices=prices)
     out = Path(args.out)
-    t, n, states = fmt(args.t), args.reps, report.state_header(space.K)
-    occupancy = space.occupancy.tolist()
+    t, n, states = report.fmt(args.t), args.reps, report.state_header(space.K)
 
-    report.write_csv(out / "pi_mc.csv", states + ["probability", "se"],
-                     (q + [fmt(p), fmt(se)]
-                      for q, p, se in zip(occupancy, result.occupancy, result.occupancy_se)))
+    report.write_table(out / "pi_mc.csv", states + ["probability", "se"],
+                       [*space.occupancy.T, result.occupancy, result.occupancy_se])
     cells, counts = np.unique(np.column_stack([result.final_states, result.total_cost_samples]),
                               axis=0, return_counts=True)
     prob = counts / n
-    report.write_csv(out / "cost_dist_mc.csv", ["t"] + states + ["r", "probability", "se"],
-                     ([t] + occupancy[st] + [r, fmt(p), fmt(se)]
-                      for (st, r), p, se in zip(cells, prob, np.sqrt(prob * (1.0 - prob) / n))))
+    report.write_table(out / "cost_dist_mc.csv", ["t"] + states + ["r", "probability", "se"],
+                       [t, *space.occupancy[cells[:, 0]].T, cells[:, 1], prob,
+                        np.sqrt(prob * (1.0 - prob) / n)])
     samples = result.total_cost_samples
     hist = empirical_total_cost_hist(samples, int(samples.max()))
-    report.write_csv(out / "total_cost_mc.csv", ["t", "r", "probability", "wilson_low", "wilson_high"],
-                     ([t, r, fmt(p), fmt(lo), fmt(hi)] for r, (p, lo, hi) in enumerate(zip(*hist))))
-    report.write_csv(out / "risk_mc.csv", ["t", "mean", "se", "q95", "q99"],
-                     [[t, fmt(result.mean_cost()), fmt(result.mean_cost_se()),
-                       empirical_quantile(samples, 0.95), empirical_quantile(samples, 0.99)]])
+    report.write_table(out / "total_cost_mc.csv", ["t", "r", "probability", "wilson_low", "wilson_high"],
+                       [t, np.arange(len(hist[0])), *hist])
+    report.write_table(out / "risk_mc.csv", ["t", "mean", "se", "q95", "q99"],
+                       [t, [result.mean_cost()], [result.mean_cost_se()],
+                        [empirical_quantile(samples, 0.95)], [empirical_quantile(samples, 0.99)]])
     report.write_bill_distribution(out / "bill_dist_mc.csv", hw.BillDistribution(tuple(
         empirical_bill_hist(result, k) if len(result.bill_samples[k]) else () for k in range(space.K))))
 
-    # comparison report: analytic references for what the simulation measures.
-    # Starting empty, the expected accumulated cost over [0, t] is
-    # t*g - sum_q pi(q) v(q) up to an exponentially small mixing remainder,
-    # with v anchored at the empty state.
+    comparisons = simulation_checks(space, dist, costs, prices, result)
+    names, *values, passed = zip(*comparisons)
+    report.write_table(out / "comparison.csv", ["quantity", "simulated", "analytic", "se", "z", "pass"],
+                       [names, *(np.array(v, dtype=float) for v in values), np.array(passed, dtype=bool)])
+    failed = sum(1 for c in comparisons if not c[5])
+    return failed, {"states": len(space), "replications": n, "events": result.events,
+                    "checks_failed": failed}
+
+
+def simulation_checks(space, dist, costs, prices, result) -> list[tuple]:
+    """Rows (quantity, simulated, analytic, se, z, pass) of ``comparison.csv``:
+    analytic references for what the simulation measures.
+
+    Starting empty, the expected accumulated cost over [0, t] is
+    t*g - sum_q pi(q) v(q) up to an exponentially small mixing remainder,
+    with v anchored at the empty state.
+    """
+    n = result.config.replications
     comparisons = []
-    analytic_mean = args.t * dist.g - float(dist.pi @ costs.v)
+    analytic_mean = result.config.horizon * dist.g - float(dist.pi @ costs.v)
     se = result.mean_cost_se()
     if np.isfinite(se) and se > 0:
         z = (result.mean_cost() - analytic_mean) / se
@@ -167,12 +178,7 @@ def cmd_simulate(args, _=None) -> tuple[int, dict]:
         bse = float(np.sqrt(np.sum((sums - emp * counts) ** 2)) / counts.sum())
         z = (emp - ana) / bse if bse > 0 else 0.0
         comparisons.append((f"mean_bill_class_{k + 1}", emp, ana, bse, z, abs(z) <= 3.0))
-    report.write_csv(out / "comparison.csv", ["quantity", "simulated", "analytic", "se", "z", "pass"],
-                     ([name, fmt(sim), fmt(ana), fmt(s), fmt(z), int(ok)]
-                      for name, sim, ana, s, z, ok in comparisons))
-    failed = sum(1 for c in comparisons if not c[5])
-    return failed, {"states": len(space), "replications": n, "events": result.events,
-                    "checks_failed": failed}
+    return comparisons
 
 
 def horizon(text: str) -> float:

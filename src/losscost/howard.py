@@ -87,12 +87,6 @@ class ShadowPriceTable:
 
     p: np.ndarray
 
-    def pairs(self, space: StateSpace):
-        for i in range(len(space)):
-            for k in range(space.K):
-                if not math.isnan(self.p[i, k]):
-                    yield i, k, float(self.p[i, k])
-
 
 @dataclass(frozen=True)
 class BillDistribution:

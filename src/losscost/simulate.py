@@ -376,11 +376,14 @@ def empirical_bill_hist(
     samples = result.bill_samples[k]
     if len(samples) == 0:
         raise ModelError(f"no admitted class-{k} arrivals observed")
-    atoms: list[list[float]] = []
-    for price in np.sort(samples):
+    # equal prices always share an atom, so merging the distinct prices with
+    # their counts gives the atoms of the sorted samples
+    prices, counts = np.unique(samples, return_counts=True)
+    atoms: list[list] = []
+    for price, count in zip(prices.tolist(), counts.tolist()):
         if atoms and price - atoms[-1][0] <= merge_tol:
-            atoms[-1][1] += 1.0
+            atoms[-1][1] += count
         else:
-            atoms.append([float(price), 1.0])
+            atoms.append([price, count])
     n = len(samples)
     return tuple((p, c / n) for p, c in atoms)

@@ -368,3 +368,129 @@ def test_simulate_manifest_records_events(tmp_path):
     config = SimConfig(horizon=30.0, replications=200, seed=9, warmup=7.5)
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["events"] == simulate(space, classes, config).events > 0
+
+
+B123_MODEL = """{
+  "classes": [
+    {"lambda": 3.0, "mu": 1.0, "bandwidth": 1, "omega": 1},
+    {"lambda": 1.5, "mu": 1.0, "bandwidth": 2, "omega": 2},
+    {"lambda": 1.0, "mu": 1.0, "bandwidth": 3, "omega": 3}
+  ],
+  "policy": {"type": "full_sharing", "capacity": 10}
+}
+"""
+
+THRESHOLD_MODEL = """{
+  "classes": [
+    {"lambda": 1.2, "mu": 0.7, "bandwidth": 1, "omega": 1},
+    {"lambda": 0.8, "mu": 1.3, "bandwidth": 2, "omega": 3}
+  ],
+  "policy": {"type": "per_class", "thresholds": [3, 2]}
+}
+"""
+
+OVERFLOW_MODEL = K1_MODEL.replace('"lambda": 1.0', '"lambda": 1e160')
+
+
+def _render_reference(out, model, method):
+    """Every CSV of the runs in ``test_csv_bytes_match_row_writer``, rebuilt
+    from the library's results by the row writer of ``test_report``."""
+    from test_report import (ref_fmt, reference_bill_distribution, reference_cost_grid,
+                             reference_relative_costs, reference_risk, reference_shadow_prices,
+                             reference_total_cost, reference_write)
+
+    from losscost import costdist as cd
+    from losscost import howard as hw
+    from losscost.cli import _relative_costs, simulation_checks
+    from losscost.model import blocking_probabilities, enumerate_states, stationary
+    from losscost.model_io import load_model
+    from losscost.simulate import (SimConfig, empirical_bill_hist, empirical_quantile,
+                                   empirical_total_cost_hist, simulate)
+
+    classes, policy = load_model(model)
+    space = enumerate_states(classes, policy)
+    dist = stationary(space, classes)
+    states, occupancy, K = [f"q{k + 1}" for k in range(space.K)], space.occupancy.tolist(), space.K
+    for d in ("stationary", "shadow", "closed", "simple", "simulate"):
+        (out / d).mkdir(parents=True)
+
+    reference_write(out / "stationary" / "pi.csv", states + ["probability"],
+                    (q + [ref_fmt(p)] for q, p in zip(occupancy, dist.pi)))
+    reference_write(out / "stationary" / "summary.csv",
+                    ["G", "g"] + [f"blocking_prob_{k + 1}" for k in range(K)],
+                    [[ref_fmt(dist.G) if dist.G is not None else "overflow", ref_fmt(dist.g)]
+                     + [ref_fmt(b) for b in blocking_probabilities(space, dist.pi)]])
+    if method is None:
+        return
+
+    costs, history, _ = _relative_costs(space, classes, dist, method, 6)
+    prices = hw.shadow_prices(costs, space)
+    reference_relative_costs(out / "shadow" / "relative_costs.csv", space, costs)
+    reference_shadow_prices(out / "shadow" / "shadow_prices.csv", space, prices)
+    reference_bill_distribution(out / "shadow" / "bill_dist.csv",
+                                hw.bill_distribution(prices, dist.pi, space))
+    reference_write(out / "shadow" / "residuals.csv", ["method", "terms", "residual"],
+                    ([method, n, ref_fmt(res)] for n, res in enumerate(history)))
+
+    total = cd.total_cost_distribution(space, classes, 2.0)
+    grids = {"closed": (cd.closed_form_grid(space, classes, 2.0, len(total.mass) - 1, dist=dist), total)}
+    grid = cd.evolve_simple_costs(space, classes, 2.0, 80, 12, warn=False)
+    grids["simple"] = (grid, cd.TotalCostDistribution.from_mass(
+        2.0, grid.total_cost(), 2.0 * dist.g, grid.leakage))
+    for d, (grid, total) in grids.items():
+        reference_cost_grid(out / d / "cost_dist.csv", space, grid)
+        reference_total_cost(out / d / "total_cost.csv", 2.0, total.mass)
+        reference_risk(out / d / "risk.csv", total)
+
+    n, t = 200, ref_fmt(5.0)
+    costs = hw.solve_howard_exact(space, classes, dist.g, dist.r)
+    prices = hw.shadow_prices(costs, space)
+    result = simulate(space, classes, SimConfig(horizon=5.0, replications=n, seed=3,
+                                                record_bills=True, warmup=1.25), prices=prices)
+    sim = out / "simulate"
+    reference_write(sim / "pi_mc.csv", states + ["probability", "se"],
+                    (q + [ref_fmt(p), ref_fmt(se)]
+                     for q, p, se in zip(occupancy, result.occupancy, result.occupancy_se)))
+    cells, counts = np.unique(np.column_stack([result.final_states, result.total_cost_samples]),
+                              axis=0, return_counts=True)
+    prob = counts / n
+    reference_write(sim / "cost_dist_mc.csv", ["t"] + states + ["r", "probability", "se"],
+                    ([t] + occupancy[st] + [r, ref_fmt(p), ref_fmt(se)]
+                     for (st, r), p, se in zip(cells, prob, np.sqrt(prob * (1.0 - prob) / n))))
+    samples = result.total_cost_samples
+    hist = empirical_total_cost_hist(samples, int(samples.max()))
+    reference_write(sim / "total_cost_mc.csv", ["t", "r", "probability", "wilson_low", "wilson_high"],
+                    ([t, r, ref_fmt(p), ref_fmt(lo), ref_fmt(hi)]
+                     for r, (p, lo, hi) in enumerate(zip(*hist))))
+    reference_write(sim / "risk_mc.csv", ["t", "mean", "se", "q95", "q99"],
+                    [[t, ref_fmt(result.mean_cost()), ref_fmt(result.mean_cost_se()),
+                      empirical_quantile(samples, 0.95), empirical_quantile(samples, 0.99)]])
+    reference_bill_distribution(sim / "bill_dist_mc.csv", hw.BillDistribution(tuple(
+        empirical_bill_hist(result, k) if len(result.bill_samples[k]) else () for k in range(K))))
+    reference_write(sim / "comparison.csv", ["quantity", "simulated", "analytic", "se", "z", "pass"],
+                    ([name, ref_fmt(s), ref_fmt(a), ref_fmt(e), ref_fmt(z), int(ok)]
+                     for name, s, a, e, z, ok in simulation_checks(space, dist, costs, prices, result)))
+
+
+@pytest.mark.parametrize("text,method", [
+    (K1_MODEL, "exact"), (SYMMETRIC_MODEL, "symmetric"), (B123_MODEL, "series"),
+    (THRESHOLD_MODEL, "general"), (ZERO_RATE_MODEL, "equal-bandwidth"), (OVERFLOW_MODEL, None)],
+    ids=["k1", "symmetric", "b123", "threshold", "zero_rate", "overflow"])
+def test_csv_bytes_match_row_writer(tmp_path, text, method):
+    # all 15 files, byte for byte, against the row writer the CSV layer replaced
+    model = _write(tmp_path, text)
+    got, want = tmp_path / "got", tmp_path / "want"
+    runs = {"stationary": ["stationary"]}
+    if method is not None:
+        runs |= {"shadow": ["shadow", "--method", method],
+                 "closed": ["costdist", "--t", "2", "--scheme", "closed"],
+                 "simple": ["costdist", "--t", "2", "--scheme", "simple", "--steps", "80", "--rmax", "12"],
+                 "simulate": ["simulate", "--t", "5", "--reps", "200", "--seed", "3"]}
+    for d, argv in runs.items():
+        assert main(argv + ["--model", model, "--out", str(got / d)]) in (0, 3)
+    _render_reference(want, model, method)
+    files = sorted(p.relative_to(want) for p in want.rglob("*.csv"))
+    assert files == sorted(p.relative_to(got) for p in got.rglob("*.csv"))
+    assert {p.name for p in files} == (set(CSV_HEADERS) if method else {"pi.csv", "summary.csv"})
+    for p in files:
+        assert (got / p).read_bytes() == (want / p).read_bytes(), p

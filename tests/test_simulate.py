@@ -1,5 +1,6 @@
 """Monte Carlo oracle: determinism, agreement with the analytic layer."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -151,6 +152,34 @@ def test_empirical_bills_match_distribution():
         se = np.sqrt(np.sum((atom - phat * counts) ** 2)) / counts.sum()
         want = bills.per_class[0][atom_idx][1]
         assert phat == pytest.approx(want, abs=3.0 * se)
+
+
+def loop_bill_hist(samples, merge_tol=1e-9):
+    """Bill atoms merged over every sorted sample, the loop that
+    ``empirical_bill_hist`` replaced."""
+    atoms = []
+    for price in np.sort(samples):
+        if atoms and price - atoms[-1][0] <= merge_tol:
+            atoms[-1][1] += 1.0
+        else:
+            atoms.append([float(price), 1.0])
+    return tuple((p, c / len(samples)) for p, c in atoms)
+
+
+def test_empirical_bill_hist_matches_sample_loop(rng):
+    classes, space = k2_reference()
+    dist, prices = _prices(classes, space)
+    cfg = lc.SimConfig(horizon=20.0, replications=300, seed=4, record_bills=True)
+    res = lc.simulate(space, classes, cfg, prices=prices)
+    for k in range(space.K):
+        assert lc.empirical_bill_hist(res, k) == loop_bill_hist(res.bill_samples[k])
+    # repeated prices and chains of near-equal ones, merged by distance to
+    # the first price of an atom
+    base = rng.normal(size=40)
+    samples = np.concatenate([base, base, base[:10] + 6e-10, base[:10] + 1.2e-9, base[:5] + 2e-9])
+    fake = dataclasses.replace(res, bill_samples=[rng.permutation(samples)])
+    for tol in (1e-9, 0.3):
+        assert lc.empirical_bill_hist(fake, 0, tol) == loop_bill_hist(samples, tol)
 
 
 def test_empirical_bill_requires_recording():
