@@ -42,11 +42,14 @@ import numpy as np
 import scipy.sparse
 
 from .model import (
+    DEFAULT_STATE_CAP,
     ModelError,
     NumericsError,
     StateSpace,
+    StateSpaceSizeError,
     StationaryDistribution,
     TrafficClass,
+    _charging,
     _check_horizon,
     sparse_generator,
     stationary,
@@ -76,6 +79,8 @@ __all__ = [
 
 LEAKAGE_WARN = 1e-6
 STEP_LIMIT = 0.5
+# most (state, cost) cells, states x (r_max + 1), that a cost law may span
+LATTICE_CAP = 8 * DEFAULT_STATE_CAP
 
 
 class StepSizeError(ModelError):
@@ -117,6 +122,18 @@ def max_outflow_rate(space: StateSpace, classes: Sequence[TrafficClass]) -> floa
     return float(lam_total + (space.occupancy * mu).sum(axis=1).max())
 
 
+def _check_r_max(space: StateSpace, r_max: int) -> None:
+    """Reject a cost truncation that is negative or whose (state, cost)
+    lattice would pass ``LATTICE_CAP`` cells, before anything is built."""
+    if r_max < 0:
+        raise ModelError(f"r_max must be >= 0, got {r_max}")
+    if len(space) * (r_max + 1) > LATTICE_CAP:
+        raise StateSpaceSizeError(
+            f"r_max={r_max} over {len(space)} states passes the cost lattice cap of "
+            f"{LATTICE_CAP} cells (states x (r_max + 1))"
+        )
+
+
 def _check_step(space, classes, horizon, steps) -> float:
     if steps < 1:
         raise ModelError(f"steps must be >= 1, got {steps}")
@@ -147,8 +164,7 @@ def _evolve(
     keep their mass on P's diagonal; mass pushed past r_max is accumulated
     as leakage.
     """
-    if r_max < 0:
-        raise ModelError(f"r_max must be >= 0, got {r_max}")
+    _check_r_max(space, r_max)
     dt = _check_step(space, classes, horizon, steps)
     lam, omega, charge = _charging(space, classes)
     n = len(space)
@@ -218,15 +234,6 @@ def evolve_simple_costs(
     n = len(space)
     return _evolve(space, classes, scipy.sparse.csr_matrix((n, n)), stationary(space, classes).pi,
                    horizon, steps, r_max, warn, "simple")
-
-
-def _charging(space: StateSpace, classes: Sequence[TrafficClass]):
-    """(lam, omega, mask): class j charges in state i when it is blocked there
-    with lam_j > 0 and omega_j > 0; other blocked classes never move cost
-    mass and are marginalized out exactly."""
-    lam = np.array([c.lam for c in classes], dtype=float)
-    omega = np.array([c.omega for c in classes], dtype=np.int64)
-    return lam, omega, ~space.admissible & (lam > 0) & (omega > 0)
 
 
 def _poisson_law(t: float, r_max: int, lam: np.ndarray, omega: np.ndarray) -> np.ndarray:
@@ -355,6 +362,7 @@ def closed_form_grid(
     ``steps`` is 0 (continuous time); ``leakage`` is the mass past r_max.
     """
     _check_horizon(t)
+    _check_r_max(space, r_max)
     classes = tuple(classes)
     if dist is None:
         dist = stationary(space, classes)
@@ -403,16 +411,17 @@ def total_cost_distribution(
     """Marginal law of the accumulated cost at time t under the simple scheme.
 
     ``r_max`` defaults to :func:`default_r_max` and is doubled (0 grows to
-    1) until the truncated tail is below ``leak_tol``.
+    1) until the truncated tail is below ``leak_tol``.  Every truncation
+    tried must keep the (state, cost) lattice within ``LATTICE_CAP`` cells,
+    else :class:`~losscost.model.StateSpaceSizeError` is raised.
     """
     _check_horizon(t)
-    if r_max is not None and r_max < 0:
-        raise ModelError(f"r_max must be >= 0, got {r_max}")
     classes = tuple(classes)
     dist = stationary(space, classes)
     if r_max is None:
         r_max = default_r_max(classes, t)
     for _ in range(20):
+        _check_r_max(space, r_max)
         inverse, laws = _mask_laws(space, classes, t, r_max)
         mass = np.bincount(inverse, weights=dist.pi, minlength=len(laws)) @ laws
         leakage = max(0.0, 1.0 - float(mass.sum()))

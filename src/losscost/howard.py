@@ -22,7 +22,6 @@ any starting approximation by per-class quasi-inversion of the generator.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -32,9 +31,11 @@ import scipy.sparse
 from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
 from .model import (
+    DEFAULT_STATE_CAP,
     ModelError,
     NumericsError,
     StateSpace,
+    StateSpaceSizeError,
     TrafficClass,
     _log_weights,
     sparse_generator,
@@ -65,6 +66,10 @@ __all__ = [
 RESIDUAL_TOL = 1e-8
 SERIES_CONVERGED_TOL = 1e-6
 SERIES_STALL_TOL = 1e-10
+# most cells in the series completion's box plus its per-class matrices; the
+# 585,276-state K=3 model at the default 6 terms needs 159^3 + 3 * 159^2,
+# about 4.1M
+SERIES_BOX_CAP = 8 * DEFAULT_STATE_CAP
 
 
 @dataclass(frozen=True)
@@ -132,7 +137,10 @@ def howard_residual(
     r: np.ndarray,
 ) -> float:
     """Max-norm residual of the policy-evaluation equation for v."""
-    Q = sparse_generator(space, classes)
+    return _residual(sparse_generator(space, classes), v, g, r)
+
+
+def _residual(Q: scipy.sparse.csr_matrix, v: np.ndarray, g: float, r: np.ndarray) -> float:
     return float(np.max(np.abs(Q @ v - (g - r))))
 
 
@@ -193,7 +201,7 @@ def solve_howard_exact(
     v = lu.solve(rhs)
     v -= v[anchor]
 
-    residual = float(np.max(np.abs(Q @ v - (g - r))))
+    residual = _residual(Q, v, g, r)
     if residual > RESIDUAL_TOL:
         raise NumericsError(
             f"relative-cost solve residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}"
@@ -380,57 +388,41 @@ def default_series_start(classes: Sequence[TrafficClass]) -> Callable[[tuple[int
     return u
 
 
-class _BoxFn:
-    """Function on the box lattice prod [0, limits_k], stored densely."""
-
-    def __init__(self, limits: Sequence[int], values: np.ndarray | None = None):
-        self.limits = tuple(limits)
-        shape = tuple(l + 1 for l in self.limits)
-        self.a = np.zeros(shape) if values is None else values
-
-    @classmethod
-    def from_callable(cls, limits, fn):
-        out = cls(limits)
-        for q in itertools.product(*[range(l + 1) for l in limits]):
-            out.a[q] = fn(q)
-        return out
-
-
-def _delta_k(f: _BoxFn, k: int, lam: float, mu: float) -> _BoxFn:
-    # one-class generator without admission control; valid one layer inside
-    out = _BoxFn(f.limits)
-    a = f.a
+def _delta_k(a: np.ndarray, k: int, lam: float, mu: float) -> np.ndarray:
+    # one-class generator without admission control along axis k; valid one
+    # layer inside the box
     up = np.roll(a, -1, axis=k)
     dn = np.roll(a, 1, axis=k)
     qk = np.arange(a.shape[k]).reshape([-1 if ax == k else 1 for ax in range(a.ndim)])
-    out.a = lam * (up - a) - mu * qk * (a - dn)
+    out = lam * (up - a) - mu * qk * (a - dn)
     # roll wrapped the edges; zero the top layer where up is meaningless
     idx = [slice(None)] * a.ndim
     idx[k] = -1
-    out.a[tuple(idx)] = 0.0
+    out[tuple(idx)] = 0.0
     return out
 
 
-def _h_k(f: _BoxFn, k: int, rho_k: float) -> _BoxFn:
-    # per-class quasi-inverse: weighted sum of f over downward shifts along k,
-    # with weight of f(q - s e_k) at level q_k equal to
-    # sum_{i=1}^{s} (q_k-i)!/(q_k-s)! * rho_k^-(s-i)
-    out = _BoxFn(f.limits)
-    nk = f.a.shape[k]
-    a = np.moveaxis(f.a, k, 0)
-    res = np.moveaxis(out.a, k, 0)
-    inv = 1.0 / rho_k
-    for qk in range(1, nk):
-        acc = np.zeros_like(a[0])
-        for s in range(1, qk + 1):
-            w = 0.0
-            prod = 1.0  # (q_k - i)!/(q_k - s)! accumulated from i = s down to 1
-            for i in range(s, 0, -1):
-                w += prod * inv ** (s - i)
-                prod *= qk - i + 1
-            acc += w * a[qk - s]
-        res[qk] = acc * inv
-    return out
+def _quasi_inverse(n: int, rho: float) -> np.ndarray:
+    """Strictly lower-triangular matrix of the one-class quasi-inverse on
+    levels 0..n-1.
+
+    H[q, m] = rho^-1 sum_{j=0}^{q-m-1} (m+j)!/m! rho^-j for m < q, so that
+    the one-class generator maps (1/mu) H f back to f below the top level.
+    Row q adds to row q-1 the term T(q, m) = (q-1)!/m! rho^-(q-1-m), carried
+    from T(q-1, m) by one factor (q-1)/rho.
+    """
+    H = np.zeros((n, n))
+    T = np.zeros(n)
+    for q in range(1, n):
+        T[:q - 1] *= (q - 1) / rho
+        T[q - 1] = 1.0
+        H[q] = H[q - 1] + T
+    return H / rho
+
+
+def _apply_along(M: np.ndarray, a: np.ndarray, k: int) -> np.ndarray:
+    """M applied to every line of ``a`` along axis k."""
+    return np.moveaxis(np.tensordot(M, a, axes=(1, k)), 0, k)
 
 
 def series_refine(
@@ -450,10 +442,13 @@ def series_refine(
 
         f_{n+1,j} = - sum_{k != j} D_k [ (1/mu_j) h(f_{n,j}; q_j, rho_j) ]
 
-    where h is the exact one-class inverse of D_j.  All operators act on an
-    enlarged box around the admitted region so that no admission boundary is
-    seen by the recursion; the residual is always measured with the admission
-    boundary in force.
+    where h is the exact one-class inverse of D_j, one lower-triangular
+    matrix per class applied along that class's axis.  All operators act on
+    an enlarged box around the admitted region (levels 0..max q_j + n_terms
+    + 2 per axis) so that no admission boundary is seen by the recursion; the
+    residual is always measured with the admission boundary in force.
+    Raises :class:`StateSpaceSizeError` when the box and the matrices would
+    hold more than ``SERIES_BOX_CAP`` cells, before allocating them.
 
     The corrections drive the residual of the *unconstrained* balance
     equation to zero, but on blocking instances the completed function can
@@ -471,33 +466,36 @@ def series_refine(
         # the per-class quasi-inverse weights carry inverse powers of the
         # per-class load
         raise ModelError("series completion requires a positive arrival rate per class")
+    shape = tuple(int(m) + n_terms + 3 for m in space.occupancy.max(axis=0))
+    cells = math.prod(shape) + sum(n * n for n in shape)
+    if cells > SERIES_BOX_CAP:
+        raise StateSpaceSizeError(
+            f"series box and quasi-inverse matrices of {cells} cells for {n_terms} terms "
+            f"exceed the cap of {SERIES_BOX_CAP}"
+        )
     rho = sum(c.rho for c in classes)
-    rho_j = [c.rho for c in classes]
+    Q = sparse_generator(space, classes)
 
-    limits = [int(space.occupancy[:, k].max()) + n_terms + 2 for k in range(K)]
-    grid = np.indices([l + 1 for l in limits])
+    grid = np.indices(shape)
     totals = grid.sum(axis=0)
     # E(t) is the load increment; its shares c_j(q) sum to one over j
     E, D = _total_tables(int(totals.max()) + 1, rho)
     if u is None:
-        ubox = _BoxFn(limits, D[totals] / (rho * sum(c.mu for c in classes)))
+        ubox = D[totals] / (rho * sum(c.mu for c in classes))
     else:
-        ubox = _BoxFn.from_callable(limits, u)
-
-    f = []
-    for j in range(K):
-        dju = _delta_k(ubox, j, classes[j].lam, classes[j].mu)
-        share = rho_j[j] * E[totals + 1] - grid[j] * E[totals]
-        f.append(_BoxFn(limits, share - dju.a))
+        ubox = np.fromiter(map(u, np.ndindex(*shape)), dtype=float).reshape(shape)
+    f = [c.rho * E[totals + 1] - grid[j] * E[totals] - _delta_k(ubox, j, c.lam, c.mu)
+         for j, c in enumerate(classes)]
+    H = [_quasi_inverse(n, c.rho) for n, c in zip(shape, classes)]
 
     occupied = tuple(space.occupancy.T)
 
-    def measure(vbox: _BoxFn) -> tuple[np.ndarray, float]:
-        v = vbox.a[occupied]
+    def measure(vbox: np.ndarray) -> tuple[np.ndarray, float]:
+        v = vbox[occupied]
         v = v - v[0]
-        return v, howard_residual(space, classes, v, g, r)
+        return v, _residual(Q, v, g, r)
 
-    vbox = _BoxFn(limits, g * ubox.a.copy())
+    vbox = g * ubox
     v0, res0 = measure(vbox)
     history = [res0]
     best_v, best_res, best_terms = v0, res0, 0
@@ -506,9 +504,9 @@ def series_refine(
     message = ""
     grow_streak = 0
     for n in range(1, n_terms + 1):
-        hs = [_h_k(f[j], j, rho_j[j]) for j in range(K)]
-        for j in range(K):
-            vbox.a += g * hs[j].a / classes[j].mu
+        hs = [_apply_along(H[j], f[j], j) / classes[j].mu for j in range(K)]
+        for h in hs:
+            vbox += g * h
         v, res = measure(vbox)
         history.append(res)
         if res < best_res:
@@ -526,15 +524,8 @@ def series_refine(
             break
         if n == n_terms:
             break
-        nxt = []
-        for j in range(K):
-            hj = _BoxFn(limits, hs[j].a / classes[j].mu)
-            acc = _BoxFn(limits)
-            for k in range(K):
-                if k != j:
-                    acc.a -= _delta_k(hj, k, classes[k].lam, classes[k].mu).a
-            nxt.append(acc)
-        f = nxt
+        f = [-sum((_delta_k(hs[j], k, classes[k].lam, classes[k].mu) for k in range(K) if k != j),
+                  np.zeros(shape)) for j in range(K)]
 
     converged = best_res <= SERIES_CONVERGED_TOL
     if not message:

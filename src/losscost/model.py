@@ -345,6 +345,15 @@ def _log_weights(space: StateSpace, classes: Sequence[TrafficClass]) -> np.ndarr
     return logw
 
 
+def _charging(space: StateSpace, classes: Sequence[TrafficClass]):
+    """(lam, omega, mask): class j charges in state i when it is blocked there
+    with lam_j > 0 and omega_j > 0; other blocked classes never move cost
+    mass and are marginalized out exactly."""
+    lam = np.array([c.lam for c in classes], dtype=float)
+    omega = np.array([c.omega for c in classes], dtype=np.int64)
+    return lam, omega, ~space.admissible & (lam > 0) & (omega > 0)
+
+
 def stationary(
     space: StateSpace, classes: Sequence[TrafficClass]
 ) -> StationaryDistribution:
@@ -377,9 +386,8 @@ def stationary(
     except OverflowError:
         G = None
 
-    lam = np.array([c.lam for c in classes])
-    omega = np.array([float(c.omega) for c in classes])
-    r = ((~space.admissible) * (lam * omega)).sum(axis=1)
+    lam, omega, charge = _charging(space, classes)
+    r = (charge * (lam * omega)).sum(axis=1)
     g = float(pi @ r)
     return StationaryDistribution(pi=pi, log_G=log_G, G=G, r=r, g=g)
 

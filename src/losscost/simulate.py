@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import ModelError, StateSpace, TrafficClass, _check_horizon, stationary
+from .model import ModelError, StateSpace, TrafficClass, _charging, _check_horizon, stationary
 from .howard import ShadowPriceTable
 
 __all__ = [
@@ -334,7 +334,7 @@ def simulate_simple_total_costs(
     by_state = np.argsort(states, kind="stable")
     counts = np.bincount(states, minlength=len(space))
     ends = np.cumsum(counts)
-    charging = ~space.admissible & np.array([c.omega > 0 and c.lam > 0 for c in classes])
+    _, _, charging = _charging(space, classes)
     for i in np.flatnonzero(charging.any(axis=1) & (counts > 0)):
         rows = by_state[ends[i] - counts[i]:ends[i]]
         for j in np.flatnonzero(charging[i]):

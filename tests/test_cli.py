@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -274,6 +275,46 @@ def test_shadow_series_terms_bound(tmp_path, capsys, terms, code):
     assert main(["shadow", "--model", model, "--out", str(tmp_path / "o"),
                  "--method", "series", "--terms", terms]) == code
     assert ("n_terms" in capsys.readouterr().err) == (code == 1)
+
+
+# K=3, unit bandwidth, one service rate, C=16: 969 states
+SYM969_MODEL = """{
+  "classes": [
+    {"lambda": 2.0, "mu": 1.0, "bandwidth": 1, "omega": 1},
+    {"lambda": 2.1, "mu": 1.0, "bandwidth": 1, "omega": 2},
+    {"lambda": 1.9, "mu": 1.0, "bandwidth": 1, "omega": 3}
+  ],
+  "policy": {"type": "full_sharing", "capacity": 16}
+}
+"""
+
+# the stationary law answers at once (G overflows), but the default cost
+# truncation is about 5e160
+HUGE_RATE_MODEL = K1_MODEL.replace('"lambda": 1.0', '"lambda": 1e160').replace('"capacity": 2', '"capacity": 3')
+
+
+@pytest.mark.parametrize("model", [K1_MODEL, SYM969_MODEL], ids=["k1", "sym969"])
+def test_shadow_series_rejects_oversized_box(tmp_path, capsys, model):
+    # the box (969 states: 21.3 PiB) or the one-class matrix (100,005^2) is
+    # refused before it is allocated
+    path = _write(tmp_path, model)
+    assert main(["shadow", "--model", path, "--out", str(tmp_path / "o"),
+                 "--method", "series", "--terms", "100000"]) == 1
+    assert "error: series box" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scheme", ["closed", "simple", "shadow"])
+@pytest.mark.parametrize("model,extra", [(HUGE_RATE_MODEL, []),
+                                         (SYM969_MODEL, ["--rmax", "100000000000"])],
+                         ids=["huge-rate", "rmax-1e11"])
+def test_costdist_rejects_oversized_lattice(tmp_path, capsys, scheme, model, extra):
+    path = _write(tmp_path, model)
+    started = time.perf_counter()
+    assert main(["costdist", "--model", path, "--out", str(tmp_path / "o"),
+                 "--t", "5", "--scheme", scheme, *extra]) == 1
+    assert time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: r_max=") and "cost lattice cap" in err
 
 
 @pytest.mark.parametrize("t", ["0", "-1", "nan", "inf"])

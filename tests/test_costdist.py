@@ -127,6 +127,23 @@ def test_evolve_rejects_negative_r_max():
         lc.total_cost_distribution(space, classes, 1.0, r_max=-1)
 
 
+def test_cost_lattice_cap(monkeypatch):
+    # every lattice builder refuses states x (r_max + 1) past the cap, and the
+    # closed law's doubling stops at the first truncation that would pass it
+    classes, space = k1_instance()
+    monkeypatch.setattr(cd, "LATTICE_CAP", 3 * 64)
+    cd.closed_form_grid(space, classes, 1.0, 63)
+    for build in (lambda: cd.closed_form_grid(space, classes, 1.0, 64),
+                  lambda: lc.evolve_shadow_costs(space, classes, 1.0, 10, 64),
+                  lambda: lc.evolve_simple_costs(space, classes, 1.0, 10, 64),
+                  lambda: lc.total_cost_distribution(space, classes, 1.0, r_max=64)):
+        with pytest.raises(lc.StateSpaceSizeError, match="r_max=64 "):
+            build()
+    # mean cost 40 at t = 200: the tail leaks at r_max = 32, and 64 is refused
+    with pytest.raises(lc.StateSpaceSizeError, match="r_max=64 "):
+        lc.total_cost_distribution(space, classes, 200.0, r_max=1)
+
+
 def test_total_cost_r_max_zero_grows():
     # doubling from 0 must reach a lattice, and the same law as from 1
     classes, space = k1_instance()

@@ -169,17 +169,70 @@ def test_vectorised_approximations_match_scalar_forms(rng):
         assert np.array_equal(lc.general_relative_costs(space, classes, g).v, want)
 
 
+def _loop_quasi_inverse(n, rho):
+    # the per-level triple loop the series completion once ran on every term:
+    # weight of f(q - s) at level q is sum_{i=1}^{s} (q-i)!/(q-s)! rho^-(s-i),
+    # and the weighted sum is scaled by 1/rho
+    H = np.zeros((n, n))
+    inv = 1.0 / rho
+    for q in range(1, n):
+        for s in range(1, q + 1):
+            w = 0.0
+            prod = 1.0  # (q - i)!/(q - s)! accumulated from i = s down to 1
+            for i in range(s, 0, -1):
+                w += prod * inv ** (s - i)
+                prod *= q - i + 1
+            H[q, q - s] = w * inv
+    return H
+
+
+def test_quasi_inverse_matrix_matches_loop(rng):
+    # one matrix per class of each series box, and levels up to 60
+    cases = [(60, rho) for rho in (0.3, 1.0, 2.2, 17.3)]
+    for _ in range(8):
+        classes, space = random_instance(rng)
+        cases += [(int(m) + 9, c.rho) for m, c in zip(space.occupancy.max(axis=0), classes)
+                  if c.lam > 0]
+    for n, rho in cases:
+        want = _loop_quasi_inverse(n, rho)
+        got = hw._quasi_inverse(n, rho)
+        nz = want != 0
+        assert np.array_equal(got != 0, nz)
+        assert np.max(np.abs(got - want)[nz] / np.abs(want[nz])) <= 1e-14
+
+
 def test_one_class_quasi_inverse_identity(rng):
-    # Delta_j (1/mu) h(f, q, rho) must reproduce f exactly on a single class
-    lam, mu = 1.3, 0.7
-    rho = lam / mu
-    n = 9
-    f = hw._BoxFn((n,), rng.uniform(-1.0, 1.0, size=n + 1))
-    h = hw._h_k(f, 0, rho)
-    h.a /= mu
-    d = hw._delta_k(h, 0, lam, mu)
-    worst = max(abs(d.a[q] - f.a[q]) for q in range(n))  # top layer excluded
-    assert worst <= 1e-10
+    # along every axis k of a 3-D box, Delta_k (1/mu_k) H_k f reproduces f
+    # below the top layer, up to rounding in the terms Delta_k cancels: at
+    # rho = 0.36 h reaches 1e8 where f is at most 1
+    shape = (7, 9, 6)
+    lams, mus = (1.3, 0.4, 2.5), (0.7, 1.1, 0.9)
+    f = rng.uniform(-1.0, 1.0, size=shape)
+    eps = np.finfo(float).eps
+    for k, (lam, mu) in enumerate(zip(lams, mus)):
+        h = hw._apply_along(hw._quasi_inverse(shape[k], lam / mu), f, k) / mu
+        d = hw._delta_k(h, k, lam, mu)
+        a = np.abs(h)
+        q = np.arange(shape[k]).reshape([-1 if ax == k else 1 for ax in range(3)])
+        scale = lam * (np.roll(a, -1, axis=k) + a) + mu * q * (a + np.roll(a, 1, axis=k)) + np.abs(f)
+        ok = np.abs(d - f) <= 64 * eps * scale
+        assert np.moveaxis(ok, k, 0)[:-1].all()
+
+
+def test_series_builds_generator_once(monkeypatch):
+    calls = []
+    build = hw.sparse_generator
+
+    def counting(*args):
+        calls.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(hw, "sparse_generator", counting)
+    classes, space = k2_reference()
+    dist = lc.stationary(space, classes)
+    res = lc.series_refine(space, classes, dist.g, dist.r, n_terms=6)
+    assert len(res.residual_history) > 2
+    assert len(calls) == 1
 
 
 def test_series_with_exact_start_adds_nothing():
