@@ -46,9 +46,7 @@ exact = lc.solve_howard_exact(sym_space, sym_classes, sym_dist.g, sym_dist.r)
 print("\nsymmetric closed form vs exact solve:",
       float(np.max(np.abs(closed.v - exact.v))))
 
-v_approx = np.array([
-    lc.relative_cost_general_approx(q, classes, dist.g) for q in space.states
-])
+v_approx = lc.general_relative_costs(space, classes, dist.g).v
 res_approx = hw.howard_residual(space, classes, v_approx, dist.g, dist.r)
 res_zero = hw.howard_residual(space, classes, np.zeros(len(space)), dist.g, dist.r)
 print(f"bandwidth-scaled approximation residual {res_approx:.3f} "

@@ -93,9 +93,7 @@ def cmd_costdist(args, _=None) -> tuple[int, dict]:
         total = cd.total_cost_distribution(space, classes, t, r_max=args.rmax)
         grid = cd.closed_form_grid(space, classes, t, len(total.mass) - 1, dist=dist)
     else:
-        steps = args.steps
-        if steps is None:
-            steps = int(np.ceil(t * cd.max_outflow_rate(space, classes) / cd.STEP_LIMIT))
+        steps = args.steps if args.steps is not None else cd.default_steps(space, classes, t)
         r_max = args.rmax if args.rmax is not None else cd.default_r_max(classes, t)
         evolve = cd.evolve_shadow_costs if args.scheme == "shadow" else cd.evolve_simple_costs
         grid = evolve(space, classes, t, steps, r_max, warn=False)

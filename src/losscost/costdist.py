@@ -69,6 +69,7 @@ __all__ = [
     "closed_form_continuous",
     "closed_form_grid",
     "default_r_max",
+    "default_steps",
     "total_cost_distribution",
     "detailed_balance_counterexample",
     "recursion_solve",
@@ -134,6 +135,15 @@ def _check_r_max(space: StateSpace, r_max: int) -> None:
         )
 
 
+def default_steps(space: StateSpace, classes: Sequence[TrafficClass], t: float) -> int:
+    """Smallest step count over horizon t whose step keeps dt times the peak
+    event rate within ``STEP_LIMIT``: ceil(t * max_outflow_rate / STEP_LIMIT)."""
+    bound = t * max_outflow_rate(space, classes) / STEP_LIMIT
+    if not math.isfinite(bound):
+        raise ModelError(f"horizon {t:g} times the peak event rate is not finite; no step count fits")
+    return math.ceil(bound)
+
+
 def _check_step(space, classes, horizon, steps) -> float:
     if steps < 1:
         raise ModelError(f"steps must be >= 1, got {steps}")
@@ -143,7 +153,7 @@ def _check_step(space, classes, horizon, steps) -> float:
     if dt * rate > STEP_LIMIT:
         raise StepSizeError(
             f"step {dt:g} times peak rate {rate:g} is {dt * rate:.3g} > {STEP_LIMIT}; "
-            f"use at least {math.ceil(horizon * rate / STEP_LIMIT)} steps"
+            f"use at least {default_steps(space, classes, horizon)} steps"
         )
     return dt
 
@@ -398,7 +408,11 @@ def default_r_max(classes: Sequence[TrafficClass], t: float) -> int:
     """Cost truncation mean + 10 sqrt(mean) of the dominating Poisson bound
     (all arrivals charging their cost) over time t."""
     bound = t * sum(c.lam * c.omega for c in classes)
-    return int(math.ceil(bound + 10.0 * math.sqrt(bound + 1.0))) + 1
+    r_max = bound + 10.0 * math.sqrt(bound + 1.0)
+    if not math.isfinite(r_max):
+        raise ModelError(
+            f"horizon {t:g} times the total charging rate is not finite; no cost truncation fits")
+    return math.ceil(r_max) + 1
 
 
 def total_cost_distribution(

@@ -209,24 +209,13 @@ def solve_howard_exact(
     return RelativeCosts(v=v, g=g, anchor=anchor, residual=residual)
 
 
-def _double_sum(q: int, rho: float) -> float:
-    # sum_{i=1}^{q} sum_{m=0}^{q-i} (q-i)!/(q-i-m)! * rho^-m
-    inv = 1.0 / rho
-    total = 0.0
-    s = 1.0
-    for p in range(q):
-        if p > 0:
-            s = 1.0 + p * inv * s
-        total += s
-    return total
-
-
 def _total_tables(n: int, rho: float) -> tuple[np.ndarray, np.ndarray]:
     # Over total call counts t = 0..n: the load increment E(t) = S(t-1)/rho
-    # and the double sum D(t) = S(0) + ... + S(t-1) of _double_sum, from one
-    # pass of the inner-sum recursion S(p) = 1 + p/rho * S(p-1), S(0) = 1.
-    # Same operations in the same order as the scalar forms, so bit-identical;
-    # rho is only divided by when some state holds a call.
+    # and the double sum
+    #   D(t) = sum_{i=1}^{t} sum_{m=0}^{t-i} (t-i)!/(t-i-m)! * rho^-m
+    #        = S(0) + ... + S(t-1)
+    # from one pass of the inner-sum recursion S(p) = 1 + p/rho * S(p-1),
+    # S(0) = 1.  rho is only divided by when some state holds a call.
     S = np.empty(n)
     s = 1.0
     for p in range(n):
@@ -241,12 +230,13 @@ def _total_tables(n: int, rho: float) -> tuple[np.ndarray, np.ndarray]:
 def relative_cost_symmetric(q: int, g: float, mu: float, rho: float) -> float:
     """Closed-form relative cost when every class shares one bandwidth and
     one service rate under full sharing; depends only on the total number of
-    calls q.  rho is the total offered load sum_k lam_k / mu_k."""
+    calls q.  rho is the total offered load sum_k lam_k / mu_k.  The value
+    :func:`symmetric_relative_costs` gives every state with q calls."""
     if q < 0:
         raise ValueError(f"call count must be >= 0, got {q}")
-    if q == 0 or rho == 0.0:
+    if rho == 0.0:
         return 0.0
-    return g / (mu * rho) * _double_sum(q, rho)
+    return float(g / (mu * rho) * _total_tables(q, rho)[1][q])
 
 
 def _require_equal(values, what: str) -> float:
@@ -272,21 +262,49 @@ def symmetric_relative_costs(
     return RelativeCosts(v=v, g=g, anchor=0, residual=math.nan)
 
 
+# The two approximations, each one kernel over an occupancy array (one row
+# per state): the whole-space functions pass the state space's occupancy,
+# the per-state functions a one-row array.  Per-class terms are added in
+# class order.
+
+
+def _equal_bandwidth_v(occupancy: np.ndarray, classes: tuple[TrafficClass, ...], g: float) -> np.ndarray:
+    _require_equal([c.bandwidth for c in classes], "bandwidths")
+    totals = occupancy.sum(axis=1)
+    rho = sum(c.rho for c in classes)
+    v = np.zeros(len(occupancy))
+    if rho == 0.0:
+        return v
+    _, D = _total_tables(int(totals.max()), rho)
+    for qj, c in zip(occupancy.T, classes):
+        v += np.where(qj > 0, (qj / np.maximum(totals, 1)) * g / (c.mu * rho) * D[totals], 0.0)
+    return v
+
+
+def _general_v(occupancy: np.ndarray, classes: tuple[TrafficClass, ...], g: float) -> np.ndarray:
+    c = occupancy @ np.array([cl.bandwidth for cl in classes])
+    v = np.zeros(len(occupancy))
+    b = sum(cl.bandwidth for cl in classes)
+    rho = sum(cl.rho * (cl.bandwidth / b) ** 2 for cl in classes)
+    if rho == 0.0:
+        return v
+    for qj, cl in zip(occupancy.T, classes):
+        # standard floor; keeps the reduction to the symmetric form exact at
+        # integer capacity ratios
+        level = c // cl.bandwidth
+        _, D = _total_tables(int(level.max()), (b / cl.bandwidth) ** 2 * rho)
+        share = (cl.bandwidth * qj / np.maximum(c, 1)) * (cl.bandwidth / b) ** 2 * g / (cl.mu * rho)
+        v += np.where(qj > 0, share * D[level], 0.0)
+    return v
+
+
 def relative_cost_equal_bandwidth_approx(
     q: Sequence[int], classes: Sequence[TrafficClass], g: float
 ) -> float:
     """Occupancy-weighted closed-form approximation for equal bandwidths but
-    class-dependent service rates.  Defined as 0 at the empty state."""
-    classes = tuple(classes)
-    _require_equal([c.bandwidth for c in classes], "bandwidths")
-    total = sum(q)
-    rho = sum(c.rho for c in classes)
-    if total == 0 or rho == 0.0:
-        return 0.0
-    ds = _double_sum(total, rho)
-    return sum(
-        (qj / total) * g / (c.mu * rho) * ds for qj, c in zip(q, classes) if qj > 0
-    )
+    class-dependent service rates.  Defined as 0 at the empty state.  The
+    value :func:`equal_bandwidth_relative_costs` gives state q."""
+    return float(_equal_bandwidth_v(np.array([q]), tuple(classes), g)[0])
 
 
 def relative_cost_general_approx(
@@ -297,54 +315,17 @@ def relative_cost_general_approx(
     Maps the occupied capacity c onto each class's own scale c // b_j and
     evaluates the symmetric closed form there with a bandwidth-weighted load.
     No accuracy guarantee; pair it with :func:`howard_residual` to see how
-    good it is on a given instance.
+    good it is on a given instance.  The value :func:`general_relative_costs`
+    gives state q.
     """
-    classes = tuple(classes)
-    c = sum(qj * cl.bandwidth for qj, cl in zip(q, classes))
-    if c == 0:
-        return 0.0
-    b = sum(cl.bandwidth for cl in classes)
-    rho = sum(cl.rho * (cl.bandwidth / b) ** 2 for cl in classes)
-    if rho == 0.0:
-        return 0.0
-    out = 0.0
-    for qj, cl in zip(q, classes):
-        if qj == 0:
-            continue
-        rho_j = (b / cl.bandwidth) ** 2 * rho
-        # standard floor; keeps the reduction to the symmetric form exact at
-        # integer capacity ratios
-        level = c // cl.bandwidth
-        out += (
-            (cl.bandwidth * qj / c)
-            * (cl.bandwidth / b) ** 2
-            * g
-            / (cl.mu * rho)
-            * _double_sum(level, rho_j)
-        )
-    return out
-
-
-# Whole-space forms of the two approximations: per-class terms added in the
-# scalar forms' order, double sums read from _total_tables, so v is
-# bit-identical to the scalar functions evaluated state by state.
+    return float(_general_v(np.array([q]), tuple(classes), g)[0])
 
 
 def equal_bandwidth_relative_costs(
     space: StateSpace, classes: Sequence[TrafficClass], g: float
 ) -> RelativeCosts:
     """:func:`relative_cost_equal_bandwidth_approx` over every state."""
-    classes = tuple(classes)
-    _require_equal([c.bandwidth for c in classes], "bandwidths")
-    q = space.occupancy
-    totals = q.sum(axis=1)
-    rho = sum(c.rho for c in classes)
-    v = np.zeros(len(space))
-    if rho == 0.0:
-        return RelativeCosts(v=v, g=g, anchor=0, residual=math.nan)
-    _, D = _total_tables(int(totals.max()), rho)
-    for qj, c in zip(q.T, classes):
-        v += np.where(qj > 0, (qj / np.maximum(totals, 1)) * g / (c.mu * rho) * D[totals], 0.0)
+    v = _equal_bandwidth_v(space.occupancy, tuple(classes), g)
     return RelativeCosts(v=v, g=g, anchor=0, residual=math.nan)
 
 
@@ -352,40 +333,8 @@ def general_relative_costs(
     space: StateSpace, classes: Sequence[TrafficClass], g: float
 ) -> RelativeCosts:
     """:func:`relative_cost_general_approx` over every state."""
-    classes = tuple(classes)
-    q = space.occupancy
-    c = q @ np.array([cl.bandwidth for cl in classes])
-    v = np.zeros(len(space))
-    b = sum(cl.bandwidth for cl in classes)
-    rho = sum(cl.rho * (cl.bandwidth / b) ** 2 for cl in classes)
-    if rho == 0.0:
-        return RelativeCosts(v=v, g=g, anchor=0, residual=math.nan)
-    for qj, cl in zip(q.T, classes):
-        level = c // cl.bandwidth
-        _, D = _total_tables(int(level.max()), (b / cl.bandwidth) ** 2 * rho)
-        share = (cl.bandwidth * qj / np.maximum(c, 1)) * (cl.bandwidth / b) ** 2 * g / (cl.mu * rho)
-        v += np.where(qj > 0, share * D[level], 0.0)
+    v = _general_v(space.occupancy, tuple(classes), g)
     return RelativeCosts(v=v, g=g, anchor=0, residual=math.nan)
-
-
-def default_series_start(classes: Sequence[TrafficClass]) -> Callable[[tuple[int, ...]], float]:
-    """Symmetric-shaped starting approximation u(q) = h1(total q, rho) / sum_j mu_j.
-
-    This is the start :func:`series_refine` uses when ``u`` is None; it
-    tabulates the same values by total call count instead of calling this
-    point by point.
-    """
-    classes = tuple(classes)
-    rho = sum(c.rho for c in classes)
-    mu_sum = sum(c.mu for c in classes)
-
-    def u(q: tuple[int, ...]) -> float:
-        total = sum(q)
-        if total == 0:
-            return 0.0
-        return _double_sum(total, rho) / (rho * mu_sum)
-
-    return u
 
 
 def _delta_k(a: np.ndarray, k: int, lam: float, mu: float) -> np.ndarray:
@@ -435,6 +384,9 @@ def series_refine(
 ) -> SeriesResult:
     """Complete a starting approximation by per-class correction terms.
 
+    The start is g u, with u a callable of the occupancy tuple; when ``u``
+    is None it is the symmetric-shaped u(q) = D(total q) / (rho sum_j mu_j),
+    D the double sum of the symmetric closed form and rho the total load.
     The first correction seed splits the unit cost-rate identity across
     classes, f1_j = c_j - D_j u with c_j(q) = rho_j E(q+1) - q_j E(q) (the
     shares c_j sum to one), and each further seed pushes the cross-class
@@ -549,6 +501,18 @@ def shadow_prices(costs: RelativeCosts | np.ndarray, space: StateSpace) -> Shado
     return ShadowPriceTable(p=p)
 
 
+def _merge_atoms(prices: list[float], weights: list, merge_tol: float) -> list[list]:
+    """[price, weight] atoms of ascending ``prices``: a price within
+    ``merge_tol`` of the last atom's price adds its weight to that atom."""
+    atoms: list[list] = []
+    for price, w in zip(prices, weights):
+        if atoms and price - atoms[-1][0] <= merge_tol:
+            atoms[-1][1] += w
+        else:
+            atoms.append([price, w])
+    return atoms
+
+
 def bill_distribution(
     prices: ShadowPriceTable,
     pi: np.ndarray,
@@ -567,11 +531,7 @@ def bill_distribution(
             raise ModelError(f"class {k} admitting states carry zero probability")
         pk = prices.p[mask, k]
         order = np.argsort(pk)
-        atoms: list[list[float]] = []
-        for price, w in zip(pk[order], weight[order] / total):
-            if atoms and price - atoms[-1][0] <= merge_tol:
-                atoms[-1][1] += w
-            else:
-                atoms.append([price, w])
-        per_class.append(tuple((float(p), float(w)) for p, w in atoms))
+        atoms = _merge_atoms(pk[order].tolist(), (weight[order] / total).tolist(), merge_tol)
+        per_class.append(tuple(map(tuple, atoms)))
     return BillDistribution(per_class=tuple(per_class))
+

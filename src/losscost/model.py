@@ -75,10 +75,12 @@ class TrafficClass:
     omega: int = 0
 
     def __post_init__(self) -> None:
-        if self.lam < 0:
-            raise ModelError(f"arrival rate must be >= 0, got {self.lam}")
-        if self.mu <= 0:
-            raise ModelError(f"service rate must be > 0, got {self.mu}")
+        # NaN fails every comparison, so each check is written to pass only
+        # valid rates
+        if not (0 <= self.lam < math.inf):
+            raise ModelError(f"arrival rate must be finite and >= 0, got {self.lam}")
+        if not (0 < self.mu < math.inf):
+            raise ModelError(f"service rate must be finite and > 0, got {self.mu}")
         if not isinstance(self.bandwidth, (int, np.integer)) or self.bandwidth < 1:
             raise ModelError(f"bandwidth must be a positive integer, got {self.bandwidth}")
         if not isinstance(self.omega, (int, np.integer)) or self.omega < 0:

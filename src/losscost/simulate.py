@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import ModelError, StateSpace, TrafficClass, _charging, _check_horizon, stationary
-from .howard import ShadowPriceTable
+from .howard import ShadowPriceTable, _merge_atoms
 
 __all__ = [
     "SimConfig",
@@ -379,11 +379,6 @@ def empirical_bill_hist(
     # equal prices always share an atom, so merging the distinct prices with
     # their counts gives the atoms of the sorted samples
     prices, counts = np.unique(samples, return_counts=True)
-    atoms: list[list] = []
-    for price, count in zip(prices.tolist(), counts.tolist()):
-        if atoms and price - atoms[-1][0] <= merge_tol:
-            atoms[-1][1] += count
-        else:
-            atoms.append([price, count])
+    atoms = _merge_atoms(prices.tolist(), counts.tolist(), merge_tol)
     n = len(samples)
     return tuple((p, c / n) for p, c in atoms)

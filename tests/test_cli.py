@@ -317,6 +317,35 @@ def test_costdist_rejects_oversized_lattice(tmp_path, capsys, scheme, model, ext
     assert err.startswith("error: r_max=") and "cost lattice cap" in err
 
 
+# t * lambda * omega and the peak event rate times t overflow to inf
+INFINITE_PRODUCT_MODEL = HUGE_RATE_MODEL.replace('"lambda": 1e160', '"lambda": 1e308')
+
+
+@pytest.mark.parametrize("extra", [[], ["--steps", "10"]], ids=["default", "steps"])
+@pytest.mark.parametrize("scheme", ["closed", "simple", "shadow"])
+def test_costdist_rejects_infinite_rate_products(tmp_path, capsys, scheme, extra):
+    # neither the default cost truncation nor the default step count exists
+    path = _write(tmp_path, INFINITE_PRODUCT_MODEL)
+    assert main(["costdist", "--model", path, "--out", str(tmp_path / "o"),
+                 "--t", "5", "--scheme", scheme, *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: horizon 5 times") and "not finite" in err
+
+
+@pytest.mark.parametrize("command", ["stationary", "shadow", "costdist", "simulate"])
+@pytest.mark.parametrize("field,value", [("lambda", "NaN"), ("lambda", "Infinity"),
+                                         ("mu", "NaN"), ("mu", "Infinity")])
+def test_non_finite_rates_are_validation_errors(tmp_path, capsys, command, field, value):
+    # json.loads accepts the NaN and Infinity literals; the class rejects them
+    text = K1_MODEL.replace(f'"{field}": 1.0', f'"{field}": {value}')
+    path = _write(tmp_path, text)
+    args = {"costdist": ["--t", "1"], "simulate": ["--t", "1", "--reps", "2"]}.get(command, [])
+    assert main([command, "--model", path, "--out", str(tmp_path / "o"), *args]) == 1
+    err = capsys.readouterr().err
+    rate = "arrival" if field == "lambda" else "service"
+    assert err.startswith(f"error: {rate} rate must be finite") and "$.classes[0]" in err
+
+
 @pytest.mark.parametrize("t", ["0", "-1", "nan", "inf"])
 def test_simulate_rejects_bad_horizon(tmp_path, t):
     model = _write(tmp_path, K1_MODEL)

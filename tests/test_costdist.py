@@ -420,6 +420,19 @@ def test_step_size_guard():
     classes, space = k1_instance()
     with pytest.raises(cd.StepSizeError):
         lc.evolve_shadow_costs(space, classes, 10.0, 10, 10)
+    # the default is the smallest valid count: peak rate 3, so 10 * 3 / 0.5
+    assert cd.default_steps(space, classes, 10.0) == 60
+    lc.evolve_shadow_costs(space, classes, 10.0, 60, 10, warn=False)
+    with pytest.raises(cd.StepSizeError, match="use at least 60 steps"):
+        lc.evolve_shadow_costs(space, classes, 10.0, 59, 10)
+    # t times the rates overflows: no default exists, and the guard's
+    # message cannot name one
+    huge = (lc.TrafficClass(1e308, 1.0, 1, 1),)
+    space = lc.enumerate_states(huge, lc.FullSharing(capacity=3))
+    for call in (lambda: cd.default_steps(space, huge, 5.0), lambda: cd.default_r_max(huge, 5.0),
+                 lambda: lc.evolve_simple_costs(space, huge, 5.0, 10, 10)):
+        with pytest.raises(lc.ModelError, match="not finite"):
+            call()
 
 
 def test_leakage_warning():

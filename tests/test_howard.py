@@ -7,8 +7,73 @@ import pytest
 
 import losscost as lc
 from losscost import howard as hw
-from losscost.howard import _double_sum
 from conftest import heavy_instance, k1_instance, k2_reference, random_instance
+
+
+# Reference forms: the closed forms and the series start evaluated one state
+# at a time by the double-sum loop, as the library once computed them.  The
+# library's per-state and whole-space names share one kernel, so these are
+# what both are checked against.
+
+
+def _double_sum(q, rho):
+    # sum_{i=1}^{q} sum_{m=0}^{q-i} (q-i)!/(q-i-m)! * rho^-m
+    inv = 1.0 / rho
+    total = 0.0
+    s = 1.0
+    for p in range(q):
+        if p > 0:
+            s = 1.0 + p * inv * s
+        total += s
+    return total
+
+
+def _loop_symmetric(q, g, mu, rho):
+    if q == 0 or rho == 0.0:
+        return 0.0
+    return g / (mu * rho) * _double_sum(q, rho)
+
+
+def _loop_equal_bandwidth(q, classes, g):
+    total = sum(q)
+    rho = sum(c.rho for c in classes)
+    if total == 0 or rho == 0.0:
+        return 0.0
+    ds = _double_sum(total, rho)
+    return sum((qj / total) * g / (c.mu * rho) * ds for qj, c in zip(q, classes) if qj > 0)
+
+
+def _loop_general(q, classes, g):
+    c = sum(qj * cl.bandwidth for qj, cl in zip(q, classes))
+    if c == 0:
+        return 0.0
+    b = sum(cl.bandwidth for cl in classes)
+    rho = sum(cl.rho * (cl.bandwidth / b) ** 2 for cl in classes)
+    if rho == 0.0:
+        return 0.0
+    out = 0.0
+    for qj, cl in zip(q, classes):
+        if qj == 0:
+            continue
+        rho_j = (b / cl.bandwidth) ** 2 * rho
+        level = c // cl.bandwidth
+        out += ((cl.bandwidth * qj / c) * (cl.bandwidth / b) ** 2 * g / (cl.mu * rho)
+                * _double_sum(level, rho_j))
+    return out
+
+
+def _loop_series_start(classes):
+    # the series completion's default start u(q) = D(total q) / (rho sum_j mu_j)
+    rho = sum(c.rho for c in classes)
+    mu_sum = sum(c.mu for c in classes)
+
+    def u(q):
+        total = sum(q)
+        if total == 0:
+            return 0.0
+        return _double_sum(total, rho) / (rho * mu_sum)
+
+    return u
 
 
 def _solved(classes, space):
@@ -57,8 +122,10 @@ def test_symmetric_relative_costs_match_scalar_form(rng):
         classes, space = random_instance(rng, symmetric=True)
         dist = lc.stationary(space, classes)
         rho = sum(c.rho for c in classes)
-        want = [lc.relative_cost_symmetric(sum(q), dist.g, classes[0].mu, rho) for q in space.states]
+        want = [_loop_symmetric(sum(q), dist.g, classes[0].mu, rho) for q in space.states]
         assert np.array_equal(lc.symmetric_relative_costs(space, classes, dist.g).v, want)
+        got = [lc.relative_cost_symmetric(sum(q), dist.g, classes[0].mu, rho) for q in space.states]
+        assert got == want
 
 
 def test_total_tables_match_scalar_sums():
@@ -150,23 +217,38 @@ def test_general_approx_zero_state_and_finite_residual():
 
 
 def test_vectorised_approximations_match_scalar_forms(rng):
-    # bit-identical to the scalar functions evaluated state by state; the
-    # symmetric instances get unequal service rates (the state space does
-    # not depend on them) so that equal-bandwidth is not the closed form
-    cases = [heavy_instance(12)]
+    # the whole-space and per-state names both give, bit for bit, the
+    # reference loops evaluated state by state; the symmetric instances get
+    # unequal service rates (the state space does not depend on them) so
+    # that equal-bandwidth is not the closed form
+    zero_load = (lc.TrafficClass(0.0, 1.0, 1, 1), lc.TrafficClass(0.0, 2.0, 1, 2))
+    one_class = (lc.TrafficClass(1.3, 0.7, 2, 1),)
+    mixed = (lc.TrafficClass(1.0, 1.0, 1, 1), lc.TrafficClass(0.5, 2.0, 2, 2),
+             lc.TrafficClass(0.8, 0.6, 3, 3))
+    equal_b = (lc.TrafficClass(1.0, 1.0, 2, 1), lc.TrafficClass(0.5, 2.0, 2, 2))
+    special = [
+        (zero_load, lc.enumerate_states(zero_load, lc.FullSharing(capacity=3))),
+        (one_class, lc.enumerate_states(one_class, lc.FullSharing(capacity=9))),
+    ]
+    cases = special + [heavy_instance(12),
+                       (equal_b, lc.enumerate_states(equal_b, lc.PerClassThreshold((4, 3))))]
     for _ in range(12):
         classes, space = random_instance(rng, symmetric=True)
         cases.append((tuple(lc.TrafficClass(c.lam, float(rng.uniform(0.3, 3.0)), c.bandwidth, c.omega)
                             for c in classes), space))
     for classes, space in cases:
         g = lc.stationary(space, classes).g
-        want = [lc.relative_cost_equal_bandwidth_approx(q, classes, g) for q in space.states]
+        want = [_loop_equal_bandwidth(q, classes, g) for q in space.states]
         assert np.array_equal(lc.equal_bandwidth_relative_costs(space, classes, g).v, want)
-    cases = [heavy_instance(12)] + [random_instance(rng) for _ in range(16)]
+        assert [lc.relative_cost_equal_bandwidth_approx(q, classes, g) for q in space.states] == want
+    cases = special + [heavy_instance(12),
+                       (mixed, lc.enumerate_states(mixed, lc.PerClassThreshold((3, 2, 2))))]
+    cases += [random_instance(rng) for _ in range(16)]
     for classes, space in cases:
         g = lc.stationary(space, classes).g
-        want = [lc.relative_cost_general_approx(q, classes, g) for q in space.states]
+        want = [_loop_general(q, classes, g) for q in space.states]
         assert np.array_equal(lc.general_relative_costs(space, classes, g).v, want)
+        assert [lc.relative_cost_general_approx(q, classes, g) for q in space.states] == want
 
 
 def _loop_quasi_inverse(n, rho):
@@ -251,13 +333,13 @@ def test_series_with_exact_start_adds_nothing():
 
 
 def test_series_default_start_equals_callable_start(rng):
-    # the tabulated default start gives the same bits as the scalar one
+    # the tabulated default start gives the same bits as the reference start
     # evaluated point by point
     for _ in range(4):
         classes, space = random_instance(rng)
         dist = lc.stationary(space, classes)
         a = lc.series_refine(space, classes, dist.g, dist.r, n_terms=3)
-        u = hw.default_series_start(classes)
+        u = _loop_series_start(classes)
         b = lc.series_refine(space, classes, dist.g, dist.r, u=u, n_terms=3)
         assert np.array_equal(a.costs.v, b.costs.v)
         assert a.residual_history == b.residual_history
@@ -451,7 +533,7 @@ def test_series_zero_terms_returns_start():
     classes, space = k2_reference()
     dist = lc.stationary(space, classes)
     res = lc.series_refine(space, classes, dist.g, dist.r, n_terms=0)
-    u = hw.default_series_start(classes)
+    u = _loop_series_start(classes)
     want = np.array([dist.g * u(q) for q in space.states])
     np.testing.assert_allclose(res.costs.v, want, rtol=1e-14, atol=1e-15)
     assert len(res.residual_history) == 1

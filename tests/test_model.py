@@ -162,6 +162,11 @@ def test_traffic_class_validation():
         lc.TrafficClass(lam=1.0, mu=1.0, omega=-1)
     with pytest.raises(lc.ModelError):
         lc.TrafficClass(lam=-0.5, mu=1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(lc.ModelError, match="arrival rate must be finite"):
+            lc.TrafficClass(lam=bad, mu=1.0)
+        with pytest.raises(lc.ModelError, match="service rate must be finite"):
+            lc.TrafficClass(lam=1.0, mu=bad)
 
 
 def test_stationary_reference_values():
