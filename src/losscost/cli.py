@@ -232,24 +232,25 @@ def main(argv=None) -> int:
     try:
         out.mkdir(parents=True, exist_ok=True)
         warnings, meta = args.fn(args)
-    except (ModelError, FileNotFoundError) as exc:
+        manifest = {
+            "command": args.command,
+            "model": str(args.model),
+            "out": str(out),
+            "parameters": {k: v for k, v in vars(args).items()
+                           if k not in {"fn", "command", "model", "out"} and v is not None},
+            "tool_version": __version__,
+            "elapsed_seconds": round(time.time() - started, 6),
+            "warnings": warnings,
+            **meta,
+        }
+        report.write_manifest(out / "run_manifest.json", manifest)
+    except (ModelError, OSError) as exc:
+        # OSError: a model or output path that cannot be read, made or written
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericsError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
-    manifest = {
-        "command": args.command,
-        "model": str(args.model),
-        "out": str(out),
-        "parameters": {k: v for k, v in vars(args).items()
-                       if k not in {"fn", "command", "model", "out"} and v is not None},
-        "tool_version": __version__,
-        "elapsed_seconds": round(time.time() - started, 6),
-        "warnings": warnings,
-        **meta,
-    }
-    report.write_manifest(out / "run_manifest.json", manifest)
     return 3 if warnings else 0
 
 

@@ -44,7 +44,12 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class ModelError(ValueError):
-    """Invalid model parameters or an inconsistent state space."""
+    """Invalid model parameters or an inconsistent state space; ``field``
+    names the parameter at fault, where there is one."""
+
+    def __init__(self, message: str = "", field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class StateSpaceSizeError(ModelError):
@@ -78,13 +83,13 @@ class TrafficClass:
         # NaN fails every comparison, so each check is written to pass only
         # valid rates
         if not (0 <= self.lam < math.inf):
-            raise ModelError(f"arrival rate must be finite and >= 0, got {self.lam}")
+            raise ModelError(f"arrival rate must be finite and >= 0, got {self.lam}", "lam")
         if not (0 < self.mu < math.inf):
-            raise ModelError(f"service rate must be finite and > 0, got {self.mu}")
+            raise ModelError(f"service rate must be finite and > 0, got {self.mu}", "mu")
         if not isinstance(self.bandwidth, (int, np.integer)) or self.bandwidth < 1:
-            raise ModelError(f"bandwidth must be a positive integer, got {self.bandwidth}")
+            raise ModelError(f"bandwidth must be a positive integer, got {self.bandwidth}", "bandwidth")
         if not isinstance(self.omega, (int, np.integer)) or self.omega < 0:
-            raise ModelError(f"blocking cost must be a non-negative integer, got {self.omega}")
+            raise ModelError(f"blocking cost must be a non-negative integer, got {self.omega}", "omega")
 
     @property
     def rho(self) -> float:

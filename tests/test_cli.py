@@ -91,6 +91,29 @@ def test_missing_model_file(tmp_path):
     assert main(["stationary", "--model", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 1
 
 
+def test_out_path_is_an_existing_file(tmp_path, capsys):
+    model = _write(tmp_path, K1_MODEL)
+    out = tmp_path / "taken"
+    out.write_text("not a directory")
+    assert main(["stationary", "--model", model, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "File exists" in err and str(out) in err
+
+
+def test_model_path_is_a_directory(tmp_path, capsys):
+    assert main(["stationary", "--model", str(tmp_path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Is a directory" in err
+
+
+def test_model_file_not_utf8(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_bytes(K1_MODEL.replace("1.0", "1.\xe9").encode("latin-1"))
+    assert main(["shadow", "--model", str(model), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: model file is not UTF-8") and "(line 2)" in err
+
+
 def test_shadow_symmetric_method_rejects_asymmetric(tmp_path, capsys):
     model = _write(tmp_path, ASYMMETRIC_MODEL)
     code = main(["shadow", "--model", model, "--out", str(tmp_path / "o"), "--method", "symmetric"])
