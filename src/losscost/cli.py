@@ -17,6 +17,7 @@ seed.  Exit codes: 0 success, 1 validation error, 2 numeric failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -184,7 +185,10 @@ def horizon(text: str) -> float:
     return _check_horizon(float(text))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser unchanged and
+    # returns a fresh namespace on every call
     ap = argparse.ArgumentParser(prog="losscost", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)

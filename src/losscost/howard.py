@@ -501,16 +501,54 @@ def shadow_prices(costs: RelativeCosts | np.ndarray, space: StateSpace) -> Shado
     return ShadowPriceTable(p=p)
 
 
-def _merge_atoms(prices: list[float], weights: list, merge_tol: float) -> list[list]:
-    """[price, weight] atoms of ascending ``prices``: a price within
-    ``merge_tol`` of the last atom's price adds its weight to that atom."""
-    atoms: list[list] = []
-    for price, w in zip(prices, weights):
-        if atoms and price - atoms[-1][0] <= merge_tol:
-            atoms[-1][1] += w
-        else:
-            atoms.append([price, w])
-    return atoms
+def _merge_atoms(prices: np.ndarray, weights: np.ndarray,
+                 merge_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(price, weight) atoms of ascending ``prices``: a price within
+    ``merge_tol`` of the current atom's first price adds its weight to that
+    atom, weights summed left to right.
+
+    A gap wider than ``merge_tol`` between neighbours always starts an atom,
+    and a run between such gaps that spans at most ``merge_tol`` is one
+    atom; only a wider run is scanned price by price.
+    """
+    n = len(prices)
+    cut = np.flatnonzero(~(np.diff(prices) <= merge_tol)) + 1
+    start = np.concatenate(([0], cut))
+    length = np.diff(np.concatenate((start, [n])))
+    price, weight = prices[start], _run_sums(weights, start, length)
+    wide = np.flatnonzero(~(prices[start + length - 1] - price <= merge_tol))
+    if len(wide) == 0:
+        return price, weight
+    price_parts, weight_parts, done = [], [], 0
+    for r in wide.tolist():
+        atoms: list[list] = []
+        for p, w in zip(prices[start[r]:start[r] + length[r]].tolist(),
+                        weights[start[r]:start[r] + length[r]].tolist()):
+            if atoms and p - atoms[-1][0] <= merge_tol:
+                atoms[-1][1] += w
+            else:
+                atoms.append([p, w])
+        scanned_price, scanned_weight = zip(*atoms)
+        price_parts += [price[done:r], np.array(scanned_price)]
+        weight_parts += [weight[done:r], np.array(scanned_weight, dtype=weight.dtype)]
+        done = r + 1
+    return (np.concatenate(price_parts + [price[done:]]),
+            np.concatenate(weight_parts + [weight[done:]]))
+
+
+def _run_sums(values: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Sum of ``values[start[r]:start[r] + length[r]]`` for every run r,
+    added left to right as a loop would: runs of 2**(b-1) < length <= 2**b
+    elements are the columns of one padded block, summed by ``np.cumsum``
+    down the columns (an accumulation is sequential; ``np.add.reduceat`` is
+    pairwise and rounds differently)."""
+    sums = values[start]
+    bits = np.frexp(np.maximum(length - 1, 0))[1]
+    for b in np.unique(bits[bits > 0]).tolist():
+        runs = np.flatnonzero(bits == b)
+        rows = np.minimum(start[runs] + np.arange(1 << b)[:, None], len(values) - 1)
+        sums[runs] = np.cumsum(values[rows], axis=0)[length[runs] - 1, np.arange(len(runs))]
+    return sums
 
 
 def bill_distribution(
@@ -531,7 +569,7 @@ def bill_distribution(
             raise ModelError(f"class {k} admitting states carry zero probability")
         pk = prices.p[mask, k]
         order = np.argsort(pk)
-        atoms = _merge_atoms(pk[order].tolist(), (weight[order] / total).tolist(), merge_tol)
-        per_class.append(tuple(map(tuple, atoms)))
+        price, mass = _merge_atoms(pk[order], weight[order] / total, merge_tol)
+        per_class.append(tuple(zip(price.tolist(), mass.tolist())))
     return BillDistribution(per_class=tuple(per_class))
 

@@ -9,13 +9,19 @@ replications run and however they are scheduled.
 
 The simulator builds per-state event tables once (cumulative rates, next
 state and charge per event), then walks each replication over them in a
-plain Python loop.  Uniforms come in blocks of ``2 * BLOCK``: holding times
-are exponentials by inversion, -log(1 - u) / rate, and the event is found by
-bisection on the state's cumulative rates.  The walk records only the path
-(states, events, jump times); occupancy, costs, arrival counts, bills and
-batch costs are then computed from the path with array operations.
-Per-replication occupancy is folded into running per-state means and sums
-of squares (Welford), so memory is O(states + one path).
+plain Python loop.  One Philox generator is re-keyed to (seed, replication)
+for each walk, which draws the same stream as a fresh one.  Uniforms come in
+blocks of ``2 * BLOCK``: holding times are exponentials by inversion,
+-log(1 - u) / rate, and the event is found by bisection on the state's
+cumulative rates.  The walks append their paths (source state, event, jump
+time) to lists shared by a chunk of replications; a chunk is reduced in one
+pass of array operations once it holds ``CHUNK_EVENTS`` events or its
+replications x states occupancy block reaches ``CHUNK_CELLS`` cells.  Costs,
+final states, arrival counts, bills and batch costs are exact reductions of
+the paths, so they do not depend on the chunking.  Per-state occupancy mean
+and sum of squared deviations are merged across chunks by Chan's pairwise
+update, so memory is O(states + one chunk); the merge may move the last
+digits of the occupancy estimates, nothing else.
 
 Also contains a direct sampler for the simple charging scheme (stationary
 state, then frozen compound-Poisson charges), which is the Monte Carlo
@@ -50,6 +56,11 @@ __all__ = [
 BLOCK = 256
 # equal windows of (warmup, horizon] for the single-run batch-means error
 BATCHES = 32
+# a chunk of replications is reduced once its paths hold CHUNK_EVENTS events
+# or its (replication, state) occupancy block CHUNK_CELLS cells
+CHUNK_EVENTS = 2**16
+CHUNK_CELLS = 2**18
+_ZERO4 = np.zeros(4, dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -129,6 +140,14 @@ def _rng_for(seed: int, rep: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, rep]))
 
 
+def _rekey(bitgen: np.random.Philox, seed: int, rep: int) -> None:
+    """Restart ``bitgen`` on the stream of ``_rng_for(seed, rep)``: the state
+    of a fresh Philox keyed by (seed, rep), set without building a new one."""
+    bitgen.state = {"bit_generator": "Philox",
+                    "state": {"counter": _ZERO4, "key": np.array([seed, rep], dtype=np.uint64)},
+                    "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
 def batch_means_se(values: np.ndarray, batches: int = 32) -> float:
     """Standard error of the mean of a correlated series via batch means."""
     values = np.asarray(values, dtype=float)
@@ -179,39 +198,116 @@ def _event_tables(space: StateSpace, classes: Sequence[TrafficClass]) -> _EventT
     )
 
 
-def _walk(tables: _EventTables, rng: np.random.Generator, horizon: float):
+def _walk(tables: _EventTables, rng: np.random.Generator, horizon: float,
+          src: list, event: list, time: list) -> int:
     """One replication from the empty state over [0, horizon].
 
-    Returns the path as lists: ``states`` (the empty state, then the state
-    after each event), ``events`` (the event fired from ``states[k]`` at
-    ``times[k + 1]``) and ``times`` (0, the jump times, then the horizon).
+    Appends the path to ``src`` (the state each event fires from), ``event``
+    (the event fired) and ``time`` (its jump time); returns the state
+    occupied at the horizon.
     """
     cum, total, nxt = tables.cum, tables.total, tables.nxt
-    states, events, times = [0], [], [0.0]
-    s, now, pos = 0, 0.0, BLOCK
-    holds = picks = ()
-    while True:
-        rate = total[s]
-        if rate == 0.0:
-            break
-        if pos == BLOCK:
-            u = rng.random(2 * BLOCK)
-            holds = (-np.log1p(-u[:BLOCK])).tolist()
-            picks = u[BLOCK:].tolist()
-            pos = 0
-        now += holds[pos] / rate
-        if now >= horizon:
-            break
-        # u * rate < rate, and a zero-rate column repeats its left neighbour's
-        # cumulative rate, so bisect_right never lands on it
-        e = bisect_right(cum[s], picks[pos] * rate)
-        pos += 1
-        s = nxt[s][e]
-        states.append(s)
-        events.append(e)
-        times.append(now)
-    times.append(horizon)
-    return states, events, times
+    s, now = 0, 0.0
+    rate = total[0]
+    while rate != 0.0:
+        u = rng.random(2 * BLOCK)
+        for h, p in zip((-np.log1p(-u[:BLOCK])).tolist(), u[BLOCK:].tolist()):
+            now += h / rate
+            if now >= horizon:
+                return s
+            # p * rate < rate, and a zero-rate column repeats its left
+            # neighbour's cumulative rate, so bisect_right never lands on it
+            e = bisect_right(cum[s], p * rate)
+            src.append(s)
+            event.append(e)
+            time.append(now)
+            s = nxt[s][e]
+            rate = total[s]
+            if rate == 0.0:
+                return s
+    return s
+
+
+class _Tally:
+    """Run-wide sums of the paths of consecutive chunks of replications.
+
+    Occupancy is merged as per-state mean and sum of squared deviations by
+    Chan's pairwise update, so memory is O(states + one chunk)."""
+
+    def __init__(self, tables: _EventTables, config: SimConfig, prices: ShadowPriceTable | None):
+        R, n, K = config.replications, tables.charge.shape[0], tables.charge.shape[1] // 2
+        self.tables, self.config, self.n, self.K = tables, config, n, K
+        # the price an admitted arrival pays, per cell of the (states, 2K) tables
+        self.price = np.hstack([prices.p, np.zeros((n, K))]).ravel() if config.record_bills else None
+        self.total_costs = np.zeros(R, dtype=np.int64)
+        self.final_states = np.zeros(R, dtype=np.int64)
+        self.occ_mean = np.zeros(n)
+        self.occ_m2 = np.zeros(n)
+        self.arrival_counts = np.zeros(n, dtype=np.int64)
+        # bills in replication order: class, price, and the count per replication
+        self.bill_class, self.bill_price = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
+        self.bill_count = np.zeros(R, dtype=np.int64)
+        self.batch_costs = np.zeros(BATCHES)
+        self.reps = 0
+        self.events = 0
+
+    def add(self, src: list, event: list, time: list, ends: list, finals: list) -> None:
+        """Fold in the paths of the next ``len(ends)`` replications: their
+        events concatenated, replication r's ending before ``ends[r]``."""
+        tables, n, K = self.tables, self.n, self.K
+        H, W = self.config.horizon, self.config.warmup
+        first, m = self.reps, len(ends)
+        src = np.fromiter(src, dtype=np.intp, count=len(src))
+        ev = np.fromiter(event, dtype=np.intp, count=len(src))
+        at = np.fromiter(time, dtype=float, count=len(src))
+        ends = np.array(ends, dtype=np.intp)
+        counts = np.diff(ends, prepend=0)
+        starts = ends - counts
+        row = np.arange(0, m * n, n)  # each replication's row of the occupancy block
+        cell = src * (2 * K) + ev  # the event's cell of the (states, 2K) tables
+
+        charged = tables.charge.ravel()[cell]
+        self.total_costs[first:first + m] = _segment_sums(charged, starts, ends)
+        self.final_states[first:first + m] = finals
+
+        # sojourns in (W, H]: before each event from the previous one (or
+        # from 0), and in the final state up to the horizon
+        clipped = np.concatenate(([W], np.maximum(at, W)))  # every event fires before H
+        before = clipped[:-1].copy()
+        before[starts[counts > 0]] = W
+        last = np.where(counts > 0, clipped[ends], W)
+        where = np.concatenate((np.repeat(row, counts) + src, row + finals))
+        spent = np.concatenate((clipped[1:] - before, H - last))
+        frac = np.bincount(where, weights=spent, minlength=m * n).reshape(m, n)
+        frac /= H - W
+        mean = frac.mean(axis=0)
+        frac -= mean
+        frac *= frac
+        delta = mean - self.occ_mean
+        total = first + m
+        self.occ_mean += delta * (m / total)
+        self.occ_m2 += frac.sum(axis=0) + delta * delta * (first * m / total)
+
+        seen = at >= W
+        self.arrival_counts += np.bincount(src[seen & (ev < K)], minlength=n)
+        if self.config.record_bills:
+            billed = seen & tables.admitted.ravel()[cell]
+            self.bill_class.append(ev[billed])
+            self.bill_price.append(self.price[cell[billed]])
+            self.bill_count[first:first + m] = _segment_sums(billed, starts, ends)
+        if self.config.replications == 1:
+            post = at > W
+            window = np.minimum(((at[post] - W) * (BATCHES / (H - W))).astype(np.intp), BATCHES - 1)
+            self.batch_costs += np.bincount(window, weights=charged[post], minlength=BATCHES)
+        self.reps = total
+        self.events += len(ev)
+
+
+def _segment_sums(values: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Integer sums of ``values[starts[r]:ends[r]]`` for every r, from one
+    cumulative sum (exact for integers and bools)."""
+    total = np.concatenate(([0], np.cumsum(values)))
+    return total[ends] - total[starts]
 
 
 def simulate(
@@ -225,87 +321,80 @@ def simulate(
     Deterministic given (model, config): replication i uses the Philox
     stream keyed by (seed, i), independent of the replication count.  Each
     replication is one walk over per-state event tables, holding times
-    drawn by inversion from blocks of uniforms; its path is then reduced
-    with array operations, and per-state occupancy is merged across
-    replications by Welford's update, so memory is O(states + one path).
-    For a single replication ``cost_rate_se`` comes from batch means over
-    32 equal windows of (warmup, horizon].  ``prices`` must be supplied when
-    ``record_bills`` is set.
+    drawn by inversion from blocks of uniforms.  The paths of a chunk of
+    replications are reduced together with array operations, and per-state
+    occupancy is merged across chunks by Chan's update, so memory is
+    O(states + one chunk).  For a single replication ``cost_rate_se`` comes
+    from batch means over 32 equal windows of (warmup, horizon].  ``prices``
+    must be supplied when ``record_bills`` is set.
     """
     classes = tuple(classes)
     if config.record_bills and prices is None:
         raise ModelError("record_bills requires a shadow price table")
     tables = _event_tables(space, classes)
-    K, n, R = space.K, len(space), config.replications
-    H, W = config.horizon, config.warmup
+    K, n, R, H = space.K, len(space), config.replications, config.horizon
+    tally = _Tally(tables, config, prices)
 
-    total_costs = np.zeros(R, dtype=np.int64)
-    final_states = np.zeros(R, dtype=np.int64)
-    occ_mean = np.zeros(n)
-    occ_m2 = np.zeros(n)
-    arrival_counts = np.zeros(n, dtype=np.int64)
-    # bills in replication order: class, price, and the count per replication
-    bill_class, bill_price = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
-    bill_count = np.zeros(R, dtype=np.int64)
-    batch_costs = np.zeros(BATCHES)
-    events = 0
-
+    bitgen = np.random.Philox(key=[config.seed, 0])
+    rng = np.random.Generator(bitgen)
+    src, event, time, ends, finals = [], [], [], [], []
     for rep in range(R):
-        states, event_list, time_list = _walk(tables, _rng_for(config.seed, rep), H)
-        path = np.array(states)
-        times = np.array(time_list)
-        src = path[:-1]                   # the state each event fires from
-        ev = np.array(event_list, dtype=np.intp)
-        at = times[1:-1]                  # the time each event fires
-        charged = tables.charge[src, ev]
-        total_costs[rep] = charged.sum()
-        final_states[rep] = states[-1]
-        events += len(ev)
+        _rekey(bitgen, config.seed, rep)
+        finals.append(_walk(tables, rng, H, src, event, time))
+        ends.append(len(src))
+        if len(src) >= CHUNK_EVENTS or len(ends) * n >= CHUNK_CELLS or rep == R - 1:
+            tally.add(src, event, time, ends, finals)
+            src, event, time, ends, finals = [], [], [], [], []
 
-        frac = np.bincount(path, weights=np.diff(np.clip(times, W, H)), minlength=n) / (H - W)
-        delta = frac - occ_mean
-        occ_mean += delta / (rep + 1)
-        occ_m2 += delta * (frac - occ_mean)
+    occupancy_se = np.sqrt(tally.occ_m2 / (R - 1) / R) if R > 1 else np.full(n, math.nan)
+    arr_total = tally.arrival_counts.sum()
+    arrival_occ = tally.arrival_counts / arr_total if arr_total > 0 else tally.arrival_counts.astype(float)
 
-        seen = at >= W
-        arrival_counts += np.bincount(src[seen & (ev < K)], minlength=n)
-        if config.record_bills:
-            billed = seen & tables.admitted[src, ev]
-            bill_class.append(ev[billed])
-            bill_price.append(prices.p[src[billed], ev[billed]])
-            bill_count[rep] = len(bill_class[-1])
-        if R == 1:
-            post = at > W
-            window = np.minimum(((at[post] - W) * (BATCHES / (H - W))).astype(np.intp), BATCHES - 1)
-            batch_costs += np.bincount(window, weights=charged[post], minlength=BATCHES)
-
-    occupancy_se = np.sqrt(occ_m2 / (R - 1) / R) if R > 1 else np.full(n, math.nan)
-    arr_total = arrival_counts.sum()
-    arrival_occ = arrival_counts / arr_total if arr_total > 0 else arrival_counts.astype(float)
-
+    total_costs = tally.total_costs
     cost_rate = float(total_costs.sum()) / (R * H)
     if R > 1:
         per_rep = total_costs / H
         se = float(per_rep.std(ddof=1) / math.sqrt(R))
     else:
-        se = batch_means_se(batch_costs / ((H - W) / BATCHES))
+        se = batch_means_se(tally.batch_costs / ((H - config.warmup) / BATCHES))
 
-    bill_class, bill_price = np.concatenate(bill_class), np.concatenate(bill_price)
-    bill_rep = np.repeat(np.arange(R, dtype=np.int64), bill_count)
+    bill_class, bill_price = np.concatenate(tally.bill_class), np.concatenate(tally.bill_price)
+    bill_rep = np.repeat(np.arange(R, dtype=np.int64), tally.bill_count)
 
     return SimResult(
         config=config,
         total_cost_samples=total_costs,
-        final_states=final_states,
-        occupancy=occ_mean,
+        final_states=tally.final_states,
+        occupancy=tally.occ_mean,
         occupancy_se=occupancy_se,
         arrival_occupancy=arrival_occ,
         bill_samples=[bill_price[bill_class == k] for k in range(K)],
         bill_reps=[bill_rep[bill_class == k] for k in range(K)],
         cost_rate=cost_rate,
         cost_rate_se=se,
-        events=events,
+        events=tally.events,
     )
+
+
+def _choice(rng: np.random.Generator, p: np.ndarray, size: int) -> np.ndarray:
+    """``rng.choice(len(p), size, p=p)``: the same uniforms and the same
+    ``cdf.searchsorted(u, "right")`` results, found through a guide table
+    (Chen & Asau 1974).  The uniforms fall in 2**k equal buckets, at most
+    16 per entry of ``p`` and about one per sample; a bucket that no
+    cumulative probability splits gives its index directly, and only the
+    uniforms in split buckets are searched."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(size)
+    m = 1 << (min(16 * len(p), size) - 1).bit_length()
+    edges = np.arange(m + 1) / m
+    lo = cdf.searchsorted(edges[:-1], "right")
+    split = cdf.searchsorted(edges[1:], "left") != lo
+    bucket = (u * m).astype(np.intp)
+    idx = lo[bucket]
+    amb = split[bucket]
+    idx[amb] = cdf.searchsorted(u[amb], "right")
+    return idx
 
 
 def simulate_simple_total_costs(
@@ -320,25 +409,37 @@ def simulate_simple_total_costs(
     Each replication draws a stationary state and then, with that state's
     admission set frozen, Poisson counts of charging arrivals over [0, t]:
     cost = sum_j omega_j N_j over blocked classes.  This is the exact
-    sampling counterpart of the closed-form cost law.
+    sampling counterpart of the closed-form cost law.  ``t`` must be finite
+    and above zero and ``replications`` at least zero, checked before
+    anything is drawn.
     """
     classes = tuple(classes)
+    _check_horizon(t)
+    if not replications >= 0:
+        raise ModelError(f"replications must be >= 0, got {replications}")
     _check_seed(seed)
+    n = len(space)
     dist = stationary(space, classes)
     rng = _rng_for(seed, 0)
-    states = rng.choice(len(space), size=replications, p=dist.pi)
+    states = _choice(rng, dist.pi, replications)
+    lam, omega, charging = _charging(space, classes)
+    # the replications whose state charges, grouped by state (stable, so in
+    # position order); radix sorted on 16-bit codes when the states fit
+    charged = np.flatnonzero(charging.any(axis=1)[states])
+    code = states[charged]
+    charged = charged[np.argsort(code.astype(np.uint16) if n <= 2**16 else code, kind="stable")]
+    counts = np.bincount(code, minlength=n)
+    starts = np.cumsum(counts) - counts
+    # the Poisson counts are drawn by ascending state, then class, an order
+    # the samples of a seed depend on; one call over a vector of means draws
+    # the same numbers as one call per (state, class)
+    state, cls = np.nonzero(charging & (counts > 0)[:, None])
+    size = counts[state]
+    draws = rng.poisson(np.repeat(t * lam[cls], size))
+    # draw k of a (state, class) pair goes to the k-th replication in the state
+    first = np.repeat(starts[state] - (np.cumsum(size) - size), size)
     costs = np.zeros(replications, dtype=np.int64)
-    # replications grouped by state once (stable, so in position order); the
-    # Poisson counts are drawn by ascending state, then class, an order the
-    # samples of a seed depend on
-    by_state = np.argsort(states, kind="stable")
-    counts = np.bincount(states, minlength=len(space))
-    ends = np.cumsum(counts)
-    _, _, charging = _charging(space, classes)
-    for i in np.flatnonzero(charging.any(axis=1) & (counts > 0)):
-        rows = by_state[ends[i] - counts[i]:ends[i]]
-        for j in np.flatnonzero(charging[i]):
-            costs[rows] += classes[j].omega * rng.poisson(t * classes[j].lam, size=counts[i])
+    np.add.at(costs, charged[first + np.arange(len(draws))], np.repeat(omega[cls], size) * draws)
     return costs
 
 
@@ -363,8 +464,14 @@ def empirical_total_cost_hist(
 
 def empirical_quantile(samples: np.ndarray, level: float) -> int:
     """Smallest cost whose empirical cumulative share reaches ``level``: the
-    rule :meth:`TotalCostDistribution.from_mass` applies to a cost law."""
-    return int(np.sort(samples)[math.ceil(level * len(samples)) - 1])
+    rule :meth:`TotalCostDistribution.from_mass` applies to a cost law, so
+    level 0 gives the smallest sample and level 1 the largest."""
+    if not 0.0 <= level <= 1.0:
+        raise ModelError(f"quantile level must lie in [0, 1], got {level}")
+    ordered = np.sort(samples)
+    if len(ordered) == 0:
+        raise ModelError("no samples to take a quantile of")
+    return int(ordered[max(math.ceil(level * len(ordered)) - 1, 0)])
 
 
 def empirical_bill_hist(
@@ -379,6 +486,5 @@ def empirical_bill_hist(
     # equal prices always share an atom, so merging the distinct prices with
     # their counts gives the atoms of the sorted samples
     prices, counts = np.unique(samples, return_counts=True)
-    atoms = _merge_atoms(prices.tolist(), counts.tolist(), merge_tol)
-    n = len(samples)
-    return tuple((p, c / n) for p, c in atoms)
+    price, count = _merge_atoms(prices, counts, merge_tol)
+    return tuple(zip(price.tolist(), (count / len(samples)).tolist()))

@@ -463,6 +463,35 @@ def test_simulate_manifest_records_events(tmp_path):
     assert manifest["events"] == simulate(space, classes, config).events > 0
 
 
+def test_parser_built_once_gives_same_files(tmp_path):
+    # main reuses one parser per process; successive subcommands through it
+    # must write what fresh parsers write
+    from losscost.cli import _build_parser
+
+    model = _write(tmp_path, SYMMETRIC_MODEL)
+    runs = [["stationary"], ["shadow", "--method", "series", "--terms", "3"],
+            ["costdist", "--t", "1.5", "--scheme", "simple", "--steps", "40"],
+            ["simulate", "--t", "3", "--reps", "20", "--seed", "4"], ["shadow"]]
+    assert _build_parser() is _build_parser()
+    for i, argv in enumerate(runs):
+        assert main(argv + ["--model", model, "--out", str(tmp_path / "reused" / str(i))]) in (0, 3)
+    for i, argv in enumerate(runs):
+        _build_parser.cache_clear()
+        assert main(argv + ["--model", model, "--out", str(tmp_path / "fresh" / str(i))]) in (0, 3)
+    for i in range(len(runs)):
+        reused, fresh = tmp_path / "reused" / str(i), tmp_path / "fresh" / str(i)
+        names = sorted(p.name for p in fresh.iterdir())
+        assert names == sorted(p.name for p in reused.iterdir())
+        for name in names:
+            if name == "run_manifest.json":
+                a, b = (json.loads((d / name).read_text()) for d in (reused, fresh))
+                for key in ("elapsed_seconds", "out"):
+                    del a[key], b[key]
+                assert a == b
+            else:
+                assert (reused / name).read_bytes() == (fresh / name).read_bytes(), (i, name)
+
+
 B123_MODEL = """{
   "classes": [
     {"lambda": 3.0, "mu": 1.0, "bandwidth": 1, "omega": 1},

@@ -443,6 +443,59 @@ def test_bill_distribution_normalized_and_mean(rng):
             assert bills.mean(k) == pytest.approx(direct, abs=1e-12)
 
 
+def scan_merge_atoms(prices, weights, merge_tol):
+    """[price, weight] atoms by one scan of ascending prices: the loop that
+    ``_merge_atoms`` replaced."""
+    atoms = []
+    for price, w in zip(prices, weights):
+        if atoms and price - atoms[-1][0] <= merge_tol:
+            atoms[-1][1] += w
+        else:
+            atoms.append([price, w])
+    return atoms
+
+
+def _merge_cases(rng):
+    # distinct prices, clusters of equal and near-equal prices (runs from 2 to
+    # a few hundred, where a pairwise sum would round differently), chains
+    # wider than the tolerance, and non-finite prices
+    for n in (1, 2, 9, 200, 1500):
+        yield np.sort(rng.normal(size=n)), 1e-12
+        base = np.repeat(rng.normal(size=max(1, n // 30)), rng.integers(1, 400, max(1, n // 30)))
+        yield np.sort(base + rng.uniform(0, 5e-13, len(base))), 1e-12
+        yield np.sort(rng.integers(0, 40, n) * 0.01 + rng.normal(size=n) * 1e-3), 0.012
+        yield np.sort(np.round(rng.normal(size=n), 1)), 0.3
+    yield np.array([-np.inf, -np.inf, 0.0, 1e-13, np.inf, np.inf, np.nan, np.nan]), 1e-12
+
+
+def test_merge_atoms_matches_scan(rng):
+    for prices, tol in _merge_cases(rng):
+        for weights in (rng.random(len(prices)), rng.integers(1, 9, len(prices))):
+            with np.errstate(invalid="ignore"):  # inf - inf, as the scan computes it
+                price, weight = hw._merge_atoms(prices, weights, tol)
+            want = scan_merge_atoms(prices.tolist(), weights.tolist(), tol)
+            assert weight.dtype == weights.dtype
+            got = [[p, w] for p, w in zip(price.tolist(), weight.tolist())]
+            assert len(got) == len(want)
+            assert all(g[1] == w[1] and (g[0] == w[0] or math.isnan(w[0])) for g, w in zip(got, want))
+
+
+def test_bill_distribution_matches_scan(rng):
+    # symmetric models price many states alike: long runs of equal prices
+    for symmetric in (True, False):
+        for _ in range(4):
+            classes, space = random_instance(rng, symmetric=symmetric)
+            dist, costs = _solved(classes, space)
+            table = lc.shadow_prices(costs, space)
+            bills = lc.bill_distribution(table, dist.pi, space)
+            for k in range(space.K):
+                mask = space.admissible[:, k]
+                order = np.argsort(table.p[mask, k])
+                want = scan_merge_atoms(table.p[mask, k][order].tolist(),
+                                        (dist.pi[mask][order] / dist.pi[mask].sum()).tolist(), 1e-12)
+                assert bills.per_class[k] == tuple(map(tuple, want))
+
+
 def test_bill_distribution_never_admitted_class():
     states = [(0,)]
     space = lc.StateSpace(states, np.array([[False]]))

@@ -1,15 +1,21 @@
 """Monte Carlo oracle: determinism, agreement with the analytic layer."""
 
 import dataclasses
+import importlib
 import math
+import tracemalloc
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 import scipy.stats
 
 import losscost as lc
-from losscost.simulate import _event_tables, _rng_for, _walk
+from losscost.simulate import BATCHES, BLOCK, _choice, _event_tables, _rng_for
 from conftest import k1_instance, k2_reference, random_instance
+
+# the package re-exports the function ``simulate`` under the module's name
+simulate_module = importlib.import_module("losscost.simulate")
 
 
 def _prices(classes, space):
@@ -249,6 +255,33 @@ def test_empirical_quantile_rule():
     assert (total.q95, total.q99) == (949, 989)
 
 
+def test_empirical_quantile_extreme_levels():
+    samples = np.array([3, 1, 2, 5, 4])
+    assert lc.empirical_quantile(samples, 0.0) == 1
+    assert lc.empirical_quantile(samples, 1e-9) == 1
+    assert lc.empirical_quantile(samples, 1.0) == 5
+
+
+@pytest.mark.parametrize("level", [-0.1, 1.1, float("nan"), float("inf")])
+def test_empirical_quantile_rejects_bad_level(level):
+    with pytest.raises(lc.ModelError, match="level"):
+        lc.empirical_quantile(np.array([3, 1, 2]), level)
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, float("nan"), float("inf")])
+def test_simple_sampler_rejects_bad_horizon(t):
+    classes, space = k1_instance()
+    with pytest.raises(lc.ModelError, match="horizon"):
+        lc.simulate_simple_total_costs(space, classes, t, 10)
+
+
+def test_simple_sampler_rejects_negative_replications():
+    classes, space = k1_instance()
+    with pytest.raises(lc.ModelError, match="replications"):
+        lc.simulate_simple_total_costs(space, classes, 1.0, -1)
+    assert len(lc.simulate_simple_total_costs(space, classes, 1.0, 0)) == 0
+
+
 @pytest.mark.parametrize("t", [0.0, -1.0, float("nan"), float("inf")])
 def test_sim_config_rejects_bad_horizon(t):
     with pytest.raises(lc.ModelError, match="horizon"):
@@ -288,7 +321,7 @@ def test_occupancy_welford_matches_two_pass():
     tables = _event_tables(space, classes)
     fracs = np.zeros((cfg.replications, len(space)))
     for rep in range(cfg.replications):
-        states, _, times = _walk(tables, _rng_for(cfg.seed, rep), cfg.horizon)
+        states, _, times = reference_walk(tables, _rng_for(cfg.seed, rep), cfg.horizon)
         for k, s in enumerate(states):
             fracs[rep, s] += max(0.0, min(times[k + 1], cfg.horizon) - max(times[k], cfg.warmup))
     fracs /= cfg.horizon - cfg.warmup
@@ -406,3 +439,227 @@ def test_agrees_with_event_loop(instance):
     seen = se > 0
     assert np.all(res.occupancy[~seen] == occ[~seen])
     assert np.all(np.abs(res.occupancy[seen] - occ[seen]) <= 4.0 * se[seen])
+
+
+def reference_walk(tables, rng, horizon):
+    """One replication from the empty state over [0, horizon], the walk the
+    chunked simulator replaced.  Returns the path as lists: ``states`` (the
+    empty state, then the state after each event), ``events`` (the event
+    fired from ``states[k]`` at ``times[k + 1]``) and ``times`` (0, the jump
+    times, then the horizon)."""
+    cum, total, nxt = tables.cum, tables.total, tables.nxt
+    states, events, times = [0], [], [0.0]
+    s, now, pos = 0, 0.0, BLOCK
+    holds = picks = ()
+    while True:
+        rate = total[s]
+        if rate == 0.0:
+            break
+        if pos == BLOCK:
+            u = rng.random(2 * BLOCK)
+            holds = (-np.log1p(-u[:BLOCK])).tolist()
+            picks = u[BLOCK:].tolist()
+            pos = 0
+        now += holds[pos] / rate
+        if now >= horizon:
+            break
+        e = bisect_right(cum[s], picks[pos] * rate)
+        pos += 1
+        s = nxt[s][e]
+        states.append(s)
+        events.append(e)
+        times.append(now)
+    times.append(horizon)
+    return states, events, times
+
+
+def reference_simulate(space, classes, config, prices=None):
+    """The per-replication simulator: a fresh generator, one walk and one
+    reduction of its path per replication, occupancy merged by Welford's
+    update."""
+    tables = _event_tables(space, classes)
+    K, n, R = space.K, len(space), config.replications
+    H, W = config.horizon, config.warmup
+    total_costs = np.zeros(R, dtype=np.int64)
+    final_states = np.zeros(R, dtype=np.int64)
+    occ_mean = np.zeros(n)
+    occ_m2 = np.zeros(n)
+    arrival_counts = np.zeros(n, dtype=np.int64)
+    bill_class, bill_price = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
+    bill_count = np.zeros(R, dtype=np.int64)
+    batch_costs = np.zeros(BATCHES)
+    events = 0
+    for rep in range(R):
+        states, event_list, time_list = reference_walk(tables, _rng_for(config.seed, rep), H)
+        path = np.array(states)
+        times = np.array(time_list)
+        src = path[:-1]
+        ev = np.array(event_list, dtype=np.intp)
+        at = times[1:-1]
+        charged = tables.charge[src, ev]
+        total_costs[rep] = charged.sum()
+        final_states[rep] = states[-1]
+        events += len(ev)
+        frac = np.bincount(path, weights=np.diff(np.clip(times, W, H)), minlength=n) / (H - W)
+        delta = frac - occ_mean
+        occ_mean += delta / (rep + 1)
+        occ_m2 += delta * (frac - occ_mean)
+        seen = at >= W
+        arrival_counts += np.bincount(src[seen & (ev < K)], minlength=n)
+        if config.record_bills:
+            billed = seen & tables.admitted[src, ev]
+            bill_class.append(ev[billed])
+            bill_price.append(prices.p[src[billed], ev[billed]])
+            bill_count[rep] = len(bill_class[-1])
+        if R == 1:
+            post = at > W
+            window = np.minimum(((at[post] - W) * (BATCHES / (H - W))).astype(np.intp), BATCHES - 1)
+            batch_costs += np.bincount(window, weights=charged[post], minlength=BATCHES)
+    occupancy_se = np.sqrt(occ_m2 / (R - 1) / R) if R > 1 else np.full(n, math.nan)
+    arr_total = arrival_counts.sum()
+    arrival_occ = arrival_counts / arr_total if arr_total > 0 else arrival_counts.astype(float)
+    cost_rate = float(total_costs.sum()) / (R * H)
+    if R > 1:
+        se = float((total_costs / H).std(ddof=1) / math.sqrt(R))
+    else:
+        se = simulate_module.batch_means_se(batch_costs / ((H - W) / BATCHES))
+    bill_class, bill_price = np.concatenate(bill_class), np.concatenate(bill_price)
+    bill_rep = np.repeat(np.arange(R, dtype=np.int64), bill_count)
+    return lc.SimResult(
+        config=config, total_cost_samples=total_costs, final_states=final_states,
+        occupancy=occ_mean, occupancy_se=occupancy_se, arrival_occupancy=arrival_occ,
+        bill_samples=[bill_price[bill_class == k] for k in range(K)],
+        bill_reps=[bill_rep[bill_class == k] for k in range(K)],
+        cost_rate=cost_rate, cost_rate_se=se, events=events)
+
+
+EXACT_FIELDS = ("total_cost_samples", "final_states", "arrival_occupancy", "events",
+                "cost_rate", "cost_rate_se")
+
+
+def assert_same_run(got, want):
+    """Bit-identical samples, bills and counts; occupancy and its standard
+    error to 1e-12 relative, the rounding of a different merge order."""
+    for field in EXACT_FIELDS:
+        assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True), field
+    for k in range(len(want.bill_samples)):
+        assert np.array_equal(got.bill_samples[k], want.bill_samples[k])
+        assert np.array_equal(got.bill_reps[k], want.bill_reps[k])
+    np.testing.assert_allclose(got.occupancy, want.occupancy, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got.occupancy_se, want.occupancy_se, rtol=1e-12, atol=0)
+
+
+def _zero_rate_instance():
+    # k2_reference plus a class that never arrives
+    classes = (*k2_reference()[0], lc.TrafficClass(lam=0.0, mu=1.0, bandwidth=1, omega=3))
+    return classes, lc.enumerate_states(classes, lc.FullSharing(capacity=4))
+
+
+REFERENCE_MODELS = {"k2_reference": k2_reference, "zero_rate": _zero_rate_instance,
+                    **{f"random_{i}": (lambda i=i: random_instance(np.random.default_rng(i)))
+                       for i in range(8)}}
+
+
+@pytest.mark.parametrize("name", REFERENCE_MODELS)
+def test_matches_per_replication_reference(name):
+    classes, space = REFERENCE_MODELS[name]()
+    _, prices = _prices(classes, space)
+    for R in (1, 2, 200):
+        for warmup in (0.0, 1.5):
+            for bills in (False, True):
+                cfg = lc.SimConfig(horizon=6.0, replications=R, seed=R + 17, warmup=warmup,
+                                   record_bills=bills)
+                got = lc.simulate(space, classes, cfg, prices=prices)
+                assert_same_run(got, reference_simulate(space, classes, cfg, prices))
+
+
+@pytest.mark.parametrize("events,cells", [(50, 2**18), (2**16, 40), (1, 1)],
+                         ids=["by_events", "by_cells", "every_replication"])
+def test_chunked_run_equals_one_chunk(monkeypatch, events, cells):
+    classes, space = k2_reference()
+    _, prices = _prices(classes, space)
+    cfg = lc.SimConfig(horizon=20.0, replications=60, seed=5, warmup=4.0, record_bills=True)
+    whole = lc.simulate(space, classes, cfg, prices=prices)
+    monkeypatch.setattr(simulate_module, "CHUNK_EVENTS", events)
+    monkeypatch.setattr(simulate_module, "CHUNK_CELLS", cells)
+    chunks = []
+    add = simulate_module._Tally.add
+    monkeypatch.setattr(simulate_module._Tally, "add",
+                        lambda self, *path: (chunks.append(len(path[3])), add(self, *path)))
+    assert_same_run(lc.simulate(space, classes, cfg, prices=prices), whole)
+    assert len(chunks) > 2 and sum(chunks) == cfg.replications
+
+
+P_CASES = {
+    "k2_pi": lc.stationary(*k2_reference()[::-1]).pi,
+    "zeros": np.array([0.0, 0.3, 0.0, 0.0, 0.5, 0.2, 0.0]),
+    "one_hot": np.array([0.0, 0.0, 1.0, 0.0]),
+    "single": np.array([1.0]),
+    "tiny": np.array([1e-300, 0.25, 1e-17, 0.25, 0.5 - 1e-17, 0.0]),
+    "random": np.random.default_rng(3).dirichlet(np.full(500, 0.05)),
+}
+
+
+@pytest.mark.parametrize("size", [0, 1, 7, 1000, 100_000])
+@pytest.mark.parametrize("name", P_CASES)
+def test_choice_guide_table_matches_rng_choice(name, size):
+    p = P_CASES[name]
+    rng, want_rng = _rng_for(11, 0), _rng_for(11, 0)
+    got = _choice(rng, p, size)
+    want = want_rng.choice(len(p), size=size, p=p)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert rng.random() == want_rng.random()
+
+
+class _FixedUniforms:
+    """Stands in for a generator whose uniforms are given."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        assert size == len(self.u)
+        return self.u
+
+
+@pytest.mark.parametrize("name", P_CASES)
+def test_choice_ties_at_cumulative_probabilities(name):
+    # uniforms equal to a cumulative probability or a bucket edge: the
+    # guide table must resolve them as searchsorted(side="right") does
+    p = P_CASES[name]
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    edges = np.arange(1025) / 1024
+    u = np.concatenate([cdf[cdf < 1], np.nextafter(cdf[cdf < 1], 0), edges[:-1], [np.nextafter(1.0, 0)]])
+    got = _choice(_FixedUniforms(u), p, len(u))
+    assert np.array_equal(got, cdf.searchsorted(u, "right"))
+
+
+def test_sampler_matches_scan_past_16_bit_states():
+    # 301**2 = 90,601 states: the grouping sorts int64 codes, not uint16
+    classes = (lc.TrafficClass(lam=300.0, mu=1.0, omega=1), lc.TrafficClass(lam=290.0, mu=1.0, omega=2))
+    space = lc.enumerate_states(classes, lc.PerClassThreshold(thresholds=(300, 300)))
+    assert len(space) > 2**16
+    got = lc.simulate_simple_total_costs(space, classes, 1.5, 3000, seed=4)
+    assert np.count_nonzero(got) > 100
+    assert np.array_equal(got, _scan_simple_total_costs(space, classes, 1.5, 3000, 4))
+
+
+def _peak_bytes(space, classes, config):
+    tracemalloc.start()
+    try:
+        lc.simulate(space, classes, config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_memory_does_not_grow_with_replications(monkeypatch):
+    # about 40 events per replication against chunks of 2**12 events (to keep
+    # tracing cheap), so 200 replications already fill a chunk; ten times as
+    # many must not hold ten times the paths
+    monkeypatch.setattr(simulate_module, "CHUNK_EVENTS", 2**12)
+    classes, space = k2_reference()
+    small = _peak_bytes(space, classes, lc.SimConfig(horizon=15.0, replications=200, seed=1))
+    large = _peak_bytes(space, classes, lc.SimConfig(horizon=15.0, replications=2000, seed=1))
+    assert large < 1.25 * small
