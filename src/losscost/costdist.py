@@ -5,22 +5,16 @@ cost lattice: every blocked class-j arrival adds the integer omega_j.  Two
 charging schemes are implemented.
 
 * The *shadow* scheme charges along the real trajectory: the joint law
-  follows a discrete-step recursion driven by the same transition rates as
-  the occupancy chain, started from an empty system.
+  follows a discrete-step recursion on the lattice, driven by the same
+  transition rates as the occupancy chain, started from an empty system.
 * The *simple* scheme decouples cost from occupancy: in state q cost accrues
   as if the admission sets were frozen, which makes the joint law a product
   of the stationary law and one cost law per charging mask (the blocked
-  classes with lam > 0 and omega > 0): compound Poisson by Panjer's
-  recursion in continuous time, the n-fold convolution of the one-step law
-  in discrete time.  Both carry a log scale, so horizons whose probability
-  of no charge underflows still give every representable cell.
-
-Both discrete-step recursions run one kernel.  A step applies the CSR
-operator P = (I + dt (Q - diag(charge @ lam)))^T to the (state, cost) mass,
-then shifts dt lam_j of the mass of every state where class j charges from
-r to r + omega_j.  Q is the occupancy generator for the shadow scheme and
-zero for the simple scheme, whose occupancy stays frozen; ``charge`` is the
-same charging mask the closed forms use.
+  classes with lam > 0 and omega > 0).  One per-mask kernel builds every
+  such law, for one state or for all: in continuous time a convolution of
+  closed-form Poisson factors, in discrete time the n-fold convolution of
+  the one-step law.  Each factor carries a log scale, so horizons whose
+  probability of no charge underflows still give every representable cell.
 
 Both schemes generate the same average cost rate g, so the tractable simple
 scheme is the practical risk model; the recursion for the shadow scheme is
@@ -35,7 +29,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import mpmath as mp
 import numpy as np
@@ -158,48 +153,6 @@ def _check_step(space, classes, horizon, steps) -> float:
     return dt
 
 
-def _evolve(
-    space: StateSpace,
-    classes: tuple[TrafficClass, ...],
-    Q: scipy.sparse.spmatrix,
-    start: np.ndarray,
-    horizon: float,
-    steps: int,
-    r_max: int,
-    warn: bool,
-    scheme: str,
-) -> CostGrid:
-    """The step chain of both schemes (see the module docstring) from the
-    occupancy law ``start`` at cost 0.  Blocked classes that never charge
-    keep their mass on P's diagonal; mass pushed past r_max is accumulated
-    as leakage.
-    """
-    _check_r_max(space, r_max)
-    dt = _check_step(space, classes, horizon, steps)
-    lam, omega, charge = _charging(space, classes)
-    n = len(space)
-    P = (scipy.sparse.identity(n, format="csr")
-         + dt * (Q - scipy.sparse.diags(charge @ lam))).T.tocsr()
-    shifts = [(np.flatnonzero(charge[:, j]), dt * lam[j], int(omega[j]))
-              for j in range(space.K) if charge[:, j].any()]
-
-    mass = np.zeros((n, r_max + 1))
-    mass[:, 0] = start
-    leakage = 0.0
-    for _ in range(steps):
-        new = P @ mass
-        for rows, p, w in shifts:
-            src = mass[rows]
-            if w <= r_max:
-                new[rows, w:] += p * src[:, :-w]
-            leakage += p * src[:, max(0, r_max - w + 1):].sum()
-        mass = new
-    if warn and leakage > LEAKAGE_WARN:
-        warnings.warn(f"cost truncation leaked {leakage:.3e} probability past r_max={r_max}")
-    return CostGrid(mass=mass, horizon=horizon, steps=steps, r_max=r_max,
-                    leakage=leakage, scheme=scheme)
-
-
 def evolve_shadow_costs(
     space: StateSpace,
     classes: Sequence[TrafficClass],
@@ -210,17 +163,36 @@ def evolve_shadow_costs(
 ) -> CostGrid:
     """Evolve the joint (state, cost) law of the shadow scheme from empty.
 
-    Per step of length horizon/steps: every arrival moves probability mass --
-    admitted arrivals to (q+e_j, r), blocked arrivals to (q, r+omega_j) --
-    and departures move (q, r) to (q-e_j, r).  The occupancy moves by
-    :func:`~losscost.model.sparse_generator`; mass pushed past r_max is
-    accumulated as leakage.
+    A step of length dt = horizon/steps applies the CSR operator
+    P = (I + dt (Q - diag(charge @ lam)))^T, with Q the occupancy generator
+    :func:`~losscost.model.sparse_generator`, then moves dt lam_j of the mass
+    of every state where class j charges from r to r + omega_j.  Blocked
+    classes that never charge keep their mass on P's diagonal; mass pushed
+    past r_max is accumulated as leakage.
     """
     classes = tuple(classes)
-    start = np.zeros(len(space))
-    start[0] = 1.0
-    return _evolve(space, classes, sparse_generator(space, classes), start,
-                   horizon, steps, r_max, warn, "shadow")
+    _check_r_max(space, r_max)
+    dt = _check_step(space, classes, horizon, steps)
+    lam, omega, charge = _charging(space, classes)
+    n = len(space)
+    P = (scipy.sparse.identity(n, format="csr")
+         + dt * (sparse_generator(space, classes) - scipy.sparse.diags(charge @ lam))).T.tocsr()
+    shifts = [(np.flatnonzero(charge[:, j]), dt * lam[j], int(omega[j]))
+              for j in range(space.K) if charge[:, j].any()]
+
+    mass = np.zeros((n, r_max + 1))
+    mass[0, 0] = 1.0
+    leakage = 0.0
+    for _ in range(steps):
+        new = P @ mass
+        for rows, p, w in shifts:
+            src = mass[rows]
+            if w <= r_max:
+                new[rows, w:] += p * src[:, :-w]
+            leakage += p * src[:, max(0, r_max - w + 1):].sum()
+        mass = new
+    return _warned(CostGrid(mass=mass, horizon=horizon, steps=steps, r_max=r_max,
+                            leakage=leakage, scheme="shadow"), warn)
 
 
 def evolve_simple_costs(
@@ -231,51 +203,77 @@ def evolve_simple_costs(
     r_max: int,
     warn: bool = True,
 ) -> CostGrid:
-    """Evolve the simple scheme step by step from the stationary occupancy.
+    """The simple scheme after ``steps`` steps from the stationary occupancy,
+    checked and warned about as :func:`evolve_shadow_costs` is.
 
-    The same step chain as :func:`evolve_shadow_costs` with a zero generator:
-    occupancy is frozen at its stationary law, so each state's cost column
-    evolves on its own, moving mass from r to r + omega_j with probability
-    dt * lam_j per step for each charging class j.  Cost starts at 0.  This
-    lattice recursion is the independent check on
-    :func:`closed_form_discrete`, which gives the same law in closed form.
+    Occupancy stays frozen and each charging class j moves cost from r to
+    r + omega_j with probability dt lam_j per step, so a state's cost law is
+    the n-fold convolution of :func:`closed_form_discrete`, one per mask.
     """
     classes = tuple(classes)
-    n = len(space)
-    return _evolve(space, classes, scipy.sparse.csr_matrix((n, n)), stationary(space, classes).pi,
-                   horizon, steps, r_max, warn, "simple")
+    _check_r_max(space, r_max)
+    dt = _check_step(space, classes, horizon, steps)
+    return _warned(_mixed_grid(space, classes, stationary(space, classes),
+                               partial(_binomial_law, steps, dt, r_max),
+                               horizon, steps, r_max, "simple"), warn)
+
+
+def _warned(grid: CostGrid, warn: bool) -> CostGrid:
+    if warn and grid.leakage > LEAKAGE_WARN:
+        warnings.warn(f"cost truncation leaked {grid.leakage:.3e} probability past r_max={grid.r_max}")
+    return grid
+
+
+def _unit(r_max: int) -> tuple[np.ndarray, float]:
+    """The law of a cost that is 0 for sure, on 0..r_max."""
+    law = np.zeros(r_max + 1)
+    law[0] = 1.0
+    return law, 0.0
+
+
+def _convolve(a: tuple, b: tuple, r_max: int) -> tuple[np.ndarray, float]:
+    """Law of the sum of two independent costs on 0..r_max, each given as a
+    law and its log scale; the sum is scaled to a maximum of 1.
+
+    Only the spans between the first and last nonzero cells are convolved.
+    Cost never decreases, so truncating the sum at r_max is exact.
+    """
+    (x, x_scale), (y, y_scale) = a, b
+    (xs,), (ys,) = np.nonzero(x), np.nonzero(y)
+    law = np.zeros(r_max + 1)
+    if len(xs) and len(ys) and xs[0] + ys[0] <= r_max:
+        lo = xs[0] + ys[0]
+        span = np.convolve(x[xs[0]:xs[-1] + 1], y[ys[0]:ys[-1] + 1])[:r_max + 1 - lo]
+        law[lo:lo + len(span)] = span
+    top = law.max()
+    return (law / top, x_scale + y_scale + math.log(top)) if top > 0 else (law, -math.inf)
 
 
 def _poisson_law(t: float, r_max: int, lam: np.ndarray, omega: np.ndarray) -> np.ndarray:
     """Law of sum_j omega_j N_j, N_j ~ Poisson(t lam_j), on 0..r_max.
 
-    Panjer's recursion f(r) = (1/r) sum_j t lam_j omega_j f(r - omega_j)
-    from f(0) = exp(-t sum_j lam_j), run on log f so that long horizons,
-    whose f(0) underflows, keep every representable cell.
+    Class j's factor is log p(k) = k log(t lam_j) - t lam_j - log k! on the
+    cells omega_j k, shifted to a maximum of 0 so that p(0) may underflow.
+    :func:`_convolve` combines the factors from positive terms only.
     """
-    terms = [(math.log(t * float(l) * int(w)), int(w)) for l, w in zip(lam, omega)]
-    logf = [-t * float(lam.sum())]
-    for r in range(1, r_max + 1):
-        xs = [a + logf[r - w] for a, w in terms if w <= r]
-        top = max(xs, default=-math.inf)
-        logf.append(top + math.log(sum(math.exp(x - top) for x in xs)) - math.log(r)
-                    if top > -math.inf else top)
-    return np.exp(logf)
-
-
-def _rescaled(law: np.ndarray, log_scale: float) -> tuple[np.ndarray, float]:
-    top = law.max()
-    return (law / top, log_scale + math.log(top)) if top > 0 else (law, -math.inf)
+    law = _unit(r_max)
+    for l, w in zip(lam, omega):
+        mean, k = t * float(l), r_max // int(w) + 1
+        logp = np.arange(k) * math.log(mean) - mean - np.fromiter(
+            map(math.lgamma, range(1, k + 1)), float, k)
+        top = logp.max()
+        factor = np.zeros(r_max + 1)
+        factor[::int(w)] = np.exp(logp - top)
+        law = _convolve(law, (factor, top), r_max)
+    return law[0] * math.exp(law[1])
 
 
 def _binomial_law(n: int, step: float, r_max: int, lam: np.ndarray, omega: np.ndarray) -> np.ndarray:
     """Cost law after n steps in which class j adds omega_j with probability
     step * lam_j, on 0..r_max.
 
-    The n-fold convolution power of the one-step law by repeated squaring.
-    Cost never decreases, so truncating every product at r_max is exact.
-    Every factor is kept scaled to a maximum of 1 with its log scale
-    carried alongside, so (1 - step sum_j lam_j)^n may underflow.
+    The n-fold convolution power of the one-step law by repeated squaring
+    through :func:`_convolve`, so (1 - step sum_j lam_j)^n may underflow.
     """
     rate = float(lam.sum())
     decay = 1.0 - step * rate
@@ -285,17 +283,15 @@ def _binomial_law(n: int, step: float, r_max: int, lam: np.ndarray, omega: np.nd
     one[0] = decay
     fits = omega <= r_max
     np.add.at(one, omega[fits], step * lam[fits])
-    one, one_scale = _rescaled(one, 0.0)
-    law = np.zeros(r_max + 1)
-    law[0] = 1.0
-    scale = 0.0
+    power = (one, 0.0)
+    law = _unit(r_max)
     while n:
         if n & 1:
-            law, scale = _rescaled(np.convolve(law, one)[:r_max + 1], scale + one_scale)
+            law = _convolve(law, power, r_max)
         n >>= 1
         if n:
-            one, one_scale = _rescaled(np.convolve(one, one)[:r_max + 1], 2 * one_scale)
-    return law * math.exp(scale)
+            power = _convolve(power, power, r_max)
+    return law[0] * math.exp(law[1])
 
 
 def closed_form_discrete(
@@ -315,14 +311,7 @@ def closed_form_discrete(
     Raises :class:`StepSizeError` when no charge has negative probability.
     Pass a precomputed ``dist`` when calling in a loop.
     """
-    if r < 0:
-        return 0.0
-    classes = tuple(classes)
-    if dist is None:
-        dist = stationary(space, classes)
-    lam, omega, charge = _charging(space, classes)
-    law = _binomial_law(n, step, r, lam[charge[state]], omega[charge[state]])
-    return float(law[r]) * float(dist.pi[state])
+    return _state_cell(space, classes, state, r, dist, partial(_binomial_law, n, step, r))
 
 
 def closed_form_continuous(
@@ -336,28 +325,40 @@ def closed_form_continuous(
     """Continuous-time limit of the simple-scheme joint law.
 
     In state q the cost after time t is a compound Poisson sum over the
-    charging classes, evaluated by Panjer's recursion; the joint
-    probability is that law times pi(q).
+    charging classes; the joint probability is that law times pi(q).
     """
     _check_horizon(t)
+    return _state_cell(space, classes, state, r, dist, partial(_poisson_law, t, r))
+
+
+def _state_cell(space, classes, state, r, dist, law) -> float:
+    """pi(state) times ``law(lam, omega)`` of the state's charging classes at
+    cost r (0 below r = 0)."""
     if r < 0:
         return 0.0
     classes = tuple(classes)
     if dist is None:
         dist = stationary(space, classes)
     lam, omega, charge = _charging(space, classes)
-    law = _poisson_law(t, r, lam[charge[state]], omega[charge[state]])
-    return float(law[r]) * float(dist.pi[state])
+    return float(law(lam[charge[state]], omega[charge[state]])[r]) * float(dist.pi[state])
 
 
-def _mask_laws(space: StateSpace, classes: Sequence[TrafficClass], t: float,
-               r_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """(inverse, laws): one continuous-time cost law on 0..r_max per distinct
-    charging mask, and the index of each state's law."""
+def _mask_laws(space: StateSpace, classes: Sequence[TrafficClass],
+               law: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(inverse, laws): ``law(lam, omega)`` of the charging classes once per
+    distinct charging mask, and the index of each state's law."""
     lam, omega, charge = _charging(space, classes)
     masks, inverse = np.unique(charge, axis=0, return_inverse=True)
-    laws = np.array([_poisson_law(t, r_max, lam[m], omega[m]) for m in masks])
-    return inverse.reshape(-1), laws
+    return inverse.reshape(-1), np.array([law(lam[m], omega[m]) for m in masks])
+
+
+def _mixed_grid(space, classes, dist, law, horizon, steps, r_max, scheme) -> CostGrid:
+    """The simple-scheme grid pi(q) times the cost law of q's charging mask;
+    ``leakage`` is the mass past r_max."""
+    inverse, laws = _mask_laws(space, classes, law)
+    mass = dist.pi[:, None] * laws[inverse]
+    return CostGrid(mass=mass, horizon=horizon, steps=steps, r_max=r_max,
+                    leakage=max(0.0, 1.0 - float(mass.sum())), scheme=scheme)
 
 
 def closed_form_grid(
@@ -376,10 +377,7 @@ def closed_form_grid(
     classes = tuple(classes)
     if dist is None:
         dist = stationary(space, classes)
-    inverse, laws = _mask_laws(space, classes, t, r_max)
-    mass = dist.pi[:, None] * laws[inverse]
-    return CostGrid(mass=mass, horizon=t, steps=0, r_max=r_max,
-                    leakage=max(0.0, 1.0 - float(mass.sum())), scheme="closed")
+    return _mixed_grid(space, classes, dist, partial(_poisson_law, t, r_max), t, 0, r_max, "closed")
 
 
 @dataclass(frozen=True)
@@ -436,7 +434,7 @@ def total_cost_distribution(
         r_max = default_r_max(classes, t)
     for _ in range(20):
         _check_r_max(space, r_max)
-        inverse, laws = _mask_laws(space, classes, t, r_max)
+        inverse, laws = _mask_laws(space, classes, partial(_poisson_law, t, r_max))
         mass = np.bincount(inverse, weights=dist.pi, minlength=len(laws)) @ laws
         leakage = max(0.0, 1.0 - float(mass.sum()))
         if leakage <= leak_tol:

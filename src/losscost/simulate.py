@@ -37,6 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .costdist import default_r_max
 from .model import ModelError, StateSpace, TrafficClass, _charging, _check_horizon, stationary
 from .howard import ShadowPriceTable, _merge_atoms
 
@@ -51,6 +52,8 @@ __all__ = [
     "batch_means_se",
 ]
 
+# largest mean numpy's Generator.poisson accepts: int64 max - 10 sqrt(int64 max)
+POISSON_LAM_MAX = float(np.iinfo(np.int64).max) - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 # events per block of uniforms: one block draws 2 * BLOCK, a holding time
 # and an event choice per event
 BLOCK = 256
@@ -410,19 +413,30 @@ def simulate_simple_total_costs(
     admission set frozen, Poisson counts of charging arrivals over [0, t]:
     cost = sum_j omega_j N_j over blocked classes.  This is the exact
     sampling counterpart of the closed-form cost law.  ``t`` must be finite
-    and above zero and ``replications`` at least zero, checked before
-    anything is drawn.
+    and above zero and ``replications`` at least zero; every class that
+    charges somewhere must have t * lam within numpy's Poisson limit, and
+    the cost truncation :func:`~losscost.costdist.default_r_max` of those
+    classes must fit int64.  All are checked before anything is drawn.
     """
     classes = tuple(classes)
     _check_horizon(t)
     if not replications >= 0:
         raise ModelError(f"replications must be >= 0, got {replications}")
     _check_seed(seed)
+    lam, omega, charging = _charging(space, classes)
+    charges = np.flatnonzero(charging.any(axis=0))
+    for j in charges:
+        if t * lam[j] > POISSON_LAM_MAX:
+            raise ModelError(f"class {j + 1}: t * lambda = {t * lam[j]:g} passes the Poisson "
+                             f"sampler's limit {POISSON_LAM_MAX:g}")
+    if default_r_max([classes[j] for j in charges], t) > np.iinfo(np.int64).max:
+        j = charges[np.argmax(lam[charges] * omega[charges])]
+        raise ModelError(f"class {j + 1}: t * lambda * omega = {t * lam[j] * omega[j]:g} "
+                         "lets the sampled costs overflow int64")
     n = len(space)
     dist = stationary(space, classes)
     rng = _rng_for(seed, 0)
     states = _choice(rng, dist.pi, replications)
-    lam, omega, charging = _charging(space, classes)
     # the replications whose state charges, grouped by state (stable, so in
     # position order); radix sorted on 16-bit codes when the states fit
     charged = np.flatnonzero(charging.any(axis=1)[states])

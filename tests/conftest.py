@@ -73,6 +73,28 @@ def heavy_instance(capacity):
     return classes, lc.enumerate_states(classes, lc.FullSharing(capacity=capacity))
 
 
+def loop_simple_costs(space, classes, horizon, steps, r_max):
+    """Reference: the simple-scheme step written out per blocked class, from
+    the stationary occupancy."""
+    dt = horizon / steps
+    mass = np.zeros((len(space), r_max + 1))
+    mass[:, 0] = lc.stationary(space, classes).pi
+    leakage = 0.0
+    for _ in range(steps):
+        new = mass.copy()
+        for j, c in enumerate(classes):
+            blocked = ~space.admissible[:, j]
+            if c.omega == 0 or not blocked.any():
+                continue
+            w = c.omega
+            new[blocked] -= dt * c.lam * mass[blocked]
+            if w <= r_max:
+                new[blocked, w:] += dt * c.lam * mass[blocked, :-w]
+            leakage += dt * c.lam * mass[blocked, max(0, r_max - w + 1):].sum()
+        mass = new
+    return mass, leakage
+
+
 def kaufman_roberts(classes, capacity):
     """Full-sharing blocking probabilities and average cost rate g from the
     Kaufman-Roberts recursion c P(c) = sum_k rho_k b_k P(c - b_k) over the

@@ -12,7 +12,7 @@ import scipy.stats
 import losscost as lc
 from losscost import costdist as cd
 from losscost import howard as hw
-from conftest import k1_instance, k2_reference, random_instance
+from conftest import k1_instance, k2_reference, loop_simple_costs, random_instance
 
 
 def _report(name, ok, detail=""):
@@ -103,9 +103,9 @@ def test_criterion_4_discrete_closed_form_consistency():
     classes, space = k2_reference()
     dist = lc.stationary(space, classes)
     t, steps, r_max = 2.0, 64, 40
-    grid = lc.evolve_simple_costs(space, classes, t, steps, r_max)
+    mass, _ = loop_simple_costs(space, classes, t, steps, r_max)
     worst = max(
-        abs(grid.mass[i, r] - lc.closed_form_discrete(space, classes, steps, t / steps, i, r, dist=dist))
+        abs(mass[i, r] - lc.closed_form_discrete(space, classes, steps, t / steps, i, r, dist=dist))
         for i in range(len(space))
         for r in range(r_max + 1)
     )

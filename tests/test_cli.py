@@ -4,6 +4,7 @@ import csv
 import json
 import re
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -215,6 +216,22 @@ def test_costdist_closed_long_horizon(tmp_path):
     risk = _read_csv(out / "risk.csv")[0]
     assert float(risk["mean"]) == pytest.approx(200.0, rel=1e-9)
     assert int(risk["q95"]) == 1021  # 0.8 + 0.2 F(r) >= 0.95, F the Poisson(1000) cdf
+
+
+def test_costdist_closed_mean_exact_at_large_load(tmp_path):
+    # mean cost 1e5 over the law: the risk mean must be t*g to 1e-9, with the
+    # Erlang B blocking exact in rationals (a recursion over r drifted 9.1e-9)
+    model = _write(tmp_path, K1_MODEL.replace('"lambda": 1.0', '"lambda": 1e5')
+                   .replace('"capacity": 2', '"capacity": 3'))
+    out = tmp_path / "o"
+    assert main(["costdist", "--model", model, "--out", str(out), "--t", "1",
+                 "--scheme", "closed"]) == 0
+    terms = [Fraction(1)]
+    for k in range(1, 4):
+        terms.append(terms[-1] * 100_000 / k)
+    tg = 100_000 * terms[-1] / sum(terms)
+    mean = float(_read_csv(out / "risk.csv")[0]["mean"])
+    assert abs(float((Fraction(mean) - tg) / tg)) <= 1e-9
 
 
 def test_costdist_requires_t(tmp_path):

@@ -2,13 +2,14 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.stats
 
 import losscost as lc
 from losscost import costdist as cd
-from conftest import k1_instance, k2_reference, random_instance, random_model
+from conftest import k1_instance, k2_reference, loop_simple_costs, random_instance, random_model
 
 
 def chain_marginal(space, classes, horizon, steps):
@@ -54,28 +55,6 @@ def loop_shadow_costs(space, classes, horizon, steps, r_max):
             if has_up.any():
                 rate = mu[j] * (occ[has_up, j] + 1)
                 new[np.flatnonzero(has_up)] += dt * rate[:, None] * mass[space.up[has_up, j]]
-        mass = new
-    return mass, leakage
-
-
-def loop_simple_costs(space, classes, horizon, steps, r_max):
-    """Reference: the simple-scheme step written out per blocked class, from
-    the stationary occupancy."""
-    dt = horizon / steps
-    mass = np.zeros((len(space), r_max + 1))
-    mass[:, 0] = lc.stationary(space, classes).pi
-    leakage = 0.0
-    for _ in range(steps):
-        new = mass.copy()
-        for j, c in enumerate(classes):
-            blocked = ~space.admissible[:, j]
-            if c.omega == 0 or not blocked.any():
-                continue
-            w = c.omega
-            new[blocked] -= dt * c.lam * mass[blocked]
-            if w <= r_max:
-                new[blocked, w:] += dt * c.lam * mass[blocked, :-w]
-            leakage += dt * c.lam * mass[blocked, max(0, r_max - w + 1):].sum()
         mass = new
     return mass, leakage
 
@@ -308,6 +287,23 @@ def test_long_horizon_laws_survive_underflow():
         want = scipy.stats.binom.pmf(r, 2000, 0.5) * dist.pi[i]
         got = lc.closed_form_discrete(space, classes, 2000, 0.5, i, r, dist=dist)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-300)
+
+
+def test_poisson_law_exact_at_large_means():
+    # every cell to 1e-9 relative against mpmath at the mode and mode + 5
+    # sd, and the mass to 1e-9; a recursion over r drifts past that here
+    # (Panjer: 9.1e-9 at mean 1e5, 5.0e-7 at 5e5, 4.5e-8 on the K=2 mass)
+    with mp.workdps(40):
+        for mean in (1e5, 5e5):
+            sd = math.sqrt(mean)
+            law = cd._poisson_law(1.0, math.ceil(mean + 10 * sd), np.array([mean]), np.array([1]))
+            for k in (int(mean), math.ceil(mean + 5 * sd)):
+                want = mp.exp(k * mp.log(mean) - mean - mp.loggamma(k + 1))
+                assert abs(law[k] / want - 1) <= 1e-9
+            assert abs(math.fsum(law) - 1.0) <= 1e-9
+    # two classes on costs 1 and 2: mean 2e5, sd 548
+    law = cd._poisson_law(50.0, 205_478, np.array([2000.0, 1000.0]), np.array([1, 2]))
+    assert abs(math.fsum(law) - 1.0) <= 1e-9
 
 
 def test_continuous_mixed_costs_match_poisson_convolution():

@@ -268,6 +268,25 @@ def test_empirical_quantile_rejects_bad_level(level):
         lc.empirical_quantile(np.array([3, 1, 2]), level)
 
 
+def test_simple_sampler_rejects_poisson_overflow():
+    # t lam past numpy's Poisson limit (about 9.2e18) is refused by name
+    classes = (lc.TrafficClass(1.0, 1.0, 1, 1), lc.TrafficClass(1e19, 1.0, 1, 1))
+    space = lc.enumerate_states(classes, lc.FullSharing(capacity=1))
+    with pytest.raises(lc.ModelError, match="class 2: t [*] lambda = 1e[+]19"):
+        lc.simulate_simple_total_costs(space, classes, 1.0, 10)
+    assert simulate_module.POISSON_LAM_MAX == 9.223372006484771e18
+
+
+def test_simple_sampler_rejects_int64_cost_overflow():
+    # t lam fits the sampler, but omega N wraps around int64 (the unchecked
+    # samples came out near -8.4e18)
+    classes = (lc.TrafficClass(1e18, 1.0, 1, 10),)
+    space = lc.enumerate_states(classes, lc.FullSharing(capacity=1))
+    with pytest.raises(lc.ModelError, match="class 1: .*overflow int64"):
+        lc.simulate_simple_total_costs(space, classes, 1.0, 10)
+    assert (lc.simulate_simple_total_costs(space, classes, 0.1, 10) > 0).all()
+
+
 @pytest.mark.parametrize("t", [0.0, -1.0, float("nan"), float("inf")])
 def test_simple_sampler_rejects_bad_horizon(t):
     classes, space = k1_instance()
