@@ -39,7 +39,7 @@ print(f"\nmean cost over [0,{t:g}]: {many.mean_cost():.3f} "
 # time averages), so recorded prices reproduce the analytic bill law.
 billed = lc.simulate(
     space, classes,
-    lc.SimConfig(horizon=200.0, replications=50, seed=11, record_bills=True, warmup=20.0),
+    lc.SimConfig(horizon=200.0, replications=50, seed=11, warmup=20.0),
     prices=prices,
 )
 bills = lc.bill_distribution(prices, dist.pi, space)

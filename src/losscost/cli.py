@@ -111,8 +111,7 @@ def cmd_simulate(args, _=None) -> tuple[int, dict]:
     classes, space, dist = _load(args)
     # a quarter of the horizon is discarded for the stationary estimates
     # (occupancy, bills); cost accumulates from time zero
-    config = SimConfig(horizon=args.t, replications=args.reps, seed=args.seed,
-                       record_bills=True, warmup=args.t / 4.0)
+    config = SimConfig(horizon=args.t, replications=args.reps, seed=args.seed, warmup=args.t / 4.0)
     costs = hw.solve_howard_exact(space, classes, dist.g, dist.r)
     prices = hw.shadow_prices(costs, space)
     result = simulate(space, classes, config, prices=prices)

@@ -74,6 +74,10 @@ __all__ = [
 ]
 
 LEAKAGE_WARN = 1e-6
+# smallest detailed-balance gap reported as a violation
+BALANCE_TOL = 1e-9
+# decimal digits of the mpmath arithmetic in the cost-recursion solve
+RECURSION_DPS = 50
 STEP_LIMIT = 0.5
 # most (state, cost) cells, states x (r_max + 1), that a cost law may span
 LATTICE_CAP = 8 * DEFAULT_STATE_CAP
@@ -418,12 +422,11 @@ def total_cost_distribution(
     classes: Sequence[TrafficClass],
     t: float,
     r_max: int | None = None,
-    leak_tol: float = LEAKAGE_WARN,
 ) -> TotalCostDistribution:
     """Marginal law of the accumulated cost at time t under the simple scheme.
 
     ``r_max`` defaults to :func:`default_r_max` and is doubled (0 grows to
-    1) until the truncated tail is below ``leak_tol``.  Every truncation
+    1) until the truncated tail is at most ``LEAKAGE_WARN``.  Every truncation
     tried must keep the (state, cost) lattice within ``LATTICE_CAP`` cells,
     else :class:`~losscost.model.StateSpaceSizeError` is raised.
     """
@@ -437,7 +440,7 @@ def total_cost_distribution(
         inverse, laws = _mask_laws(space, classes, partial(_poisson_law, t, r_max))
         mass = np.bincount(inverse, weights=dist.pi, minlength=len(laws)) @ laws
         leakage = max(0.0, 1.0 - float(mass.sum()))
-        if leakage <= leak_tol:
+        if leakage <= LEAKAGE_WARN:
             break
         r_max = max(2 * r_max, 1)
     return TotalCostDistribution.from_mass(t, mass, t * dist.g, leakage)
@@ -467,10 +470,10 @@ def detailed_balance_counterexample(
     classes: Sequence[TrafficClass],
     t: float = 1.0,
     r_limit: int = 25,
-    tol: float = 1e-9,
 ) -> BalanceViolation:
     """Search (state, class, cost) for the largest violation of
-    mu_i (q_i + 1) s(q+e_i, r) = lam_i s(q, r) under the product-form law.
+    mu_i (q_i + 1) s(q+e_i, r) = lam_i s(q, r) under the product-form law;
+    a gap of at most ``BALANCE_TOL`` is no violation.
 
     Ties go to the first (state, class, r) in lexicographic order."""
     classes = tuple(classes)
@@ -482,7 +485,7 @@ def detailed_balance_counterexample(
     rhs = lam[:, None] * s[:, None, :]
     gap = np.where(has_up[:, :, None], np.abs(lhs - rhs), 0.0)
     i, k, r = np.unravel_index(int(np.argmax(gap)), gap.shape)
-    if not gap[i, k, r] > max(tol, 0.0):
+    if not gap[i, k, r] > BALANCE_TOL:
         return BalanceViolation(False, None, None, None, 0.0, 0.0, 0.0)
     return BalanceViolation(True, int(i), int(k), int(r), float(lhs[i, k, r]),
                             float(rhs[i, k, r]), float(gap[i, k, r]))
@@ -532,9 +535,9 @@ def recursion_solve(
     a: float,
     q_max: int,
     gamma1: float = 1.0,
-    dps: int = 50,
 ) -> CostRecursionSolution:
-    """Closed-form solve of the separated cost recursion on q = 0..q_max.
+    """Closed-form solve of the separated cost recursion on q = 0..q_max, in
+    ``RECURSION_DPS``-digit arithmetic.
 
     Requires rho != 0 and a - rho not an integer (at integers the Gamma
     products degenerate and the two fundamental truncations coincide).
@@ -551,9 +554,9 @@ def recursion_solve(
     if gamma1 == 0.0:
         raise ModelError("gamma1 must be nonzero (the solution scale)")
 
-    with mp.workdps(dps):
+    with mp.workdps(RECURSION_DPS):
         mrho, ma, mx = mp.mpf(rho), mp.mpf(a), mp.mpf(a) - mp.mpf(rho)
-        tol = mp.mpf(10) ** (-(dps - 10))
+        tol = mp.mpf(10) ** (-(RECURSION_DPS - 10))
 
         gammas = [mp.mpf(gamma1)]
         alphas = [mp.mpf(gamma1) * mrho * (mrho + 2 - ma)]

@@ -64,6 +64,10 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-8
+# largest estimated 1-norm condition number of the anchored exact system
+COND_LIMIT = 1e12
+# prices within this distance share an atom of a bill law
+BILL_MERGE_TOL = 1e-12
 SERIES_CONVERGED_TOL = 1e-6
 SERIES_STALL_TOL = 1e-10
 # most cells in the series completion's box plus its per-class matrices; the
@@ -100,14 +104,15 @@ class BillDistribution:
     An arriving call samples the stationary state it finds (PASTA), so the
     price p_k(q) is charged with probability pi(q) over the states that admit
     class k, renormalized.  ``per_class[k]`` is a tuple of (price,
-    probability) pairs sorted by price, prices closer than the merge
-    tolerance collapsed into one atom.
+    probability) pairs sorted by price, prices within ``BILL_MERGE_TOL`` of
+    an atom's first price collapsed into it; empty for a class that no state
+    admits, whose mean is NaN.
     """
 
     per_class: tuple[tuple[tuple[float, float], ...], ...]
 
     def mean(self, k: int) -> float:
-        return sum(p * w for p, w in self.per_class[k])
+        return sum(p * w for p, w in self.per_class[k]) if self.per_class[k] else math.nan
 
 
 @dataclass(frozen=True)
@@ -150,7 +155,6 @@ def solve_howard_exact(
     g: float,
     r: np.ndarray,
     anchor: int = 0,
-    cond_limit: float = 1e12,
 ) -> RelativeCosts:
     """Solve the policy-evaluation equation by a sparse LU factorization.
 
@@ -164,7 +168,7 @@ def solve_howard_exact(
     (``scipy.sparse.linalg.splu``) and the solution shifted so that
     v(``anchor``) = 0, which leaves every shadow price unchanged.  Fails with
     :class:`NumericsError` when the anchored system's estimated condition
-    number exceeds ``cond_limit`` or the residual misses ``RESIDUAL_TOL``.
+    number exceeds ``COND_LIMIT`` or the residual misses ``RESIDUAL_TOL``.
     """
     Q = sparse_generator(space, classes)
     n = len(space)
@@ -193,10 +197,10 @@ def solve_howard_exact(
             dtype=float,
         )
         cond_est = onenormest(inv_op) * scipy.sparse.linalg.norm(A, 1)
-        if cond_est > cond_limit:
+        if cond_est > COND_LIMIT:
             raise NumericsError(
                 f"anchored system too ill-conditioned: estimate {cond_est:.3e} "
-                f"exceeds limit {cond_limit:.1e}"
+                f"exceeds limit {COND_LIMIT:.1e}"
             )
     v = lu.solve(rhs)
     v -= v[anchor]
@@ -551,25 +555,22 @@ def _run_sums(values: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.n
     return sums
 
 
-def bill_distribution(
-    prices: ShadowPriceTable,
-    pi: np.ndarray,
-    space: StateSpace,
-    merge_tol: float = 1e-12,
-) -> BillDistribution:
-    """Law of the shadow price charged to an admitted arrival of each class."""
+def bill_distribution(prices: ShadowPriceTable, pi: np.ndarray, space: StateSpace) -> BillDistribution:
+    """Law of the shadow price charged to an admitted arrival of each class;
+    the empty law for a class that no state admits."""
     per_class = []
     for k in range(space.K):
         mask = space.admissible[:, k]
         if not mask.any():
-            raise ModelError(f"class {k} is never admissible")
+            per_class.append(())
+            continue
         weight = pi[mask]
         total = weight.sum()
         if total <= 0:
-            raise ModelError(f"class {k} admitting states carry zero probability")
+            raise ModelError(f"class {k + 1} admitting states carry zero probability")
         pk = prices.p[mask, k]
         order = np.argsort(pk)
-        price, mass = _merge_atoms(pk[order], weight[order] / total, merge_tol)
+        price, mass = _merge_atoms(pk[order], weight[order] / total, BILL_MERGE_TOL)
         per_class.append(tuple(zip(price.tolist(), mass.tolist())))
     return BillDistribution(per_class=tuple(per_class))
 

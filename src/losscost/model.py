@@ -338,9 +338,9 @@ class StationaryDistribution:
 
 
 def _log_weights(space: StateSpace, classes: Sequence[TrafficClass]) -> np.ndarray:
-    from scipy.special import gammaln
-
     occ = space.occupancy
+    top = int(occ.max(initial=0))
+    log_factorial = np.fromiter(map(math.lgamma, range(1, top + 2)), float, top + 1)
     logw = np.zeros(len(space))
     for j, c in enumerate(classes):
         qj = occ[:, j]
@@ -348,7 +348,7 @@ def _log_weights(space: StateSpace, classes: Sequence[TrafficClass]) -> np.ndarr
             # only q_j = 0 carries mass
             logw = np.where(qj > 0, -np.inf, logw)
             continue
-        logw = logw + qj * math.log(c.rho) - gammaln(qj + 1.0)
+        logw = logw + qj * math.log(c.rho) - log_factorial[qj]
     return logw
 
 

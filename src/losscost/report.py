@@ -1,11 +1,13 @@
-"""Output files: the one module that knows their format.
+"""Output files: the one module that formats and writes them.
 
 Every CSV starts with a header row, names state columns ``q1..qK`` and
 writes each float as ``.17e``, which round-trips a double exactly (NaN and
 infinity as ``nan`` and ``inf``); rows end in ``\\r\\n``, the line end of
 Python's ``csv`` module.  A file is a header plus columns, written by
-:func:`write_table`; the writers below turn the library's result objects
-into the files the command line documents.
+:func:`write_table`.  The writers below turn the library's result objects
+(relative costs, prices, bills, cost laws) into their files; the command
+line passes the header and columns of its other files, the stationary,
+residual and simulation tables, to :func:`write_table` itself.
 
 :func:`write_table` writes the bytes that ``'%.17e' % x`` and ``'%d' % n``
 give cell by cell, but formats a column at a time in numpy.  Each column of

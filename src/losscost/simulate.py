@@ -17,8 +17,8 @@ cumulative rates.  The walks append their paths (source state, event, jump
 time) to lists shared by a chunk of replications; a chunk is reduced in one
 pass of array operations once it holds ``CHUNK_EVENTS`` events or its
 replications x states occupancy block reaches ``CHUNK_CELLS`` cells.  Costs,
-final states, arrival counts, bills and batch costs are exact reductions of
-the paths, so they do not depend on the chunking.  Per-state occupancy mean
+final states, arrival counts, bills and window costs are exact reductions
+of the paths, so they do not depend on the chunking.  Per-state occupancy mean
 and sum of squared deviations are merged across chunks by Chan's pairwise
 update, so memory is O(states + one chunk); the merge may move the last
 digits of the occupancy estimates, nothing else.
@@ -49,7 +49,6 @@ __all__ = [
     "empirical_total_cost_hist",
     "empirical_quantile",
     "empirical_bill_hist",
-    "batch_means_se",
 ]
 
 # largest mean numpy's Generator.poisson accepts: int64 max - 10 sqrt(int64 max)
@@ -57,8 +56,11 @@ POISSON_LAM_MAX = float(np.iinfo(np.int64).max) - 10.0 * math.sqrt(np.iinfo(np.i
 # events per block of uniforms: one block draws 2 * BLOCK, a holding time
 # and an event choice per event
 BLOCK = 256
-# equal windows of (warmup, horizon] for the single-run batch-means error
-BATCHES = 32
+# equal windows of (warmup, horizon] whose cost rates estimate a single
+# run's cost rate and its batch-means error
+BATCHES = 16
+# bill prices within this distance share an atom of the empirical bill law
+BILL_MERGE_TOL = 1e-9
 # a chunk of replications is reduced once its paths hold CHUNK_EVENTS events
 # or its (replication, state) occupancy block CHUNK_CELLS cells
 CHUNK_EVENTS = 2**16
@@ -68,10 +70,11 @@ _ZERO4 = np.zeros(4, dtype=np.uint64)
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Replication plan: horizon per replication, count, seed, options.
+    """Replication plan: horizon per replication, count, seed, warm-up.
 
-    ``warmup`` time is discarded from occupancy (and rate) estimates only;
-    cost accumulation always starts at time zero from the empty state.
+    ``warmup`` time is discarded from the occupancy, arrival and bill
+    estimates and from a single run's cost rate; the per-replication costs
+    always accumulate from time zero in the empty state.
     ``seed`` is the first half of each replication's 128-bit Philox key, so
     it must lie in [0, 2**64).
     """
@@ -79,7 +82,6 @@ class SimConfig:
     horizon: float
     replications: int = 1
     seed: int = 0
-    record_bills: bool = False
     warmup: float = 0.0
 
     def __post_init__(self) -> None:
@@ -103,11 +105,16 @@ class SimResult:
     a single replication, where the pooled value is the only estimate);
     ``arrival_occupancy`` the state distribution seen by arriving calls
     (for the time-average comparison).  ``bill_samples[k]`` holds the shadow
-    prices charged to admitted class-k arrivals past warmup when bills were
-    recorded, and ``bill_reps[k]`` the replication index of each bill so that
-    per-replication statistics (independent across replications) can be
-    formed.  ``events`` counts every simulated event (arrivals, blocked or
-    not, and departures) over all replications.
+    prices charged to admitted class-k arrivals past warmup when ``prices``
+    was passed to :func:`simulate` (else nothing), and ``bill_reps[k]`` the
+    replication index of each bill so that per-replication statistics
+    (independent across replications) can be formed.  ``cost_rate`` and
+    ``cost_rate_se`` are the mean and standard error of the per-replication
+    rates (cost over [0, horizon] / horizon) when there are several
+    replications, and of the rates of ``BATCHES`` equal windows of
+    (warmup, horizon] (batch means) for a single one.  ``events`` counts
+    every simulated event (arrivals, blocked or not, and departures) over
+    all replications.
     """
 
     config: SimConfig
@@ -149,18 +156,6 @@ def _rekey(bitgen: np.random.Philox, seed: int, rep: int) -> None:
     bitgen.state = {"bit_generator": "Philox",
                     "state": {"counter": _ZERO4, "key": np.array([seed, rep], dtype=np.uint64)},
                     "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-
-
-def batch_means_se(values: np.ndarray, batches: int = 32) -> float:
-    """Standard error of the mean of a correlated series via batch means."""
-    values = np.asarray(values, dtype=float)
-    if len(values) < 2 * batches:
-        batches = max(2, len(values) // 2)
-    usable = (len(values) // batches) * batches
-    if usable < 2 * batches:
-        return math.nan
-    means = values[:usable].reshape(batches, -1).mean(axis=1)
-    return float(means.std(ddof=1) / math.sqrt(batches))
 
 
 @dataclass(frozen=True)
@@ -241,7 +236,7 @@ class _Tally:
         R, n, K = config.replications, tables.charge.shape[0], tables.charge.shape[1] // 2
         self.tables, self.config, self.n, self.K = tables, config, n, K
         # the price an admitted arrival pays, per cell of the (states, 2K) tables
-        self.price = np.hstack([prices.p, np.zeros((n, K))]).ravel() if config.record_bills else None
+        self.price = None if prices is None else np.hstack([prices.p, np.zeros((n, K))]).ravel()
         self.total_costs = np.zeros(R, dtype=np.int64)
         self.final_states = np.zeros(R, dtype=np.int64)
         self.occ_mean = np.zeros(n)
@@ -250,7 +245,7 @@ class _Tally:
         # bills in replication order: class, price, and the count per replication
         self.bill_class, self.bill_price = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
         self.bill_count = np.zeros(R, dtype=np.int64)
-        self.batch_costs = np.zeros(BATCHES)
+        self.window_costs = np.zeros(BATCHES)
         self.reps = 0
         self.events = 0
 
@@ -293,7 +288,7 @@ class _Tally:
 
         seen = at >= W
         self.arrival_counts += np.bincount(src[seen & (ev < K)], minlength=n)
-        if self.config.record_bills:
+        if self.price is not None:
             billed = seen & tables.admitted.ravel()[cell]
             self.bill_class.append(ev[billed])
             self.bill_price.append(self.price[cell[billed]])
@@ -301,7 +296,7 @@ class _Tally:
         if self.config.replications == 1:
             post = at > W
             window = np.minimum(((at[post] - W) * (BATCHES / (H - W))).astype(np.intp), BATCHES - 1)
-            self.batch_costs += np.bincount(window, weights=charged[post], minlength=BATCHES)
+            self.window_costs += np.bincount(window, weights=charged[post], minlength=BATCHES)
         self.reps = total
         self.events += len(ev)
 
@@ -319,7 +314,8 @@ def simulate(
     config: SimConfig,
     prices: ShadowPriceTable | None = None,
 ) -> SimResult:
-    """Run the loss system and accumulate blocking costs (and bills).
+    """Run the loss system and accumulate blocking costs, and the bills of
+    admitted arrivals when ``prices`` is given.
 
     Deterministic given (model, config): replication i uses the Philox
     stream keyed by (seed, i), independent of the replication count.  Each
@@ -327,15 +323,13 @@ def simulate(
     drawn by inversion from blocks of uniforms.  The paths of a chunk of
     replications are reduced together with array operations, and per-state
     occupancy is merged across chunks by Chan's update, so memory is
-    O(states + one chunk).  For a single replication ``cost_rate_se`` comes
-    from batch means over 32 equal windows of (warmup, horizon].  ``prices``
-    must be supplied when ``record_bills`` is set.
+    O(states + one chunk).  A single replication's ``cost_rate`` and
+    ``cost_rate_se`` cover (warmup, horizon], by batch means over
+    ``BATCHES`` equal windows.
     """
     classes = tuple(classes)
-    if config.record_bills and prices is None:
-        raise ModelError("record_bills requires a shadow price table")
     tables = _event_tables(space, classes)
-    K, n, R, H = space.K, len(space), config.replications, config.horizon
+    K, n, R, H, W = space.K, len(space), config.replications, config.horizon, config.warmup
     tally = _Tally(tables, config, prices)
 
     bitgen = np.random.Philox(key=[config.seed, 0])
@@ -353,28 +347,23 @@ def simulate(
     arr_total = tally.arrival_counts.sum()
     arrival_occ = tally.arrival_counts / arr_total if arr_total > 0 else tally.arrival_counts.astype(float)
 
-    total_costs = tally.total_costs
-    cost_rate = float(total_costs.sum()) / (R * H)
-    if R > 1:
-        per_rep = total_costs / H
-        se = float(per_rep.std(ddof=1) / math.sqrt(R))
-    else:
-        se = batch_means_se(tally.batch_costs / ((H - config.warmup) / BATCHES))
+    # per-replication rates, or a single run's window rates
+    rates = tally.total_costs / H if R > 1 else tally.window_costs / ((H - W) / BATCHES)
 
     bill_class, bill_price = np.concatenate(tally.bill_class), np.concatenate(tally.bill_price)
     bill_rep = np.repeat(np.arange(R, dtype=np.int64), tally.bill_count)
 
     return SimResult(
         config=config,
-        total_cost_samples=total_costs,
+        total_cost_samples=tally.total_costs,
         final_states=tally.final_states,
         occupancy=tally.occ_mean,
         occupancy_se=occupancy_se,
         arrival_occupancy=arrival_occ,
         bill_samples=[bill_price[bill_class == k] for k in range(K)],
         bill_reps=[bill_rep[bill_class == k] for k in range(K)],
-        cost_rate=cost_rate,
-        cost_rate_se=se,
+        cost_rate=float(rates.mean()),
+        cost_rate_se=float(rates.std(ddof=1) / math.sqrt(len(rates))),
         events=tally.events,
     )
 
@@ -488,17 +477,14 @@ def empirical_quantile(samples: np.ndarray, level: float) -> int:
     return int(ordered[max(math.ceil(level * len(ordered)) - 1, 0)])
 
 
-def empirical_bill_hist(
-    result: SimResult, k: int, merge_tol: float = 1e-9
-) -> tuple[tuple[float, float], ...]:
-    """Observed (price, frequency) atoms for admitted class-k arrivals."""
-    if not result.config.record_bills:
-        raise ModelError("bills were not recorded; set record_bills")
+def empirical_bill_hist(result: SimResult, k: int) -> tuple[tuple[float, float], ...]:
+    """Observed (price, frequency) atoms for admitted class-k arrivals,
+    prices within ``BILL_MERGE_TOL`` of an atom's first price merged."""
     samples = result.bill_samples[k]
     if len(samples) == 0:
         raise ModelError(f"no admitted class-{k} arrivals observed")
     # equal prices always share an atom, so merging the distinct prices with
     # their counts gives the atoms of the sorted samples
     prices, counts = np.unique(samples, return_counts=True)
-    price, count = _merge_atoms(prices, counts, merge_tol)
+    price, count = _merge_atoms(prices, counts, BILL_MERGE_TOL)
     return tuple(zip(price.tolist(), (count / len(samples)).tolist()))

@@ -208,7 +208,7 @@ def test_criterion_7_monte_carlo_agreement():
     prices = lc.shadow_prices(costs, space)
     bills = lc.bill_distribution(prices, dist.pi, space)
     n_reps = 600
-    cfg = lc.SimConfig(horizon=60.0, replications=n_reps, seed=77, record_bills=True, warmup=15.0)
+    cfg = lc.SimConfig(horizon=60.0, replications=n_reps, seed=77, warmup=15.0)
     res = lc.simulate(space, classes, cfg, prices=prices)
     bills_ok = True
     worst_z = 0.0

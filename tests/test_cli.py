@@ -266,6 +266,29 @@ def test_simulate_rejects_zero_reps(tmp_path):
                  "--t", "10", "--reps", "0"]) == 1
 
 
+# class 2 needs 5 units of a 3-unit link, so no state admits it
+NEVER_FITS_MODEL = json.dumps({
+    "classes": [{"lambda": 1, "mu": 1, "bandwidth": 1, "omega": 1},
+                {"lambda": 0.5, "mu": 1, "bandwidth": 5, "omega": 2}],
+    "policy": {"type": "full_sharing", "capacity": 3}})
+
+
+def test_shadow_class_that_never_fits(tmp_path):
+    model = _write(tmp_path, NEVER_FITS_MODEL)
+    out = tmp_path / "o"
+    assert main(["shadow", "--model", model, "--out", str(out), "--method", "exact"]) == 0
+    rows = _read_csv(out / "bill_dist.csv")
+    assert rows and {r["class"] for r in rows} == {"1"}
+
+
+def test_simulate_class_that_never_fits(tmp_path, capsys):
+    model = _write(tmp_path, NEVER_FITS_MODEL)
+    code = main(["simulate", "--model", model, "--out", str(tmp_path / "o"), "--t", "5",
+                 "--reps", "50"])
+    assert code != 1, capsys.readouterr().err
+    assert (tmp_path / "o" / "bill_dist_mc.csv").exists()
+
+
 def test_unknown_method_is_validation_error(tmp_path, capsys):
     model = _write(tmp_path, K1_MODEL)
     assert main(["shadow", "--model", model, "--out", str(tmp_path / "o"),
@@ -584,8 +607,7 @@ def _render_reference(out, model, method):
     n, t = 200, ref_fmt(5.0)
     costs = hw.solve_howard_exact(space, classes, dist.g, dist.r)
     prices = hw.shadow_prices(costs, space)
-    result = simulate(space, classes, SimConfig(horizon=5.0, replications=n, seed=3,
-                                                record_bills=True, warmup=1.25), prices=prices)
+    result = simulate(space, classes, SimConfig(horizon=5.0, replications=n, seed=3, warmup=1.25), prices=prices)
     sim = out / "simulate"
     reference_write(sim / "pi_mc.csv", states + ["probability", "se"],
                     (q + [ref_fmt(p), ref_fmt(se)]

@@ -497,11 +497,13 @@ def test_bill_distribution_matches_scan(rng):
 
 
 def test_bill_distribution_never_admitted_class():
+    # a class that no state admits pays no bill: its law is empty
     states = [(0,)]
     space = lc.StateSpace(states, np.array([[False]]))
     table = lc.shadow_prices(np.zeros(1), space)
-    with pytest.raises(lc.ModelError):
-        lc.bill_distribution(table, np.array([1.0]), space)
+    bills = lc.bill_distribution(table, np.array([1.0]), space)
+    assert bills.per_class == ((),)
+    assert math.isnan(bills.mean(0))
 
 
 def test_csv_emitters(tmp_path):
@@ -518,11 +520,12 @@ def test_csv_emitters(tmp_path):
     assert len(lines) == 3  # two priced pairs
 
 
-def test_exact_solve_condition_limit():
+def test_exact_solve_condition_limit(monkeypatch):
     classes, space = k1_instance()
     dist = lc.stationary(space, classes)
+    monkeypatch.setattr(hw, "COND_LIMIT", 1.0)
     with pytest.raises(lc.NumericsError, match="condition"):
-        lc.solve_howard_exact(space, classes, dist.g, dist.r, cond_limit=1.0)
+        lc.solve_howard_exact(space, classes, dist.g, dist.r)
 
 
 def _transient_cost_integral(space, classes, dist, horizon=60.0, steps=60_000):

@@ -27,7 +27,7 @@ def _prices(classes, space):
 def test_deterministic_given_seed():
     classes, space = k1_instance()
     dist, prices = _prices(classes, space)
-    cfg = lc.SimConfig(horizon=50.0, replications=20, seed=123, record_bills=True)
+    cfg = lc.SimConfig(horizon=50.0, replications=20, seed=123)
     a = lc.simulate(space, classes, cfg, prices=prices)
     b = lc.simulate(space, classes, cfg, prices=prices)
     assert np.array_equal(a.total_cost_samples, b.total_cost_samples)
@@ -145,7 +145,7 @@ def test_empirical_bills_match_distribution():
     dist, prices = _prices(classes, space)
     bills = lc.bill_distribution(prices, dist.pi, space)
     reps, t = 400, 50.0
-    cfg = lc.SimConfig(horizon=t, replications=reps, seed=5, record_bills=True, warmup=10.0)
+    cfg = lc.SimConfig(horizon=t, replications=reps, seed=5, warmup=10.0)
     res = lc.simulate(space, classes, cfg, prices=prices)
     hist = lc.empirical_bill_hist(res, 0)
     assert len(hist) == 2
@@ -172,10 +172,10 @@ def loop_bill_hist(samples, merge_tol=1e-9):
     return tuple((p, c / len(samples)) for p, c in atoms)
 
 
-def test_empirical_bill_hist_matches_sample_loop(rng):
+def test_empirical_bill_hist_matches_sample_loop(rng, monkeypatch):
     classes, space = k2_reference()
     dist, prices = _prices(classes, space)
-    cfg = lc.SimConfig(horizon=20.0, replications=300, seed=4, record_bills=True)
+    cfg = lc.SimConfig(horizon=20.0, replications=300, seed=4)
     res = lc.simulate(space, classes, cfg, prices=prices)
     for k in range(space.K):
         assert lc.empirical_bill_hist(res, k) == loop_bill_hist(res.bill_samples[k])
@@ -185,7 +185,8 @@ def test_empirical_bill_hist_matches_sample_loop(rng):
     samples = np.concatenate([base, base, base[:10] + 6e-10, base[:10] + 1.2e-9, base[:5] + 2e-9])
     fake = dataclasses.replace(res, bill_samples=[rng.permutation(samples)])
     for tol in (1e-9, 0.3):
-        assert lc.empirical_bill_hist(fake, 0, tol) == loop_bill_hist(samples, tol)
+        monkeypatch.setattr(simulate_module, "BILL_MERGE_TOL", tol)
+        assert lc.empirical_bill_hist(fake, 0) == loop_bill_hist(samples, tol)
 
 
 def test_empirical_bill_requires_recording():
@@ -195,20 +196,11 @@ def test_empirical_bill_requires_recording():
         lc.empirical_bill_hist(res, 0)
 
 
-def test_batch_means_se_reasonable():
-    from losscost.simulate import batch_means_se
-
-    rng = np.random.default_rng(0)
-    iid = rng.normal(size=4096)
-    est = batch_means_se(iid, batches=32)
-    assert est == pytest.approx(1.0 / np.sqrt(4096), rel=0.5)
-
-
 def test_zero_cost_bills_are_zero():
     classes = (lc.TrafficClass(lam=1.0, mu=1.0, omega=0),)
     space = lc.enumerate_states(classes, lc.FullSharing(capacity=2))
     dist, prices = _prices(classes, space)
-    cfg = lc.SimConfig(horizon=50.0, replications=5, seed=6, record_bills=True)
+    cfg = lc.SimConfig(horizon=50.0, replications=5, seed=6)
     res = lc.simulate(space, classes, cfg, prices=prices)
     assert np.max(np.abs(res.bill_samples[0])) == pytest.approx(0.0, abs=1e-12)
 
@@ -318,11 +310,24 @@ def test_negative_seed_rejected():
 
 
 def test_single_run_batch_means_exclude_warmup():
-    # the 32 windows cover (warmup, horizon] only; a first batch that also
+    # the windows cover (warmup, horizon] only; a first batch that also
     # held the warm-up cost made the error bar about 15x too wide
     classes, space = k1_instance()
     res = lc.simulate(space, classes, lc.SimConfig(horizon=2000.0, replications=1, seed=0, warmup=1000.0))
     assert res.cost_rate_se < 0.05
+
+
+def test_single_run_cost_rate_excludes_warmup():
+    # a single run's rate is the cost charged in (warmup, horizon] over its
+    # length, the span its batch-means error bar covers
+    classes, space = k2_reference()
+    cfg = lc.SimConfig(horizon=50.0, replications=1, seed=9, warmup=20.0)
+    res = lc.simulate(space, classes, cfg)
+    tables = _event_tables(space, classes)
+    states, events, times = reference_walk(tables, _rng_for(cfg.seed, 0), cfg.horizon)
+    late = sum(int(tables.charge[s, e]) for s, e, at in zip(states, events, times[1:]) if at > cfg.warmup)
+    assert late < res.total_cost_samples[0]
+    assert res.cost_rate * (cfg.horizon - cfg.warmup) == pytest.approx(late, rel=1e-12)
 
 
 def test_streams_keyed_by_replication():
@@ -506,7 +511,7 @@ def reference_simulate(space, classes, config, prices=None):
     arrival_counts = np.zeros(n, dtype=np.int64)
     bill_class, bill_price = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
     bill_count = np.zeros(R, dtype=np.int64)
-    batch_costs = np.zeros(BATCHES)
+    window_costs = np.zeros(BATCHES)
     events = 0
     for rep in range(R):
         states, event_list, time_list = reference_walk(tables, _rng_for(config.seed, rep), H)
@@ -525,7 +530,7 @@ def reference_simulate(space, classes, config, prices=None):
         occ_m2 += delta * (frac - occ_mean)
         seen = at >= W
         arrival_counts += np.bincount(src[seen & (ev < K)], minlength=n)
-        if config.record_bills:
+        if prices is not None:
             billed = seen & tables.admitted[src, ev]
             bill_class.append(ev[billed])
             bill_price.append(prices.p[src[billed], ev[billed]])
@@ -533,15 +538,11 @@ def reference_simulate(space, classes, config, prices=None):
         if R == 1:
             post = at > W
             window = np.minimum(((at[post] - W) * (BATCHES / (H - W))).astype(np.intp), BATCHES - 1)
-            batch_costs += np.bincount(window, weights=charged[post], minlength=BATCHES)
+            window_costs += np.bincount(window, weights=charged[post], minlength=BATCHES)
     occupancy_se = np.sqrt(occ_m2 / (R - 1) / R) if R > 1 else np.full(n, math.nan)
     arr_total = arrival_counts.sum()
     arrival_occ = arrival_counts / arr_total if arr_total > 0 else arrival_counts.astype(float)
-    cost_rate = float(total_costs.sum()) / (R * H)
-    if R > 1:
-        se = float((total_costs / H).std(ddof=1) / math.sqrt(R))
-    else:
-        se = simulate_module.batch_means_se(batch_costs / ((H - W) / BATCHES))
+    rates = total_costs / H if R > 1 else window_costs / ((H - W) / BATCHES)
     bill_class, bill_price = np.concatenate(bill_class), np.concatenate(bill_price)
     bill_rep = np.repeat(np.arange(R, dtype=np.int64), bill_count)
     return lc.SimResult(
@@ -549,7 +550,8 @@ def reference_simulate(space, classes, config, prices=None):
         occupancy=occ_mean, occupancy_se=occupancy_se, arrival_occupancy=arrival_occ,
         bill_samples=[bill_price[bill_class == k] for k in range(K)],
         bill_reps=[bill_rep[bill_class == k] for k in range(K)],
-        cost_rate=cost_rate, cost_rate_se=se, events=events)
+        cost_rate=float(rates.mean()), cost_rate_se=float(rates.std(ddof=1) / math.sqrt(len(rates))),
+        events=events)
 
 
 EXACT_FIELDS = ("total_cost_samples", "final_states", "arrival_occupancy", "events",
@@ -586,10 +588,10 @@ def test_matches_per_replication_reference(name):
     for R in (1, 2, 200):
         for warmup in (0.0, 1.5):
             for bills in (False, True):
-                cfg = lc.SimConfig(horizon=6.0, replications=R, seed=R + 17, warmup=warmup,
-                                   record_bills=bills)
-                got = lc.simulate(space, classes, cfg, prices=prices)
-                assert_same_run(got, reference_simulate(space, classes, cfg, prices))
+                cfg = lc.SimConfig(horizon=6.0, replications=R, seed=R + 17, warmup=warmup)
+                billed = prices if bills else None
+                got = lc.simulate(space, classes, cfg, prices=billed)
+                assert_same_run(got, reference_simulate(space, classes, cfg, billed))
 
 
 @pytest.mark.parametrize("events,cells", [(50, 2**18), (2**16, 40), (1, 1)],
@@ -597,7 +599,7 @@ def test_matches_per_replication_reference(name):
 def test_chunked_run_equals_one_chunk(monkeypatch, events, cells):
     classes, space = k2_reference()
     _, prices = _prices(classes, space)
-    cfg = lc.SimConfig(horizon=20.0, replications=60, seed=5, warmup=4.0, record_bills=True)
+    cfg = lc.SimConfig(horizon=20.0, replications=60, seed=5, warmup=4.0)
     whole = lc.simulate(space, classes, cfg, prices=prices)
     monkeypatch.setattr(simulate_module, "CHUNK_EVENTS", events)
     monkeypatch.setattr(simulate_module, "CHUNK_CELLS", cells)
