@@ -17,7 +17,7 @@ t = 5.0
 # Closed form (simple charging scheme): per state a compound Poisson law of
 # the blocked classes' charges, mixed over the stationary occupancy.
 total = lc.total_cost_distribution(space, classes, t)
-print(f"simple scheme at t={t}: mean {total.mean:.4f} (t*g = {total.analytic_mean:.4f})")
+print(f"simple scheme at t={t}: mean {total.mean:.4f} (t*g = {t * dist.g:.4f})")
 print(f"95% quantile {total.q95}, 99% quantile {total.q99}, "
       f"truncation leakage {total.leakage:.1e}")
 print("P(cost = r) for small r:", np.round(total.mass[:8], 4))

@@ -98,7 +98,7 @@ def cmd_costdist(args, _=None) -> tuple[int, dict]:
         r_max = args.rmax if args.rmax is not None else cd.default_r_max(classes, t)
         evolve = cd.evolve_shadow_costs if args.scheme == "shadow" else cd.evolve_simple_costs
         grid = evolve(space, classes, t, steps, r_max, warn=False)
-        total = cd.TotalCostDistribution.from_mass(t, grid.total_cost(), t * dist.g, grid.leakage)
+        total = cd.TotalCostDistribution.from_mass(t, grid.total_cost(), grid.leakage)
         meta["steps"] = steps
     report.write_cost_grid(out / "cost_dist.csv", space, grid)
     report.write_total_cost(out / "total_cost.csv", t, total.mass)

@@ -89,7 +89,8 @@ class StepSizeError(ModelError):
 
 @dataclass
 class CostGrid:
-    """Joint mass over (state index, accumulated cost r) after ``steps`` steps.
+    """Joint mass over (state index, accumulated cost r) after ``steps`` steps
+    (0 for the continuous-time closed form), of whichever scheme built it.
 
     ``mass[i, r]`` for r in 0..r_max; ``leakage`` is the probability mass that
     ran past r_max during the evolution (total mass + leakage = 1).
@@ -100,7 +101,6 @@ class CostGrid:
     steps: int
     r_max: int
     leakage: float
-    scheme: str
 
     @property
     def marginal(self) -> np.ndarray:
@@ -196,7 +196,7 @@ def evolve_shadow_costs(
             leakage += p * src[:, max(0, r_max - w + 1):].sum()
         mass = new
     return _warned(CostGrid(mass=mass, horizon=horizon, steps=steps, r_max=r_max,
-                            leakage=leakage, scheme="shadow"), warn)
+                            leakage=leakage), warn)
 
 
 def evolve_simple_costs(
@@ -219,7 +219,7 @@ def evolve_simple_costs(
     dt = _check_step(space, classes, horizon, steps)
     return _warned(_mixed_grid(space, classes, stationary(space, classes),
                                partial(_binomial_law, steps, dt, r_max),
-                               horizon, steps, r_max, "simple"), warn)
+                               horizon, steps, r_max), warn)
 
 
 def _warned(grid: CostGrid, warn: bool) -> CostGrid:
@@ -356,13 +356,13 @@ def _mask_laws(space: StateSpace, classes: Sequence[TrafficClass],
     return inverse.reshape(-1), np.array([law(lam[m], omega[m]) for m in masks])
 
 
-def _mixed_grid(space, classes, dist, law, horizon, steps, r_max, scheme) -> CostGrid:
+def _mixed_grid(space, classes, dist, law, horizon, steps, r_max) -> CostGrid:
     """The simple-scheme grid pi(q) times the cost law of q's charging mask;
     ``leakage`` is the mass past r_max."""
     inverse, laws = _mask_laws(space, classes, law)
     mass = dist.pi[:, None] * laws[inverse]
     return CostGrid(mass=mass, horizon=horizon, steps=steps, r_max=r_max,
-                    leakage=max(0.0, 1.0 - float(mass.sum())), scheme=scheme)
+                    leakage=max(0.0, 1.0 - float(mass.sum())))
 
 
 def closed_form_grid(
@@ -381,28 +381,27 @@ def closed_form_grid(
     classes = tuple(classes)
     if dist is None:
         dist = stationary(space, classes)
-    return _mixed_grid(space, classes, dist, partial(_poisson_law, t, r_max), t, 0, r_max, "closed")
+    return _mixed_grid(space, classes, dist, partial(_poisson_law, t, r_max), t, 0, r_max)
 
 
 @dataclass(frozen=True)
 class TotalCostDistribution:
-    """Cost marginal sum_q of the simple-scheme law at time t."""
+    """Cost marginal sum_q of a cost law at time t, of any scheme, with its
+    mean and 95%/99% quantiles; ``leakage`` is the mass past the truncation."""
 
     t: float
     mass: np.ndarray
     mean: float
-    analytic_mean: float
     q95: int
     q99: int
     leakage: float
 
     @classmethod
-    def from_mass(cls, t: float, mass: np.ndarray, analytic_mean: float,
-                  leakage: float) -> "TotalCostDistribution":
+    def from_mass(cls, t: float, mass: np.ndarray, leakage: float) -> "TotalCostDistribution":
         """Risk summary of a truncated cost law: mean and 95%/99% quantiles
         (the smallest r whose cumulative mass reaches the level)."""
         cum = np.cumsum(mass)
-        return cls(t, mass, float(mass @ np.arange(len(mass))), analytic_mean,
+        return cls(t, mass, float(mass @ np.arange(len(mass))),
                    int(np.searchsorted(cum, 0.95)), int(np.searchsorted(cum, 0.99)), leakage)
 
 
@@ -443,7 +442,7 @@ def total_cost_distribution(
         if leakage <= LEAKAGE_WARN:
             break
         r_max = max(2 * r_max, 1)
-    return TotalCostDistribution.from_mass(t, mass, t * dist.g, leakage)
+    return TotalCostDistribution.from_mass(t, mass, leakage)
 
 
 @dataclass(frozen=True)

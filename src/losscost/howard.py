@@ -120,17 +120,16 @@ class SeriesResult:
     """Outcome of the series completion.
 
     ``residual_history[0]`` is the residual of the starting approximation and
-    entry n the residual after n correction terms.  ``converged`` means the
-    final residual met the convergence tolerance; ``diverged`` means the
-    residual grew three terms in a row and the best iterate was returned;
-    ``monotone`` records whether the history was non-increasing.
+    entry n the residual after n correction terms.  ``costs`` is the iterate
+    of least residual, and ``converged`` means that residual met the
+    convergence tolerance.  ``message`` says why the terms stopped: the
+    tolerance was met, the residual stalled, it grew three terms in a row,
+    or the term budget ran out.
     """
 
     costs: RelativeCosts
     residual_history: tuple[float, ...]
     converged: bool
-    diverged: bool
-    monotone: bool
     message: str
 
 
@@ -410,9 +409,9 @@ def series_refine(
     equation to zero, but on blocking instances the completed function can
     settle on a solution whose boundary increments disagree with the blocking
     costs, so the policy-equation residual may stall above the convergence
-    tolerance.  That outcome is reported honestly via the flags instead of
-    being iterated forever; use :func:`solve_howard_exact` when an exact
-    answer is required.
+    tolerance.  That outcome is reported by ``converged`` and ``message``
+    instead of being iterated forever; use :func:`solve_howard_exact` when an
+    exact answer is required.
     """
     classes = tuple(classes)
     K = space.K
@@ -456,7 +455,6 @@ def series_refine(
     history = [res0]
     best_v, best_res, best_terms = v0, res0, 0
 
-    diverged = False
     message = ""
     grow_streak = 0
     for n in range(1, n_terms + 1):
@@ -469,7 +467,6 @@ def series_refine(
             best_v, best_res, best_terms = v, res, n
         grow_streak = grow_streak + 1 if res > history[-2] else 0
         if grow_streak >= 3:
-            diverged = True
             message = f"residual grew for {grow_streak} consecutive terms; returning best iterate (after {best_terms} terms)"
             break
         if res <= SERIES_CONVERGED_TOL:
@@ -486,14 +483,11 @@ def series_refine(
     converged = best_res <= SERIES_CONVERGED_TOL
     if not message:
         message = f"stopped after {len(history) - 1} terms without reaching {SERIES_CONVERGED_TOL:g}"
-    monotone = all(b <= a + 1e-15 for a, b in zip(history, history[1:]))
     costs = RelativeCosts(v=best_v, g=g, anchor=0, residual=best_res)
     return SeriesResult(
         costs=costs,
         residual_history=tuple(history),
         converged=converged,
-        diverged=diverged,
-        monotone=monotone,
         message=message,
     )
 

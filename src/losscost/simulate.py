@@ -17,7 +17,7 @@ cumulative rates.  The walks append their paths (source state, event, jump
 time) to lists shared by a chunk of replications; a chunk is reduced in one
 pass of array operations once it holds ``CHUNK_EVENTS`` events or its
 replications x states occupancy block reaches ``CHUNK_CELLS`` cells.  Costs,
-final states, arrival counts, bills and window costs are exact reductions
+final states, post-warm-up costs, bills and window costs are exact reductions
 of the paths, so they do not depend on the chunking.  Per-state occupancy mean
 and sum of squared deviations are merged across chunks by Chan's pairwise
 update, so memory is O(states + one chunk); the merge may move the last
@@ -39,7 +39,7 @@ import numpy as np
 
 from .costdist import default_r_max
 from .model import ModelError, StateSpace, TrafficClass, _charging, _check_horizon, stationary
-from .howard import ShadowPriceTable, _merge_atoms
+from .howard import BILL_MERGE_TOL, ShadowPriceTable, _merge_atoms
 
 __all__ = [
     "SimConfig",
@@ -59,8 +59,6 @@ BLOCK = 256
 # equal windows of (warmup, horizon] whose cost rates estimate a single
 # run's cost rate and its batch-means error
 BATCHES = 16
-# bill prices within this distance share an atom of the empirical bill law
-BILL_MERGE_TOL = 1e-9
 # a chunk of replications is reduced once its paths hold CHUNK_EVENTS events
 # or its (replication, state) occupancy block CHUNK_CELLS cells
 CHUNK_EVENTS = 2**16
@@ -72,9 +70,9 @@ _ZERO4 = np.zeros(4, dtype=np.uint64)
 class SimConfig:
     """Replication plan: horizon per replication, count, seed, warm-up.
 
-    ``warmup`` time is discarded from the occupancy, arrival and bill
-    estimates and from a single run's cost rate; the per-replication costs
-    always accumulate from time zero in the empty state.
+    ``warmup`` time is discarded from the occupancy and bill estimates and
+    from the cost rate; the per-replication costs always accumulate from
+    time zero in the empty state.
     ``seed`` is the first half of each replication's 128-bit Philox key, so
     it must lie in [0, 2**64).
     """
@@ -102,17 +100,16 @@ class SimResult:
     occupied at the horizon.  ``occupancy`` is the time-average state
     distribution past warmup, averaged over replications, with
     ``occupancy_se`` the replication-based standard error per state (NaN for
-    a single replication, where the pooled value is the only estimate);
-    ``arrival_occupancy`` the state distribution seen by arriving calls
-    (for the time-average comparison).  ``bill_samples[k]`` holds the shadow
-    prices charged to admitted class-k arrivals past warmup when ``prices``
-    was passed to :func:`simulate` (else nothing), and ``bill_reps[k]`` the
-    replication index of each bill so that per-replication statistics
-    (independent across replications) can be formed.  ``cost_rate`` and
-    ``cost_rate_se`` are the mean and standard error of the per-replication
-    rates (cost over [0, horizon] / horizon) when there are several
-    replications, and of the rates of ``BATCHES`` equal windows of
-    (warmup, horizon] (batch means) for a single one.  ``events`` counts
+    a single replication, where the pooled value is the only estimate).
+    ``bill_samples[k]`` holds the shadow prices charged to admitted class-k
+    arrivals past warmup when ``prices`` was passed to :func:`simulate` (else
+    nothing), and ``bill_reps[k]`` the replication index of each bill so
+    that per-replication statistics (independent across replications) can
+    be formed.  ``cost_rate`` and ``cost_rate_se`` are the mean and standard
+    error of the per-replication rates (cost over (warmup, horizon] /
+    (horizon - warmup)) when there are several replications, and of the
+    rates of ``BATCHES`` equal windows of (warmup, horizon] (batch means)
+    for a single one.  ``events`` counts
     every simulated event (arrivals, blocked or not, and departures) over
     all replications.
     """
@@ -122,7 +119,6 @@ class SimResult:
     final_states: np.ndarray
     occupancy: np.ndarray
     occupancy_se: np.ndarray
-    arrival_occupancy: np.ndarray
     bill_samples: list[np.ndarray]
     bill_reps: list[np.ndarray]
     cost_rate: float
@@ -239,9 +235,9 @@ class _Tally:
         self.price = None if prices is None else np.hstack([prices.p, np.zeros((n, K))]).ravel()
         self.total_costs = np.zeros(R, dtype=np.int64)
         self.final_states = np.zeros(R, dtype=np.int64)
+        self.late_costs = np.zeros(R, dtype=np.int64)
         self.occ_mean = np.zeros(n)
         self.occ_m2 = np.zeros(n)
-        self.arrival_counts = np.zeros(n, dtype=np.int64)
         # bills in replication order: class, price, and the count per replication
         self.bill_class, self.bill_price = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
         self.bill_count = np.zeros(R, dtype=np.int64)
@@ -265,7 +261,9 @@ class _Tally:
         cell = src * (2 * K) + ev  # the event's cell of the (states, 2K) tables
 
         charged = tables.charge.ravel()[cell]
+        post = at > W
         self.total_costs[first:first + m] = _segment_sums(charged, starts, ends)
+        self.late_costs[first:first + m] = _segment_sums(charged * post, starts, ends)
         self.final_states[first:first + m] = finals
 
         # sojourns in (W, H]: before each event from the previous one (or
@@ -286,15 +284,12 @@ class _Tally:
         self.occ_mean += delta * (m / total)
         self.occ_m2 += frac.sum(axis=0) + delta * delta * (first * m / total)
 
-        seen = at >= W
-        self.arrival_counts += np.bincount(src[seen & (ev < K)], minlength=n)
         if self.price is not None:
-            billed = seen & tables.admitted.ravel()[cell]
+            billed = (at >= W) & tables.admitted.ravel()[cell]
             self.bill_class.append(ev[billed])
             self.bill_price.append(self.price[cell[billed]])
             self.bill_count[first:first + m] = _segment_sums(billed, starts, ends)
         if self.config.replications == 1:
-            post = at > W
             window = np.minimum(((at[post] - W) * (BATCHES / (H - W))).astype(np.intp), BATCHES - 1)
             self.window_costs += np.bincount(window, weights=charged[post], minlength=BATCHES)
         self.reps = total
@@ -323,9 +318,9 @@ def simulate(
     drawn by inversion from blocks of uniforms.  The paths of a chunk of
     replications are reduced together with array operations, and per-state
     occupancy is merged across chunks by Chan's update, so memory is
-    O(states + one chunk).  A single replication's ``cost_rate`` and
-    ``cost_rate_se`` cover (warmup, horizon], by batch means over
-    ``BATCHES`` equal windows.
+    O(states + one chunk).  ``cost_rate`` and ``cost_rate_se`` cover
+    (warmup, horizon]: across replications, or by batch means over
+    ``BATCHES`` equal windows of a single one.
     """
     classes = tuple(classes)
     tables = _event_tables(space, classes)
@@ -344,11 +339,8 @@ def simulate(
             src, event, time, ends, finals = [], [], [], [], []
 
     occupancy_se = np.sqrt(tally.occ_m2 / (R - 1) / R) if R > 1 else np.full(n, math.nan)
-    arr_total = tally.arrival_counts.sum()
-    arrival_occ = tally.arrival_counts / arr_total if arr_total > 0 else tally.arrival_counts.astype(float)
-
     # per-replication rates, or a single run's window rates
-    rates = tally.total_costs / H if R > 1 else tally.window_costs / ((H - W) / BATCHES)
+    rates = tally.late_costs / (H - W) if R > 1 else tally.window_costs / ((H - W) / BATCHES)
 
     bill_class, bill_price = np.concatenate(tally.bill_class), np.concatenate(tally.bill_price)
     bill_rep = np.repeat(np.arange(R, dtype=np.int64), tally.bill_count)
@@ -359,7 +351,6 @@ def simulate(
         final_states=tally.final_states,
         occupancy=tally.occ_mean,
         occupancy_se=occupancy_se,
-        arrival_occupancy=arrival_occ,
         bill_samples=[bill_price[bill_class == k] for k in range(K)],
         bill_reps=[bill_rep[bill_class == k] for k in range(K)],
         cost_rate=float(rates.mean()),
@@ -479,10 +470,11 @@ def empirical_quantile(samples: np.ndarray, level: float) -> int:
 
 def empirical_bill_hist(result: SimResult, k: int) -> tuple[tuple[float, float], ...]:
     """Observed (price, frequency) atoms for admitted class-k arrivals,
-    prices within ``BILL_MERGE_TOL`` of an atom's first price merged."""
+    prices within ``BILL_MERGE_TOL`` of an atom's first price merged as
+    :func:`~losscost.howard.bill_distribution` merges them."""
     samples = result.bill_samples[k]
     if len(samples) == 0:
-        raise ModelError(f"no admitted class-{k} arrivals observed")
+        raise ModelError(f"no admitted class-{k + 1} arrivals observed")
     # equal prices always share an atom, so merging the distinct prices with
     # their counts gives the atoms of the sorted samples
     prices, counts = np.unique(samples, return_counts=True)

@@ -597,8 +597,7 @@ def _render_reference(out, model, method):
     total = cd.total_cost_distribution(space, classes, 2.0)
     grids = {"closed": (cd.closed_form_grid(space, classes, 2.0, len(total.mass) - 1, dist=dist), total)}
     grid = cd.evolve_simple_costs(space, classes, 2.0, 80, 12, warn=False)
-    grids["simple"] = (grid, cd.TotalCostDistribution.from_mass(
-        2.0, grid.total_cost(), 2.0 * dist.g, grid.leakage))
+    grids["simple"] = (grid, cd.TotalCostDistribution.from_mass(2.0, grid.total_cost(), grid.leakage))
     for d, (grid, total) in grids.items():
         reference_cost_grid(out / d / "cost_dist.csv", space, grid)
         reference_total_cost(out / d / "total_cost.csv", 2.0, total.mass)

@@ -397,7 +397,6 @@ def test_total_cost_mean_and_quantiles():
     dist = lc.stationary(space, classes)
     total = lc.total_cost_distribution(space, classes, t=2.0)
     assert total.mean == pytest.approx(2.0 * dist.g, abs=1e-8)
-    assert total.analytic_mean == pytest.approx(2.0 * dist.g, abs=1e-15)
     assert total.leakage <= 1e-6
     cum = np.cumsum(total.mass)
     assert cum[total.q95] >= 0.95
@@ -429,6 +428,23 @@ def test_step_size_guard():
                  lambda: lc.evolve_simple_costs(space, huge, 5.0, 10, 10)):
         with pytest.raises(lc.ModelError, match="not finite"):
             call()
+
+
+def test_true_leak_at_large_mean_is_seen():
+    # one circuit at lam = 1e5: the blocked state pays Poisson(1e5) costs,
+    # and a truncation at their 2e-6 upper quantile leaks pi(1) * 2e-6,
+    # above LEAKAGE_WARN, so the risk law doubles it once
+    classes = (lc.TrafficClass(lam=1e5, mu=1e-3, bandwidth=1, omega=1),)
+    space = lc.enumerate_states(classes, lc.FullSharing(capacity=1))
+    r_max = int(scipy.stats.poisson.isf(2e-6, 1e5))
+    assert r_max == 101_462
+    pi = lc.stationary(space, classes).pi
+    grid = cd.closed_form_grid(space, classes, 1.0, r_max)
+    assert grid.leakage == pytest.approx(pi[1] * scipy.stats.poisson.sf(r_max, 1e5), rel=1e-4)
+    assert grid.leakage > cd.LEAKAGE_WARN
+    total = lc.total_cost_distribution(space, classes, 1.0, r_max=r_max)
+    assert len(total.mass) - 1 == 2 * r_max
+    assert total.leakage <= cd.LEAKAGE_WARN
 
 
 def test_leakage_warning():

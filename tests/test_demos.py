@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the package in ``src``."""
+"""Every demo script runs to completion against the package in ``src``,
+with every warning turned into an error as the in-process tests have it."""
 
 import os
 import subprocess
@@ -14,6 +15,6 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
-    proc = subprocess.run([sys.executable, str(demo)], env=env, cwd=tmp_path,
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

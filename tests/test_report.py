@@ -183,7 +183,7 @@ def test_cost_grid(tmp_path, rng, K, n):
         space = Space(rng.integers(0, 40, (states, K)))
         grid = CostGrid(mass=floats(rng, states * width).reshape(states, width),
                         horizon=float(rng.choice(SPECIAL[3:] + (2.0, 0.1))), steps=0,
-                        r_max=width - 1, leakage=0.0, scheme="closed")
+                        r_max=width - 1, leakage=0.0)
         same_bytes(tmp_path, report.write_cost_grid, reference_cost_grid, space, grid)
 
 
@@ -194,7 +194,7 @@ def test_total_cost_and_risk(tmp_path, rng, n):
         with np.errstate(over="ignore", invalid="ignore"):  # cumsum over ±inf and 1e308
             same_bytes(tmp_path, report.write_total_cost, reference_total_cost, t, mass)
     for mean in SPECIAL:
-        dist = TotalCostDistribution(t=7.5, mass=mass, mean=mean, analytic_mean=0.0,
+        dist = TotalCostDistribution(t=7.5, mass=mass, mean=mean,
                                      q95=int(rng.integers(0, 100)), q99=2**40, leakage=0.0)
         same_bytes(tmp_path, report.write_risk, reference_risk, dist)
 

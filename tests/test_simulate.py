@@ -65,15 +65,6 @@ def test_occupancy_total_variation():
     assert res.occupancy.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_arrivals_see_time_averages():
-    classes, space = k2_reference()
-    res = lc.simulate(
-        space, classes, lc.SimConfig(horizon=50_000.0, replications=1, seed=3, warmup=50.0)
-    )
-    tv = 0.5 * np.abs(res.arrival_occupancy - res.occupancy).sum()
-    assert tv < 0.01
-
-
 def test_total_cost_mean_three_sigma():
     classes, space = k2_reference()
     dist = lc.stationary(space, classes)
@@ -160,7 +151,7 @@ def test_empirical_bills_match_distribution():
         assert phat == pytest.approx(want, abs=3.0 * se)
 
 
-def loop_bill_hist(samples, merge_tol=1e-9):
+def loop_bill_hist(samples, merge_tol=simulate_module.BILL_MERGE_TOL):
     """Bill atoms merged over every sorted sample, the loop that
     ``empirical_bill_hist`` replaced."""
     atoms = []
@@ -189,10 +180,25 @@ def test_empirical_bill_hist_matches_sample_loop(rng, monkeypatch):
         assert lc.empirical_bill_hist(fake, 0) == loop_bill_hist(samples, tol)
 
 
+def test_empirical_bill_atoms_are_the_analytic_ones():
+    # prices of one class that lie within 1e-9 of each other stay separate
+    # atoms in both laws: every bill is a copy of a price table entry
+    classes = (lc.TrafficClass(lam=2.0, mu=1.0, bandwidth=1, omega=3),)
+    space = lc.enumerate_states(classes, lc.FullSharing(capacity=17))
+    dist, prices = _prices(classes, space)
+    bills = lc.bill_distribution(prices, dist.pi, space)
+    tiny = [p for p, _ in bills.per_class[0] if p < 1e-9]
+    assert len(tiny) == 4
+    every = prices.p[space.admissible[:, 0], 0]
+    res = lc.simulate(space, classes, lc.SimConfig(horizon=1.0, seed=1), prices=prices)
+    fake = dataclasses.replace(res, bill_samples=[every])
+    assert [p for p, _ in lc.empirical_bill_hist(fake, 0) if p < 1e-9] == tiny
+
+
 def test_empirical_bill_requires_recording():
     classes, space = k1_instance()
     res = lc.simulate(space, classes, lc.SimConfig(horizon=10.0, replications=2, seed=1))
-    with pytest.raises(lc.ModelError):
+    with pytest.raises(lc.ModelError, match="class-1 "):
         lc.empirical_bill_hist(res, 0)
 
 
@@ -243,7 +249,7 @@ def test_empirical_quantile_rule():
     assert lc.empirical_quantile(costs, 0.95) == 949
     assert lc.empirical_quantile(costs, 0.99) == 989
     mass = np.full(1000, 1e-3)
-    total = lc.TotalCostDistribution.from_mass(1.0, mass, 0.0, 0.0)
+    total = lc.TotalCostDistribution.from_mass(1.0, mass, 0.0)
     assert (total.q95, total.q99) == (949, 989)
 
 
@@ -317,17 +323,37 @@ def test_single_run_batch_means_exclude_warmup():
     assert res.cost_rate_se < 0.05
 
 
+def _late_charges(space, classes, cfg):
+    """Cost that ``reference_walk`` charges in (warmup, horizon], per replication."""
+    tables = _event_tables(space, classes)
+    late = []
+    for rep in range(cfg.replications):
+        states, events, times = reference_walk(tables, _rng_for(cfg.seed, rep), cfg.horizon)
+        late.append(sum(int(tables.charge[s, e])
+                        for s, e, at in zip(states, events, times[1:]) if at > cfg.warmup))
+    return late
+
+
 def test_single_run_cost_rate_excludes_warmup():
     # a single run's rate is the cost charged in (warmup, horizon] over its
     # length, the span its batch-means error bar covers
     classes, space = k2_reference()
     cfg = lc.SimConfig(horizon=50.0, replications=1, seed=9, warmup=20.0)
     res = lc.simulate(space, classes, cfg)
-    tables = _event_tables(space, classes)
-    states, events, times = reference_walk(tables, _rng_for(cfg.seed, 0), cfg.horizon)
-    late = sum(int(tables.charge[s, e]) for s, e, at in zip(states, events, times[1:]) if at > cfg.warmup)
+    late, = _late_charges(space, classes, cfg)
     assert late < res.total_cost_samples[0]
     assert res.cost_rate * (cfg.horizon - cfg.warmup) == pytest.approx(late, rel=1e-12)
+
+
+def test_cost_rate_excludes_warmup_across_replications():
+    # several replications estimate the rate over the same span as one run:
+    # the mean of their costs in (warmup, horizon] over its length
+    classes, space = k2_reference()
+    cfg = lc.SimConfig(horizon=50.0, replications=3, seed=9, warmup=20.0)
+    res = lc.simulate(space, classes, cfg)
+    late = _late_charges(space, classes, cfg)
+    assert all(np.array(late) < res.total_cost_samples)
+    assert res.cost_rate * (cfg.horizon - cfg.warmup) == pytest.approx(np.mean(late), rel=1e-12)
 
 
 def test_streams_keyed_by_replication():
@@ -506,9 +532,9 @@ def reference_simulate(space, classes, config, prices=None):
     H, W = config.horizon, config.warmup
     total_costs = np.zeros(R, dtype=np.int64)
     final_states = np.zeros(R, dtype=np.int64)
+    late_costs = np.zeros(R, dtype=np.int64)
     occ_mean = np.zeros(n)
     occ_m2 = np.zeros(n)
-    arrival_counts = np.zeros(n, dtype=np.int64)
     bill_class, bill_price = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
     bill_count = np.zeros(R, dtype=np.int64)
     window_costs = np.zeros(BATCHES)
@@ -522,16 +548,15 @@ def reference_simulate(space, classes, config, prices=None):
         at = times[1:-1]
         charged = tables.charge[src, ev]
         total_costs[rep] = charged.sum()
+        late_costs[rep] = charged[at > W].sum()
         final_states[rep] = states[-1]
         events += len(ev)
         frac = np.bincount(path, weights=np.diff(np.clip(times, W, H)), minlength=n) / (H - W)
         delta = frac - occ_mean
         occ_mean += delta / (rep + 1)
         occ_m2 += delta * (frac - occ_mean)
-        seen = at >= W
-        arrival_counts += np.bincount(src[seen & (ev < K)], minlength=n)
         if prices is not None:
-            billed = seen & tables.admitted[src, ev]
+            billed = (at >= W) & tables.admitted[src, ev]
             bill_class.append(ev[billed])
             bill_price.append(prices.p[src[billed], ev[billed]])
             bill_count[rep] = len(bill_class[-1])
@@ -540,22 +565,19 @@ def reference_simulate(space, classes, config, prices=None):
             window = np.minimum(((at[post] - W) * (BATCHES / (H - W))).astype(np.intp), BATCHES - 1)
             window_costs += np.bincount(window, weights=charged[post], minlength=BATCHES)
     occupancy_se = np.sqrt(occ_m2 / (R - 1) / R) if R > 1 else np.full(n, math.nan)
-    arr_total = arrival_counts.sum()
-    arrival_occ = arrival_counts / arr_total if arr_total > 0 else arrival_counts.astype(float)
-    rates = total_costs / H if R > 1 else window_costs / ((H - W) / BATCHES)
+    rates = late_costs / (H - W) if R > 1 else window_costs / ((H - W) / BATCHES)
     bill_class, bill_price = np.concatenate(bill_class), np.concatenate(bill_price)
     bill_rep = np.repeat(np.arange(R, dtype=np.int64), bill_count)
     return lc.SimResult(
         config=config, total_cost_samples=total_costs, final_states=final_states,
-        occupancy=occ_mean, occupancy_se=occupancy_se, arrival_occupancy=arrival_occ,
+        occupancy=occ_mean, occupancy_se=occupancy_se,
         bill_samples=[bill_price[bill_class == k] for k in range(K)],
         bill_reps=[bill_rep[bill_class == k] for k in range(K)],
         cost_rate=float(rates.mean()), cost_rate_se=float(rates.std(ddof=1) / math.sqrt(len(rates))),
         events=events)
 
 
-EXACT_FIELDS = ("total_cost_samples", "final_states", "arrival_occupancy", "events",
-                "cost_rate", "cost_rate_se")
+EXACT_FIELDS = ("total_cost_samples", "final_states", "events", "cost_rate", "cost_rate_se")
 
 
 def assert_same_run(got, want):
