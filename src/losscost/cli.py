@@ -61,8 +61,9 @@ def cmd_stationary(args, _=None) -> tuple[int, dict]:
     return 0, {"states": len(space)}
 
 
-def _relative_costs(space, classes, dist, method: str, terms: int):
-    """(costs, residual history, warnings) of one ``--method``."""
+def _relative_costs(space, classes, dist, method: str, terms: int | None):
+    """(costs, residual history, warnings) of one ``--method``; ``terms`` is
+    read by ``series`` only."""
     if method == "exact":
         costs = hw.solve_howard_exact(space, classes, dist.g, dist.r)
         return costs, (costs.residual,), 0
@@ -75,8 +76,13 @@ def _relative_costs(space, classes, dist, method: str, terms: int):
 
 
 def cmd_shadow(args, _=None) -> tuple[int, dict]:
+    meta = {}
+    if args.method == "series":
+        meta["terms"] = hw.SERIES_TERMS if args.terms is None else args.terms
+    elif args.terms is not None:
+        raise ModelError(f"--terms applies to --method series only, not {args.method}")
     classes, space, dist = _load(args)
-    costs, history, warnings = _relative_costs(space, classes, dist, args.method, args.terms)
+    costs, history, warnings = _relative_costs(space, classes, dist, args.method, meta.get("terms"))
     out = Path(args.out)
     report.write_relative_costs(out / "relative_costs.csv", space, costs)
     prices = hw.shadow_prices(costs, space)
@@ -84,10 +90,12 @@ def cmd_shadow(args, _=None) -> tuple[int, dict]:
     report.write_bill_distribution(out / "bill_dist.csv", hw.bill_distribution(prices, dist.pi, space))
     report.write_table(out / "residuals.csv", ["method", "terms", "residual"],
                        [args.method, np.arange(len(history)), np.array(history, dtype=float)])
-    return warnings, {"states": len(space), "method": args.method}
+    return warnings, {"states": len(space), "method": args.method, **meta}
 
 
 def cmd_costdist(args, _=None) -> tuple[int, dict]:
+    if args.scheme == "closed" and args.steps is not None:
+        raise ModelError("--steps applies to the shadow and simple schemes only, not closed")
     classes, space, dist = _load(args)
     out, t, meta = Path(args.out), args.t, {}
     if args.scheme == "closed":
@@ -203,14 +211,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shadow", help="relative costs, shadow prices, bill distribution")
     common(p)
     p.add_argument("--method", default="exact", choices=_METHODS)
-    p.add_argument("--terms", type=int, default=6, help="series correction terms")
+    p.add_argument("--terms", type=int, default=None,
+                   help=f"series correction terms (--method series only; default {hw.SERIES_TERMS})")
     p.set_defaults(fn=cmd_shadow)
 
     p = sub.add_parser("costdist", help="accumulated-cost distribution over a horizon")
     common(p)
     p.add_argument("--t", type=horizon, required=True, help="time horizon, finite and > 0")
     p.add_argument("--scheme", default="closed", choices=("shadow", "simple", "closed"))
-    p.add_argument("--steps", type=int, default=None, help="recursion steps (default: minimal valid)")
+    p.add_argument("--steps", type=int, default=None,
+                   help="recursion steps of the shadow and simple schemes (default: minimal valid)")
     p.add_argument("--rmax", type=int, default=None, help="cost truncation (default: automatic)")
     p.set_defaults(fn=cmd_costdist)
 

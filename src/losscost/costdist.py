@@ -399,7 +399,9 @@ class TotalCostDistribution:
     @classmethod
     def from_mass(cls, t: float, mass: np.ndarray, leakage: float) -> "TotalCostDistribution":
         """Risk summary of a truncated cost law: mean and 95%/99% quantiles
-        (the smallest r whose cumulative mass reaches the level)."""
+        (the smallest r whose cumulative mass reaches the level).  When the
+        truncated mass never reaches a level, that quantile is
+        ``len(mass)``, r_max + 1: it lies past the truncation."""
         cum = np.cumsum(mass)
         return cls(t, mass, float(mass @ np.arange(len(mass))),
                    int(np.searchsorted(cum, 0.95)), int(np.searchsorted(cum, 0.99)), leakage)

@@ -70,6 +70,8 @@ COND_LIMIT = 1e12
 BILL_MERGE_TOL = 1e-12
 SERIES_CONVERGED_TOL = 1e-6
 SERIES_STALL_TOL = 1e-10
+# correction terms of a series completion when none are asked for
+SERIES_TERMS = 6
 # most cells in the series completion's box plus its per-class matrices; the
 # 585,276-state K=3 model at the default 6 terms needs 159^3 + 3 * 159^2,
 # about 4.1M
@@ -383,7 +385,7 @@ def series_refine(
     g: float,
     r: np.ndarray,
     u: Callable[[tuple[int, ...]], float] | None = None,
-    n_terms: int = 6,
+    n_terms: int = SERIES_TERMS,
 ) -> SeriesResult:
     """Complete a starting approximation by per-class correction terms.
 

@@ -3,10 +3,11 @@
 A single link of integer capacity is shared by K call classes.  Class j calls
 arrive in a Poisson stream of rate ``lam``, hold ``bandwidth`` capacity units
 for an exponential time with rate ``mu``, and cost ``omega`` units when
-blocked.  The admission policy decides which classes are accepted in each
-occupancy state; the accepted region is coordinate convex for the two
-policies implemented here, which is exactly the condition under which the
-occupancy has a product-form stationary law.
+blocked.  An admission policy defines the set of occupancy states; both
+policies here give a coordinate-convex set (closed under departures), which
+is exactly the condition under which the occupancy has a product-form
+stationary law.  Admission follows from the set: a class-j arrival in state
+q is accepted iff q + e_j is a state.
 """
 
 from __future__ import annotations
@@ -99,19 +100,15 @@ class TrafficClass:
 
 @dataclass(frozen=True)
 class FullSharing:
-    """Complete sharing of ``capacity`` units: class j is admitted in state q
-    iff the occupied capacity plus one more class-j call fits."""
+    """Complete sharing of ``capacity`` units: the states are the q whose
+    occupied capacity sum_j q_j b_j fits, so class j is admitted in state q
+    iff one more class-j call fits beside it."""
 
     capacity: int
 
     def __post_init__(self) -> None:
         if not isinstance(self.capacity, (int, np.integer)) or self.capacity < 1:
             raise ModelError(f"capacity must be a positive integer, got {self.capacity}")
-
-    def admission_mask(self, occupancy: np.ndarray, classes: Sequence[TrafficClass]) -> np.ndarray:
-        """``mask[i, j]``: one more class-j call fits beside occupancy row i."""
-        b = np.array([c.bandwidth for c in classes], dtype=np.int64)
-        return (occupancy @ b)[:, None] <= self.capacity - b
 
     def _max_calls(self, prefix: np.ndarray, classes: Sequence[TrafficClass]) -> np.ndarray:
         # most calls of class j = prefix.shape[1] that fit beside each prefix
@@ -124,7 +121,8 @@ class FullSharing:
 
 @dataclass(frozen=True)
 class PerClassThreshold:
-    """Separate cap per class: class j is admitted iff q_j < thresholds[j]."""
+    """Separate cap per class: the states are the q with q_j <= thresholds[j],
+    so class j is admitted iff q_j < thresholds[j]."""
 
     thresholds: tuple[int, ...]
 
@@ -132,11 +130,6 @@ class PerClassThreshold:
         object.__setattr__(self, "thresholds", tuple(int(t) for t in self.thresholds))
         if not self.thresholds or any(t < 1 for t in self.thresholds):
             raise ModelError(f"thresholds must be positive integers, got {self.thresholds}")
-
-    def admission_mask(self, occupancy: np.ndarray, classes: Sequence[TrafficClass]) -> np.ndarray:
-        """``mask[i, j]``: occupancy row i holds fewer than ``thresholds[j]``
-        class-j calls."""
-        return occupancy < np.array(self.thresholds, dtype=np.int64)
 
     def _max_calls(self, prefix: np.ndarray, classes: Sequence[TrafficClass]) -> np.ndarray:
         return np.full(len(prefix), min(self.thresholds[prefix.shape[1]], _INT64_MAX))
@@ -146,15 +139,17 @@ AdmissionPolicy = Union[FullSharing, PerClassThreshold]
 
 
 class StateSpace:
-    """Admitted states with dense indexing and neighbour lookups.
+    """A coordinate-convex state set with dense indexing and neighbour lookups.
 
     ``occupancy[i]`` holds the per-class call counts of state i; index 0 is
     always the empty state, and :func:`enumerate_states` orders the states
-    lexicographically.  ``admissible[i, j]`` says whether a class-j arrival
-    is accepted in state i, ``up[i, j]``/``down[i, j]`` hold the dense index
-    of the state after an accepted arrival / a departure (-1 when there is
-    no such state).  ``states`` (a tuple of tuples) and ``index`` (tuple ->
-    dense index) are built on first use.
+    lexicographically.  ``up[i, j]``/``down[i, j]`` hold the dense index of
+    q + e_j / q - e_j (-1 when there is no such state).  Admission is
+    membership: ``admissible[i, j]`` (a class-j arrival is accepted in state
+    i) is ``up[i, j] >= 0``, so every accepted arrival has a successor and,
+    the set being closed under departures, so does every departure.
+    ``states`` (a tuple of tuples) and ``index`` (tuple -> dense index) are
+    built on first use.
 
     The constructor accepts the states in any order.  Neighbours are found
     by binary search on mixed-radix codes (last class fastest, radix
@@ -162,7 +157,7 @@ class StateSpace:
     that would pass int64 are Python integers, which order the same way.
     """
 
-    def __init__(self, states: Sequence[Sequence[int]] | np.ndarray, admissible: np.ndarray):
+    def __init__(self, states: Sequence[Sequence[int]] | np.ndarray):
         if len(states) == 0:
             raise ModelError("state space is empty")
         try:
@@ -184,9 +179,6 @@ class StateSpace:
             raise ModelError("duplicate states")
         if occ[0].any():
             raise ModelError("state space must contain the empty state at index 0")
-        self.admissible = np.asarray(admissible, dtype=bool)
-        if self.admissible.shape != (n, self.K):
-            raise ModelError("admissible mask has wrong shape")
         self.occupancy = occ
 
         def find(target: np.ndarray) -> np.ndarray:
@@ -199,6 +191,7 @@ class StateSpace:
         self.down = find(codes[:, None] - stride)
         if (self.down[occ > 0] < 0).any():
             raise ModelError("state space is not closed under departures")
+        self.admissible = self.up >= 0
 
     @functools.cached_property
     def states(self) -> tuple[tuple[int, ...], ...]:
@@ -226,14 +219,14 @@ def enumerate_states(
     policy: AdmissionPolicy,
     cap: int = DEFAULT_STATE_CAP,
 ) -> StateSpace:
-    """Enumerate the states reachable from empty under the admission policy.
+    """Enumerate the state set the admission policy defines.
 
-    Both policies admit a coordinate-convex region, so the reachable states
-    are all q with q_j <= t_j (thresholds) or sum_j q_j b_j <= C (full
-    sharing).  They are built class by class as integer rows: each partial
-    row for classes 0..j-1 is repeated once for every count class j can
-    still take (``(C - used) // b_j + 1`` or ``t_j + 1``), which keeps the
-    rows in lexicographic order.  Raises :class:`StateSpaceSizeError` when
+    The states are all q with q_j <= t_j (thresholds) or sum_j q_j b_j <= C
+    (full sharing), a coordinate-convex set whose membership gives the
+    admission of each class (see :class:`StateSpace`).  They are built class
+    by class as integer rows: each partial row for classes 0..j-1 is repeated
+    once for every count class j can still take (``(C - used) // b_j + 1`` or
+    ``t_j + 1``), which keeps the rows in lexicographic order.  Raises :class:`StateSpaceSizeError` when
     more than ``cap`` states would be built, before allocating them.
     """
     classes = tuple(classes)
@@ -257,18 +250,15 @@ def enumerate_states(
         occ = np.column_stack(
             [np.repeat(occ, counts, axis=0), np.arange(n) - np.repeat(start, counts)]
         )
-    return StateSpace(occ, policy.admission_mask(occ, classes))
+    return StateSpace(occ)
 
 
 def verify_consistency(space: StateSpace) -> bool:
-    """Check that the admission mask and the state set agree.
+    """True iff the admission mask matches membership of q + e_j for every
+    state q and class j.
 
-    True iff for every state q and class j the mask bit matches membership of
-    q + e_j: a blocked class must have no successor state (no sneak path into
-    it either), and an admitted class must have one.  Both admission policies
-    above satisfy this by construction; a hand-built space may not.
-    ``space.up`` already records membership of q + e_j, so this is one array
-    comparison.
+    Every :class:`StateSpace` derives its mask from that membership, so this
+    holds by construction.
     """
     return bool(np.array_equal(space.admissible, space.up >= 0))
 
@@ -276,19 +266,11 @@ def verify_consistency(space: StateSpace) -> bool:
 def sparse_generator(
     space: StateSpace, classes: Sequence[TrafficClass]
 ) -> scipy.sparse.csr_matrix:
-    """Continuous-time generator in CSR form: arrivals at rate lam into
-    admitted successors, departures at rate mu * q_j, diagonal = -row sum.
-
-    Raises :class:`ModelError` when an admitted class has no successor state.
-    """
+    """Continuous-time generator in CSR form: arrivals at rate lam into the
+    successor q + e_j wherever it is a state (the class is admitted there),
+    departures at rate mu * q_j, diagonal = -row sum."""
     classes = tuple(classes)
     n = len(space)
-    orphan = np.argwhere(space.admissible & (space.up < 0))
-    if len(orphan):
-        i, j = orphan[0]
-        raise ModelError(
-            f"state {space.states[i]} admits class {j} but has no successor"
-        )
     lam = np.array([c.lam for c in classes])
     mu = np.array([c.mu for c in classes])
     arrive = np.where(space.admissible, lam, 0.0)
@@ -365,18 +347,14 @@ def stationary(
     space: StateSpace, classes: Sequence[TrafficClass]
 ) -> StationaryDistribution:
     """Stationary distribution pi(q) = G^-1 prod_j rho_j^q_j / q_j! over the
-    admitted states, with the average blocking-cost rate.
+    states, with the average blocking-cost rate.
 
-    The admission mask is verified against the state set first
-    (:func:`verify_consistency`); the product form is only valid then.
+    The product form holds because every :class:`StateSpace` is closed under
+    departures and admits exactly the arrivals that stay in the set.
     """
     classes = tuple(classes)
     if len(classes) != space.K:
         raise ModelError(f"{len(classes)} classes for K={space.K} space")
-    if not verify_consistency(space):
-        raise ModelError(
-            "admission mask inconsistent with state set; product form does not apply"
-        )
 
     logw = _log_weights(space, classes)
     m = float(np.max(logw))

@@ -173,14 +173,9 @@ def _event_tables(space: StateSpace, classes: Sequence[TrafficClass]) -> _EventT
     mu = np.array([c.mu for c in classes], dtype=float)
     omega = np.array([c.omega for c in classes], dtype=np.int64)
     rates = np.hstack([np.broadcast_to(lam, (n, K)), mu * space.occupancy])
+    # a blocked arrival stays put; a departure of a class with q_j = 0 has
+    # rate zero and is never drawn
     nxt = np.hstack([np.where(space.admissible, space.up, np.arange(n)[:, None]), space.down])
-    # a zero-rate event is never drawn, so only events that can fire need a
-    # successor; this check stands in for one on every simulated event
-    missing = np.argwhere((rates > 0) & (nxt < 0))
-    if len(missing):
-        i, e = missing[0]
-        event = f"class-{e + 1} arrival" if e < K else f"class-{e - K + 1} departure"
-        raise ModelError(f"a {event} from state {space.occupancy[i].tolist()} leads to no state of the space")
     cum = np.cumsum(rates, axis=1)
     departures = np.zeros((n, K), dtype=np.int64)
     return _EventTables(
@@ -447,6 +442,8 @@ def empirical_total_cost_hist(
     """
     samples = np.asarray(samples)
     n = len(samples)
+    if n == 0:
+        raise ModelError("no samples to take a histogram of")
     counts = np.bincount(samples[samples <= r_max], minlength=r_max + 1).astype(float)
     p = counts / n
     z = 1.959963984540054

@@ -33,6 +33,15 @@ ZERO_RATE_MODEL = K1_MODEL.replace('"lambda": 1.0', '"lambda": 0.0')
 
 ZERO_COST_MODEL = K1_MODEL.replace('"omega": 1', '"omega": 0')
 
+B12_MODEL = """{
+  "classes": [
+    {"lambda": 3.0, "mu": 1.0, "bandwidth": 1, "omega": 1},
+    {"lambda": 1.0, "mu": 1.0, "bandwidth": 2, "omega": 2}
+  ],
+  "policy": {"type": "full_sharing", "capacity": 6}
+}
+"""
+
 
 def _write(tmp_path, text, name="model.json"):
     p = tmp_path / name
@@ -392,7 +401,11 @@ def test_costdist_rejects_infinite_rate_products(tmp_path, capsys, scheme, extra
     assert main(["costdist", "--model", path, "--out", str(tmp_path / "o"),
                  "--t", "5", "--scheme", scheme, *extra]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: horizon 5 times") and "not finite" in err
+    if scheme == "closed" and extra:
+        # the closed scheme takes no steps, so the flag is refused first
+        assert err.startswith("error: --steps applies")
+    else:
+        assert err.startswith("error: horizon 5 times") and "not finite" in err
 
 
 @pytest.mark.parametrize("command", ["stationary", "shadow", "costdist", "simulate"])
@@ -473,11 +486,61 @@ def test_csv_file_format(tmp_path):
                     assert FLOAT.fullmatch(field) or field in ("nan", "overflow"), (name, key, field)
 
 
+def test_csv_table_in_readme_matches_headers():
+    # README's output-file table, q1..qK and blocking_prob_1..K read at K=1
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = re.findall(r"^\| \w+ +\| `([\w.]+\.csv)` +\| `([^`]*)`", readme, re.MULTILINE)
+    table = {name: cols.replace("q1..qK", "q1").replace("blocking_prob_1..blocking_prob_K", "blocking_prob_1")
+             .replace(", ", ",") for name, cols in rows}
+    assert len(rows) == len(table)
+    assert table == CSV_HEADERS
+
+
 def test_simulate_rejects_negative_seed(tmp_path, capsys):
     model = _write(tmp_path, K1_MODEL)
     assert main(["simulate", "--model", model, "--out", str(tmp_path / "o"),
                  "--t", "10", "--reps", "2", "--seed", "-1"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["costdist", "--t", "2", "--scheme", "closed", "--steps", "5"], "--steps"),
+    (["costdist", "--t", "2", "--steps", "5"], "--steps"),
+    (["shadow", "--method", "exact", "--terms", "-3"], "--terms"),
+    (["shadow", "--terms", "6"], "--terms"),
+    (["shadow", "--method", "general", "--terms", "2"], "--terms"),
+], ids=["closed-steps", "default-scheme-steps", "exact-terms", "default-method-terms", "general-terms"])
+def test_cli_rejects_flags_that_do_not_apply(tmp_path, capsys, argv, flag):
+    model = _write(tmp_path, K1_MODEL)
+    out = tmp_path / "o"
+    assert main(argv + ["--model", model, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {flag} applies")
+    assert not (out / "run_manifest.json").exists()
+
+
+def test_shadow_series_manifest_names_default_terms(tmp_path):
+    model = _write(tmp_path, ASYMMETRIC_MODEL)
+    runs = {"default": [], "explicit": ["--terms", "6"]}
+    for name, extra in runs.items():
+        assert main(["shadow", "--model", model, "--out", str(tmp_path / name),
+                     "--method", "series", *extra]) in (0, 3)
+    default, explicit = (json.loads((tmp_path / name / "run_manifest.json").read_text()) for name in runs)
+    assert default["terms"] == explicit["terms"] == 6
+    assert "terms" not in default["parameters"]
+    for name in ("relative_costs.csv", "residuals.csv"):
+        assert (tmp_path / "default" / name).read_bytes() == (tmp_path / "explicit" / name).read_bytes()
+
+
+def test_risk_quantile_past_truncation_reads_rmax_plus_one(tmp_path):
+    # with r_max = 1 the truncated law never reaches 0.95: both quantiles
+    # read r_max + 1, and the leakage warning makes the run exit 3
+    model = _write(tmp_path, B12_MODEL)
+    out = tmp_path / "o"
+    assert main(["costdist", "--model", model, "--out", str(out), "--t", "2",
+                 "--scheme", "simple", "--rmax", "1"]) == 3
+    assert float(_read_csv(out / "total_cost.csv")[-1]["cumulative"]) < 0.95
+    risk = _read_csv(out / "risk.csv")[0]
+    assert (int(risk["q95"]), int(risk["q99"])) == (2, 2)
 
 
 @pytest.mark.parametrize("scheme", ["shadow", "simple"])

@@ -499,7 +499,7 @@ def test_bill_distribution_matches_scan(rng):
 def test_bill_distribution_never_admitted_class():
     # a class that no state admits pays no bill: its law is empty
     states = [(0,)]
-    space = lc.StateSpace(states, np.array([[False]]))
+    space = lc.StateSpace(states)
     table = lc.shadow_prices(np.zeros(1), space)
     bills = lc.bill_distribution(table, np.array([1.0]), space)
     assert bills.per_class == ((),)

@@ -97,6 +97,14 @@ def test_enumeration_matches_box_scan(rng):
         assert np.array_equal(space.admissible, admits)
 
 
+def _policy_admits(classes, policy, occupancy):
+    # the policy's admission rule written out: one more call fits
+    if isinstance(policy, lc.FullSharing):
+        b = np.array([c.bandwidth for c in classes])
+        return (occupancy @ b)[:, None] + b <= policy.capacity
+    return occupancy < np.array(policy.thresholds)
+
+
 def test_neighbours_match_loop_reference(rng):
     # 40 classes at C=2: 861 states, but a code range of 4**40, past int64
     models = _models(rng) + [((lc.TrafficClass(1.0, 1.0),) * 40, lc.FullSharing(capacity=2))]
@@ -105,35 +113,67 @@ def test_neighbours_match_loop_reference(rng):
         up, down = _loop_neighbours(space.states, space.K)
         assert np.array_equal(space.up, up)
         assert np.array_equal(space.down, down)
-        assert np.array_equal(space.admissible, policy.admission_mask(space.occupancy, classes))
+        assert np.array_equal(space.admissible, _policy_admits(classes, policy, space.occupancy))
         assert all(space.index[q] == i for i, q in enumerate(space.states))
 
 
 def test_hand_built_space_in_any_order(rng):
     classes, space = k2_reference()
     perm = np.concatenate([[0], 1 + rng.permutation(len(space) - 1)])
-    shuffled = lc.StateSpace([space.states[i] for i in perm], space.admissible[perm])
+    shuffled = lc.StateSpace([space.states[i] for i in perm])
     # state i of the shuffled space is state perm[i] of the sorted one
     where = np.argsort(perm)
     assert np.array_equal(shuffled.occupancy, space.occupancy[perm])
     for new, old in ((shuffled.up, space.up), (shuffled.down, space.down)):
         assert np.array_equal(new, np.where(old[perm] >= 0, where[old[perm]], -1))
+    assert np.array_equal(shuffled.admissible, space.admissible[perm])
     assert shuffled.index[(1, 1)] == int(where[space.index[(1, 1)]])
 
 
-@pytest.mark.parametrize("states, admissible, match", [
-    ([], np.zeros((0, 1), dtype=bool), "empty"),
-    ([(0, 0), (1,)], np.zeros((2, 2), dtype=bool), "inconsistent dimension"),
-    ([0, 1], np.zeros((2, 1), dtype=bool), "inconsistent dimension"),
-    ([(0,), (-1,)], np.zeros((2, 1), dtype=bool), ">= 0"),
-    ([(0, 0), (1, 0), (1, 0)], np.zeros((3, 2), dtype=bool), "duplicate"),
-    ([(1,), (0,)], np.zeros((2, 1), dtype=bool), "empty state at index 0"),
-    ([(0,), (1,)], np.zeros((2, 2), dtype=bool), "wrong shape"),
-    ([(0, 0), (1, 1)], np.zeros((2, 2), dtype=bool), "not closed under departures"),
+def test_admission_is_membership_on_random_down_sets(rng):
+    # drop one maximal state (no successor in any class) from a policy's
+    # space: still closed under departures, but no policy here produces it
+    for classes, policy in _models(rng):
+        full = lc.enumerate_states(classes, policy)
+        tops = np.flatnonzero((full.up < 0).all(axis=1) & (full.occupancy.sum(axis=1) > 0))
+        if len(tops) == 0:
+            continue
+        keep = np.delete(np.arange(len(full)), rng.choice(tops))
+        space = lc.StateSpace(full.occupancy[keep])
+        up, _ = _loop_neighbours(space.states, space.K)
+        assert np.array_equal(space.admissible, up >= 0)
+        assert lc.verify_consistency(space)
+
+
+def test_hand_built_down_set():
+    # a down-set that neither policy produces
+    states = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)]
+    classes = (lc.TrafficClass(lam=1.3, mu=1.0, omega=1), lc.TrafficClass(lam=0.6, mu=0.8, omega=2))
+    space = lc.StateSpace(states)
+    admits = [[(q[0] + 1, q[1]) in states, (q[0], q[1] + 1) in states] for q in states]
+    assert space.admissible.tolist() == admits
+    dist = lc.stationary(space, classes)
+    # oracle: pi Q = 0 with sum pi = 1, one balance equation replaced
+    A = lc.build_generator(space, classes).T
+    A[-1] = 1.0
+    ref = np.linalg.solve(A, np.eye(len(space))[-1])
+    np.testing.assert_allclose(dist.pi, ref, rtol=1e-12, atol=0)
+    costs = lc.solve_howard_exact(space, classes, dist.g, dist.r)
+    assert costs.residual <= lc.howard.RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("states, match", [
+    ([], "empty"),
+    ([(0, 0), (1,)], "inconsistent dimension"),
+    ([0, 1], "inconsistent dimension"),
+    ([(0,), (-1,)], ">= 0"),
+    ([(0, 0), (1, 0), (1, 0)], "duplicate"),
+    ([(1,), (0,)], "empty state at index 0"),
+    ([(0, 0), (1, 1)], "not closed under departures"),
 ])
-def test_state_space_rejects(states, admissible, match):
+def test_state_space_rejects(states, match):
     with pytest.raises(lc.ModelError, match=match):
-        lc.StateSpace(states, admissible)
+        lc.StateSpace(states)
 
 
 @pytest.mark.parametrize("policy", [
@@ -249,15 +289,6 @@ def test_sparse_generator_matches_loop_build(rng):
         assert np.array_equal(lc.build_generator(space, classes), Q.toarray())
 
 
-def test_sparse_generator_rejects_admission_without_successor():
-    # class 1 is admitted at (0, 1) but (1, 1) is not a state
-    states = [(0, 0), (0, 1), (1, 0)]
-    admissible = np.array([[True, True], [True, False], [False, False]])
-    space = lc.StateSpace(states, admissible)
-    with pytest.raises(lc.ModelError, match="no successor"):
-        lc.sparse_generator(space, (lc.TrafficClass(1.0, 1.0), lc.TrafficClass(1.0, 1.0)))
-
-
 def test_stationary_matches_kaufman_roberts(rng):
     for _ in range(12):
         K = int(rng.integers(1, 5))
@@ -324,24 +355,6 @@ def test_consistency_holds_for_policies(rng):
     for _ in range(8):
         classes, space = random_instance(rng)
         assert lc.verify_consistency(space)
-
-
-def test_consistency_catches_admission_into_hole():
-    # space claims class 2 is admitted at (1,0) but (1,1) is not a state
-    states = [(0, 0), (0, 1), (1, 0)]
-    admissible = np.array([[True, True], [True, False], [False, True]])
-    space = lc.StateSpace(states, admissible)
-    assert not lc.verify_consistency(space)
-    with pytest.raises(lc.ModelError):
-        lc.stationary(space, (lc.TrafficClass(1.0, 1.0), lc.TrafficClass(1.0, 1.0)))
-
-
-def test_consistency_catches_unreachable_member():
-    # (1,) is a state although class 1 is never admitted
-    states = [(0,), (1,)]
-    admissible = np.array([[False], [False]])
-    space = lc.StateSpace(states, admissible)
-    assert not lc.verify_consistency(space)
 
 
 def test_blocking_probabilities_k1():

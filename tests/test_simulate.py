@@ -77,7 +77,7 @@ def test_total_cost_mean_three_sigma():
 
 def test_always_blocked_class_is_poisson():
     # one state, one class that is never admitted: costs are Poisson counts
-    space = lc.StateSpace([(0,)], np.array([[False]]))
+    space = lc.StateSpace([(0,)])
     classes = (lc.TrafficClass(lam=1.0, mu=1.0, omega=1),)
     t, reps = 3.0, 20_000
     res = lc.simulate(space, classes, lc.SimConfig(horizon=t, replications=reps, seed=17))
@@ -266,6 +266,14 @@ def test_empirical_quantile_rejects_bad_level(level):
         lc.empirical_quantile(np.array([3, 1, 2]), level)
 
 
+def test_empirical_summaries_reject_no_samples():
+    empty = np.array([], dtype=np.int64)
+    with pytest.raises(lc.ModelError, match="no samples"):
+        lc.empirical_total_cost_hist(empty, 3)
+    with pytest.raises(lc.ModelError, match="no samples"):
+        lc.empirical_quantile(empty, 0.5)
+
+
 def test_simple_sampler_rejects_poisson_overflow():
     # t lam past numpy's Poisson limit (about 9.2e18) is refused by name
     classes = (lc.TrafficClass(1.0, 1.0, 1, 1), lc.TrafficClass(1e19, 1.0, 1, 1))
@@ -378,16 +386,6 @@ def test_occupancy_welford_matches_two_pass():
     np.testing.assert_allclose(res.occupancy, fracs.mean(axis=0), rtol=1e-12, atol=0)
     np.testing.assert_allclose(res.occupancy_se, fracs.std(axis=0, ddof=1) / math.sqrt(cfg.replications),
                                rtol=1e-12, atol=0)
-
-
-def test_event_tables_reject_missing_successor():
-    # the one state admits the class, but the space has no state to enter
-    space = lc.StateSpace([(0,)], np.array([[True]]))
-    with pytest.raises(lc.ModelError, match="arrival"):
-        lc.simulate(space, (lc.TrafficClass(lam=1.0, mu=1.0, omega=1),), lc.SimConfig(horizon=1.0))
-    # a class that never arrives needs no successor
-    res = lc.simulate(space, (lc.TrafficClass(lam=0.0, mu=1.0, omega=1),), lc.SimConfig(horizon=1.0))
-    assert res.events == 0
 
 
 def test_event_count_zero_rate_model():
