@@ -90,7 +90,15 @@ def cmd_shadow(args, _=None) -> tuple[int, dict]:
     report.write_bill_distribution(out / "bill_dist.csv", hw.bill_distribution(prices, dist.pi, space))
     report.write_table(out / "residuals.csv", ["method", "terms", "residual"],
                        [args.method, np.arange(len(history)), np.array(history, dtype=float)])
+    if args.method == "exact":
+        meta["solver"] = _solver_meta(costs)
     return warnings, {"states": len(space), "method": args.method, **meta}
+
+
+def _solver_meta(costs) -> dict:
+    """The ``solver`` object of an exact solve's manifest."""
+    return {"path": costs.solver, "iterations": costs.iterations,
+            "condition": costs.condition, "residual": costs.residual}
 
 
 def cmd_costdist(args, _=None) -> tuple[int, dict]:
@@ -150,7 +158,7 @@ def cmd_simulate(args, _=None) -> tuple[int, dict]:
                        [names, *(np.array(v, dtype=float) for v in values), np.array(passed, dtype=bool)])
     failed = sum(1 for c in comparisons if not c[5])
     return failed, {"states": len(space), "replications": n, "events": result.events,
-                    "checks_failed": failed}
+                    "checks_failed": failed, "solver": _solver_meta(costs)}
 
 
 def simulation_checks(space, dist, costs, prices, result) -> list[tuple]:

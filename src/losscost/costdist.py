@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
 
-import mpmath as mp
 import numpy as np
 import scipy.sparse
 
@@ -523,14 +522,6 @@ class CostRecursionSolution:
         return self.f[q + 2] - (q + self.a) * self.f[q + 1] + self.rho * (q + 1) * self.f[q]
 
 
-def _gamma_product(y: mp.mpf) -> mp.mpf:
-    # Gp(y) = Gamma(y) / Gamma(y mod 1): equals the finite product
-    # prod_{j=1..floor(y-1)} (j + frac) for y above 1 and continues it by
-    # Gp(y+1) = y Gp(y) elsewhere.
-    frac = y - mp.floor(y)
-    return mp.gamma(y) / mp.gamma(frac)
-
-
 def recursion_solve(
     rho: float,
     a: float,
@@ -554,6 +545,15 @@ def recursion_solve(
         )
     if gamma1 == 0.0:
         raise ModelError("gamma1 must be nonzero (the solution scale)")
+    # imported here: only this solve needs arbitrary precision
+    import mpmath as mp
+
+    def _gamma_product(y: mp.mpf) -> mp.mpf:
+        # Gp(y) = Gamma(y) / Gamma(y mod 1): equals the finite product
+        # prod_{j=1..floor(y-1)} (j + frac) for y above 1 and continues it by
+        # Gp(y+1) = y Gp(y) elsewhere.
+        frac = y - mp.floor(y)
+        return mp.gamma(y) / mp.gamma(frac)
 
     with mp.workdps(RECURSION_DPS):
         mrho, ma, mx = mp.mpf(rho), mp.mpf(a), mp.mpf(a) - mp.mpf(rho)

@@ -12,9 +12,13 @@ The solution is unique up to an additive constant; everything here anchors
 v(empty) = 0, which leaves the shadow prices p_k(q) = v(q+e_k) - v(q)
 unchanged.
 
-The exact solve factors the sparse (CSR/CSC) generator with SuperLU, one
-equation replaced at the most likely state, so no n x n matrix is formed.
-Besides it this module has the closed form for the symmetric
+The exact solve works on the sparse (CSR) generator with one equation
+replaced at the most likely state, so no n x n matrix is formed.  It runs
+Jacobi-preconditioned BiCGSTAB and keeps a SuperLU factorization as the
+fallback for the systems on which the iteration breaks down or stalls.  An
+answer it returns meets the residual gate ``RESIDUAL_TOL``, and it reports
+the anchored system's exact 1-norm condition number, which must stay under
+``COND_LIMIT``.  Besides it this module has the closed form for the symmetric
 single-service-rate case, two cheap closed-form approximations for
 asymmetric systems, and an iterative series completion that tries to refine
 any starting approximation by per-class quasi-inversion of the generator.
@@ -28,7 +32,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse
-from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
 from .model import (
     DEFAULT_STATE_CAP,
@@ -64,8 +67,20 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-8
-# largest estimated 1-norm condition number of the anchored exact system
+# largest 1-norm condition number of the anchored exact system
 COND_LIMIT = 1e12
+# the iterative exact solve accepts v once ||Q v - (g - r)||_inf is at most
+# this multiple of ||Q||_inf ||v||_inf + ||g - r||_inf (18 units of
+# roundoff); SuperLU reaches 1e-17 to 1e-15 on the same systems
+BACKWARD_TOL = 4e-15
+# BiCGSTAB steps before the exact solve falls back to SuperLU; 39,711 and
+# 46,376 states take about 150
+BICGSTAB_MAX_ITER = 300
+# BiCGSTAB stops once its updated residual is this far below the true one
+STALL_GAP = 1e-2
+# max-norm residual of the transposed solve for the condition number; as
+# ||A^-T||_inf = ||A^-1||_1, it is also the solve's relative error bound
+COND_SOLVE_TOL = 1e-6
 # prices within this distance share an atom of a bill law
 BILL_MERGE_TOL = 1e-12
 SERIES_CONVERGED_TOL = 1e-6
@@ -80,12 +95,21 @@ SERIES_BOX_CAP = 8 * DEFAULT_STATE_CAP
 
 @dataclass(frozen=True)
 class RelativeCosts:
-    """Relative cost per state, anchored to zero at ``anchor``."""
+    """Relative cost per state, anchored to zero at ``anchor``.
+
+    The exact solve also reports how it answered: ``solver`` is
+    ``"bicgstab"`` or ``"superlu"``, ``iterations`` the BiCGSTAB steps (0 on
+    SuperLU) and ``condition`` the 1-norm condition number of the anchored
+    system.  A closed form or series leaves them at None, 0 and NaN.
+    """
 
     v: np.ndarray
     g: float
     anchor: int
     residual: float
+    solver: str | None = None
+    iterations: int = 0
+    condition: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -157,7 +181,7 @@ def solve_howard_exact(
     r: np.ndarray,
     anchor: int = 0,
 ) -> RelativeCosts:
-    """Solve the policy-evaluation equation by a sparse LU factorization.
+    """Solve the policy-evaluation equation exactly, up to rounding.
 
     The generator is singular (constants are in its null space), so the
     equation of the most likely state q* is replaced by v(q*) = 0.  The
@@ -165,53 +189,152 @@ def solve_howard_exact(
     residual is theirs scaled by up to 1/pi(q*); at q* that factor is at most
     the state count, while at the empty state of a heavily loaded link it
     is 1/pi(empty), about 1e13 for three classes at rho_k = 10 on 40 units.
-    The anchored CSC matrix is factored with SuperLU
-    (``scipy.sparse.linalg.splu``) and the solution shifted so that
-    v(``anchor``) = 0, which leaves every shadow price unchanged.  Fails with
-    :class:`NumericsError` when the anchored system's estimated condition
-    number exceeds ``COND_LIMIT`` or the residual misses ``RESIDUAL_TOL``.
+
+    The anchored sparse system is solved by Jacobi-preconditioned BiCGSTAB
+    from zero, which stops once the Howard residual, the dropped equation
+    included, is within ``BACKWARD_TOL`` of rounding at the data's scale and
+    below a tenth of ``RESIDUAL_TOL``.  When BiCGSTAB breaks down, stagnates
+    or runs ``BICGSTAB_MAX_ITER`` steps without getting there, the system is
+    factored with SuperLU instead; ``RelativeCosts.solver`` says which path
+    answered.  The solution is shifted so that v(``anchor``) = 0, which
+    leaves every shadow price unchanged.
+
+    The 1-norm condition number is exact, not estimated: with the sign of
+    every row but the pivot's flipped, the anchored matrix A is a nonsingular
+    M-matrix, whose inverse is entrywise >= 0, so ||A^-1||_1 = ||A^-T 1||_inf,
+    one transposed solve (BiCGSTAB to a max-norm residual of
+    ``COND_SOLVE_TOL``, which bounds its relative error, or the SuperLU
+    factors).  Fails with :class:`ModelError` unless 0 <= ``anchor`` < the
+    state count, and with :class:`NumericsError` when the condition number
+    exceeds ``COND_LIMIT`` or the returned residual misses ``RESIDUAL_TOL``.
     """
-    Q = sparse_generator(space, classes)
     n = len(space)
+    if not 0 <= anchor < n:
+        raise ModelError(f"anchor must be a state index in [0, {n}), got {anchor}")
+    Q = sparse_generator(space, classes)
     r = np.asarray(r, dtype=float)
     pivot = int(np.argmax(_log_weights(space, classes)))
-    coo = Q.tocoo()
-    keep = coo.row != pivot
-    A = scipy.sparse.csc_matrix(
-        (
-            np.append(coo.data[keep], 1.0),
-            (np.append(coo.row[keep], pivot), np.append(coo.col[keep], pivot)),
-        ),
-        shape=(n, n),
-    )
-    rhs = g - r
+    # the pivot's row becomes v(q*) = 0; sparse_generator stores every
+    # diagonal entry, so the row keeps its slot for the 1
+    A = Q.copy()
+    row = slice(A.indptr[pivot], A.indptr[pivot + 1])
+    A.data[row] = np.where(A.indices[row] == pivot, 1.0, 0.0)
+    howard_rhs = g - r
+    rhs = howard_rhs.copy()
     rhs[pivot] = 0.0
+    norm_1 = float(np.bincount(A.indices, weights=np.abs(A.data), minlength=n).max())
 
-    # the generator is structurally symmetric; minimum degree on A^T + A
-    # gives about half the fill of the default column ordering
-    lu = splu(A, permc_spec="MMD_AT_PLUS_A")
-    if n > 1:
-        inv_op = LinearOperator(
-            (n, n),
-            matvec=lu.solve,
-            rmatvec=lambda x: lu.solve(x, trans="T"),
-            dtype=float,
-        )
-        cond_est = onenormest(inv_op) * scipy.sparse.linalg.norm(A, 1)
-        if cond_est > COND_LIMIT:
-            raise NumericsError(
-                f"anchored system too ill-conditioned: estimate {cond_est:.3e} "
-                f"exceeds limit {COND_LIMIT:.1e}"
-            )
-    v = lu.solve(rhs)
-    v -= v[anchor]
+    with np.errstate(divide="ignore"):
+        dinv = 1.0 / A.diagonal()
+    At = A.T
+    ones = np.ones(n)
+
+    def transposed_residuals(y):
+        true = ones - At @ y
+        return true, np.abs(true).max()
+
+    solved = _bicgstab(At.__matmul__, ones, dinv, lambda y: COND_SOLVE_TOL, transposed_residuals)
+    x = None
+    if solved is not None:
+        condition = _checked_condition(norm_1 * np.abs(solved[0]).max())
+        # ||Q||_inf: each row of a generator sums to zero
+        scale_q, scale_rhs = 2.0 * np.abs(Q.diagonal()).max(), np.abs(howard_rhs).max()
+
+        def tol(x):
+            return min(BACKWARD_TOL * (scale_q * np.abs(x).max() + scale_rhs), 0.1 * RESIDUAL_TOL)
+
+        def residuals(x):
+            # the anchored system's and Howard's, whose pivot equation the
+            # anchored system has dropped
+            howard = Q @ x - howard_rhs
+            true = -howard
+            true[pivot] = -x[pivot]
+            return true, np.abs(howard).max()
+
+        solved = _bicgstab(A.__matmul__, rhs, dinv, tol, residuals)
+        if solved is not None:
+            x, iterations = solved
+            solver = "bicgstab"
+    if x is None:
+        x, inverse_norm = _superlu_solve(A, rhs)
+        condition = _checked_condition(norm_1 * inverse_norm)
+        solver, iterations = "superlu", 0
+    v = x - x[anchor]
 
     residual = _residual(Q, v, g, r)
     if residual > RESIDUAL_TOL:
         raise NumericsError(
             f"relative-cost solve residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}"
         )
-    return RelativeCosts(v=v, g=g, anchor=anchor, residual=residual)
+    return RelativeCosts(v=v, g=g, anchor=anchor, residual=residual, solver=solver,
+                         iterations=iterations, condition=condition)
+
+
+def _checked_condition(condition: float) -> float:
+    if condition > COND_LIMIT:
+        raise NumericsError(
+            f"anchored system too ill-conditioned: condition number {condition:.3e} "
+            f"exceeds limit {COND_LIMIT:.1e}"
+        )
+    return float(condition)
+
+
+def _bicgstab(matvec, b: np.ndarray, dinv: np.ndarray, tol, residuals) -> tuple[np.ndarray, int] | None:
+    """Jacobi-preconditioned BiCGSTAB (van der Vorst 1992) for A x = b from
+    x = 0; ``matvec`` applies A and ``dinv`` is the inverse of its diagonal.
+
+    ``residuals(x)`` gives the true residual b - A x and the max-norm
+    residual that must meet ``tol(x)``.  It is formed only once the
+    recursively updated residual meets ``tol(x)``.  Returns (x, steps) at the
+    first x that meets it, or None on a breakdown (a zero scalar or a
+    non-finite residual), on stagnation (the updated residual has fallen
+    ``STALL_GAP`` times below the true one, so rounding, not the Krylov
+    space, bounds further progress) or after ``BICGSTAB_MAX_ITER`` steps.
+    """
+    x = np.zeros_like(b)
+    r, r0 = b.copy(), b
+    p = v = x
+    rho = alpha = omega = 1.0
+    with np.errstate(all="ignore"):
+        for step in range(BICGSTAB_MAX_ITER + 1):
+            if step:
+                rho, rho_prev = r0 @ r, rho
+                if rho == 0.0:
+                    return None
+                p = r + (rho / rho_prev) * (alpha / omega) * (p - omega * v)
+                p_hat = dinv * p
+                v = matvec(p_hat)
+                alpha = rho / (r0 @ v)
+                s = r - alpha * v
+                s_hat = dinv * s
+                t = matvec(s_hat)
+                tt = t @ t
+                omega = (t @ s) / tt if tt > 0.0 else 0.0
+                x = x + alpha * p_hat + omega * s_hat
+                r = s - omega * t
+            r_norm, bound = np.abs(r).max(), tol(x)
+            if not math.isfinite(r_norm):
+                return None
+            if r_norm <= bound:
+                true, res = residuals(x)
+                if res <= bound:
+                    return x, step
+                if r_norm < STALL_GAP * np.abs(true).max():
+                    return None
+            if step and omega == 0.0:
+                return None
+    return None
+
+
+def _superlu_solve(A: scipy.sparse.csr_matrix, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    """x = A^-1 rhs and ||A^-T 1||_inf from one SuperLU factorization."""
+    from scipy.sparse.linalg import splu
+
+    # the generator is structurally symmetric; minimum degree on A^T + A
+    # gives about half the fill of the default column ordering
+    lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    x = lu.solve(rhs)
+    return x, float(np.max(np.abs(lu.solve(np.ones(len(rhs)), trans="T"))))
 
 
 def _total_tables(n: int, rho: float) -> tuple[np.ndarray, np.ndarray]:

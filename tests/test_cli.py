@@ -717,3 +717,57 @@ def test_csv_bytes_match_row_writer(tmp_path, text, method):
     assert {p.name for p in files} == (set(CSV_HEADERS) if method else {"pi.csv", "summary.csv"})
     for p in files:
         assert (got / p).read_bytes() == (want / p).read_bytes(), p
+
+
+@pytest.mark.parametrize("path", ["bicgstab", "superlu"])
+def test_exact_manifests_record_the_solver(tmp_path, monkeypatch, path):
+    from losscost import howard as hw
+    from losscost import enumerate_states, solve_howard_exact, stationary
+    from losscost.model_io import load_model
+
+    if path == "superlu":
+        monkeypatch.setattr(hw, "_bicgstab", lambda *args: None)
+    model = _write(tmp_path, B12_MODEL)
+    classes, policy = load_model(model)
+    space = enumerate_states(classes, policy)
+    dist = stationary(space, classes)
+    costs = solve_howard_exact(space, classes, dist.g, dist.r)
+    want = {"path": path, "iterations": costs.iterations, "condition": costs.condition,
+            "residual": costs.residual}
+    assert (costs.iterations > 0) == (path == "bicgstab")
+    runs = {"shadow": ["shadow", "--method", "exact"],
+            "simulate": ["simulate", "--t", "3", "--reps", "20", "--seed", "2"]}
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert main(argv + ["--model", model, "--out", str(out)]) in (0, 3)
+        assert json.loads((out / "run_manifest.json").read_text())["solver"] == want
+    out = tmp_path / "series"
+    assert main(["shadow", "--method", "series", "--model", model, "--out", str(out)]) in (0, 3)
+    assert "solver" not in json.loads((out / "run_manifest.json").read_text())
+
+
+@pytest.mark.parametrize("argv", [["shadow"], ["simulate", "--t", "3", "--reps", "20"]],
+                         ids=["shadow", "simulate"])
+def test_exact_solve_failure_exits_2(tmp_path, monkeypatch, capsys, argv):
+    # a zero residual gate: BiCGSTAB never meets it and SuperLU misses it
+    from losscost import howard as hw
+
+    monkeypatch.setattr(hw, "RESIDUAL_TOL", 0.0)
+    model = _write(tmp_path, B12_MODEL)
+    assert main(argv + ["--model", model, "--out", str(tmp_path / "o")]) == 2
+    assert "numeric failure: relative-cost solve residual" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    # mpmath serves recursion_solve and scipy.sparse.linalg the SuperLU
+    # fallback; neither is loaded at start-up
+    import os
+    import subprocess
+    import sys
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import losscost.cli, sys; "
+            "print(sorted(m for m in ('mpmath', 'scipy.sparse.linalg') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert done.stdout.strip() == "[]"

@@ -1,13 +1,14 @@
 """Relative costs: exact solve, closed forms, series completion, prices, bills."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 import losscost as lc
 from losscost import howard as hw
-from conftest import heavy_instance, k1_instance, k2_reference, random_instance
+from conftest import heavy_instance, k1_instance, k2_reference, random_instance, random_model
 
 
 # Reference forms: the closed forms and the series start evaluated one state
@@ -115,6 +116,171 @@ def test_exact_solve_heavy_load_matches_closed_form():
     assert exact.residual <= hw.RESIDUAL_TOL
     assert exact.anchor == 0 and exact.v[0] == 0.0
     np.testing.assert_allclose(exact.v, closed.v, rtol=1e-10, atol=0.0)
+
+
+def _superlu_only(monkeypatch):
+    """Route the exact solve to its SuperLU fallback."""
+    monkeypatch.setattr(hw, "_bicgstab", lambda *args: None)
+
+
+def _model(lam, mu, bandwidth, omega, capacity):
+    classes = tuple(lc.TrafficClass(lam=l, mu=m, bandwidth=b, omega=w)
+                    for l, m, b, w in zip(lam, mu, bandwidth, omega))
+    return classes, lc.enumerate_states(classes, lc.FullSharing(capacity=capacity))
+
+
+# Models on which BiCGSTAB cannot meet its bound and only the SuperLU
+# fallback passes the residual gate: (1) rates spread over five decades,
+# where the iteration does not converge; (2) a very heavy load, where its
+# residual stalls at 4.9e-9 against SuperLU's 5.9e-11; (3) slow mixing,
+# 2.8e-7 against 3.7e-10.
+FALLBACK_MODELS = {
+    "spread-rates": ((0.001, 50, 1), (0.001, 10, 100), (1, 1, 2), (1, 2, 3), 15),
+    "very-heavy": ((1000, 500, 200), (1, 1, 1), (1, 1, 1), (1, 2, 3), 25),
+    "slow-mixing": ((1, 1), (1e-5, 1e3), (1, 1), (1, 1), 25),
+}
+
+
+def test_bicgstab_matches_superlu_on_random_instances(rng, monkeypatch):
+    policies = set()
+    for _ in range(16):
+        classes, policy = random_model(rng)
+        policies.add(type(policy))
+        space = lc.enumerate_states(classes, policy)
+        dist = lc.stationary(space, classes)
+        iterative = lc.solve_howard_exact(space, classes, dist.g, dist.r)
+        with monkeypatch.context() as m:
+            _superlu_only(m)
+            direct = lc.solve_howard_exact(space, classes, dist.g, dist.r)
+        assert (iterative.solver, direct.solver) == ("bicgstab", "superlu")
+        assert direct.iterations == 0
+        scale = max(1.0, float(np.max(np.abs(direct.v))))
+        assert np.max(np.abs(iterative.v - direct.v)) <= 1e-10 * scale
+        assert iterative.residual <= max(10 * direct.residual, 1e-11)
+        assert iterative.condition == pytest.approx(direct.condition, rel=1e-6)
+    assert policies == {lc.FullSharing, lc.PerClassThreshold}
+
+
+def test_exact_solve_heavy_60_matches_closed_form():
+    # 39,711 states: SuperLU took 3.3 s here, BiCGSTAB about 0.3 s
+    classes, space = heavy_instance(60)
+    dist = lc.stationary(space, classes)
+    exact = lc.solve_howard_exact(space, classes, dist.g, dist.r)
+    closed = lc.symmetric_relative_costs(space, classes, dist.g)
+    assert exact.solver == "bicgstab" and 0 < exact.iterations <= hw.BICGSTAB_MAX_ITER
+    assert exact.residual <= hw.RESIDUAL_TOL
+    np.testing.assert_allclose(exact.v, closed.v, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("name", FALLBACK_MODELS)
+def test_exact_solve_falls_back_to_superlu(name, monkeypatch):
+    # quietly: pytest turns a warning, such as an overflow in the failed
+    # iteration, into an error
+    classes, space = _model(*FALLBACK_MODELS[name])
+    dist = lc.stationary(space, classes)
+    costs = lc.solve_howard_exact(space, classes, dist.g, dist.r)
+    assert costs.solver == "superlu" and costs.iterations == 0
+    assert costs.residual <= hw.RESIDUAL_TOL
+    with monkeypatch.context() as m:
+        _superlu_only(m)
+        direct = lc.solve_howard_exact(space, classes, dist.g, dist.r)
+    assert np.array_equal(costs.v, direct.v)
+
+
+def _estimated_direct_solve(space, classes, dist):
+    """The direct solve with a condition estimate, as the exact solve ran
+    before BiCGSTAB: SuperLU on the anchored system plus ``onenormest``."""
+    import scipy.sparse
+    from scipy.sparse.linalg import LinearOperator, norm, onenormest, splu
+
+    A = lc.sparse_generator(space, classes).tolil()
+    pivot = int(np.argmax(dist.pi))
+    A[pivot] = 0.0
+    A[pivot, pivot] = 1.0
+    A = scipy.sparse.csc_matrix(A)
+    rhs = dist.g - dist.r
+    rhs[pivot] = 0.0
+    lu = splu(A, permc_spec="MMD_AT_PLUS_A")
+    inverse = LinearOperator(A.shape, matvec=lu.solve, rmatvec=lambda x: lu.solve(x, trans="T"),
+                             dtype=float)
+    onenormest(inverse) * norm(A, 1)
+    return lu.solve(rhs)
+
+
+def test_failed_bicgstab_costs_little():
+    # the iteration that never converges is cut off by the step cap: the
+    # whole solve takes at most twice the CPU time of the estimated direct
+    # solve, plus 20 ms
+    classes, space = _model(*FALLBACK_MODELS["spread-rates"])
+    dist = lc.stationary(space, classes)
+
+    def best_time(solve):
+        times = []
+        for _ in range(6):
+            start = time.process_time()
+            solve()
+            times.append(time.process_time() - start)
+        return min(times[1:])
+
+    exact = best_time(lambda: lc.solve_howard_exact(space, classes, dist.g, dist.r))
+    direct = best_time(lambda: _estimated_direct_solve(space, classes, dist))
+    assert exact <= 2 * direct + 0.02
+
+
+def _dense_anchored(space, classes, dist):
+    A = lc.build_generator(space, classes)
+    pivot = int(np.argmax(dist.pi))
+    A[pivot] = 0.0
+    A[pivot, pivot] = 1.0
+    return A
+
+
+@pytest.mark.parametrize("path", ["bicgstab", "superlu"])
+def test_condition_number_is_exact(rng, monkeypatch, path):
+    # ||A||_1 ||A^-1||_1 from a dense inverse
+    if path == "superlu":
+        _superlu_only(monkeypatch)
+    models = [k1_instance(), k2_reference(), heavy_instance(6)]
+    models += [random_instance(rng) for _ in range(8)]
+    for classes, space in models:
+        dist = lc.stationary(space, classes)
+        A = _dense_anchored(space, classes, dist)
+        inverse = np.linalg.inv(A)
+        # A with every row but the pivot's negated is an M-matrix, so A^-1
+        # has one sign per column
+        sign = -np.ones(len(space))
+        sign[np.argmax(dist.pi)] = 1.0
+        assert np.all(inverse * sign >= -1e-12 * np.abs(inverse).max())
+        want = np.abs(A).sum(axis=0).max() * np.abs(inverse).sum(axis=0).max()
+        costs = lc.solve_howard_exact(space, classes, dist.g, dist.r)
+        assert costs.solver == path
+        # the transposed BiCGSTAB solve stops at a relative error of 1e-6
+        assert costs.condition == pytest.approx(want, rel=hw.COND_SOLVE_TOL if path == "bicgstab" else 1e-12)
+
+
+def test_exact_solve_rejects_bad_anchor():
+    classes, space = k1_instance()
+    dist = lc.stationary(space, classes)
+    for anchor in (-1, 3):
+        with pytest.raises(lc.ModelError, match="anchor"):
+            lc.solve_howard_exact(space, classes, dist.g, dist.r, anchor=anchor)
+    costs = lc.solve_howard_exact(space, classes, dist.g, dist.r, anchor=2)
+    assert costs.anchor == 2 and costs.v[2] == 0.0
+    np.testing.assert_allclose(costs.v, [-0.6, -0.4, 0.0], atol=1e-12)
+
+
+def test_exact_solve_fails_when_both_paths_miss_the_gate(monkeypatch):
+    # with a zero gate no BiCGSTAB iterate is accepted, and SuperLU's
+    # rounding-level residual misses it too
+    classes, space = k2_reference()
+    dist = lc.stationary(space, classes)
+    calls = []
+    superlu = hw._superlu_solve
+    monkeypatch.setattr(hw, "_superlu_solve", lambda *a: calls.append(1) or superlu(*a))
+    monkeypatch.setattr(hw, "RESIDUAL_TOL", 0.0)
+    with pytest.raises(lc.NumericsError, match="residual"):
+        lc.solve_howard_exact(space, classes, dist.g, dist.r)
+    assert calls == [1]
 
 
 def test_symmetric_relative_costs_match_scalar_form(rng):
@@ -521,9 +687,13 @@ def test_csv_emitters(tmp_path):
 
 
 def test_exact_solve_condition_limit(monkeypatch):
+    # on either path, before any answer is returned
     classes, space = k1_instance()
     dist = lc.stationary(space, classes)
     monkeypatch.setattr(hw, "COND_LIMIT", 1.0)
+    with pytest.raises(lc.NumericsError, match="condition"):
+        lc.solve_howard_exact(space, classes, dist.g, dist.r)
+    _superlu_only(monkeypatch)
     with pytest.raises(lc.NumericsError, match="condition"):
         lc.solve_howard_exact(space, classes, dist.g, dist.r)
 
