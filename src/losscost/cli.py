@@ -72,7 +72,7 @@ def _relative_costs(space, classes, dist, method: str, terms: int | None):
         return result.costs, result.residual_history, int(not result.converged)
     v = _APPROXIMATIONS[method](space, classes, dist.g)
     res = hw.howard_residual(space, classes, v, dist.g, dist.r)
-    return hw.RelativeCosts(v=v, g=dist.g, anchor=0, residual=res), (res,), 0
+    return hw.RelativeCosts(v=v, anchor=0, residual=res), (res,), 0
 
 
 def cmd_shadow(args, _=None) -> tuple[int, dict]:

@@ -495,27 +495,29 @@ def detailed_balance_counterexample(
 class CostRecursionSolution:
     """Solution of f(q+2) - (q+a) f(q+1) + rho (q+1) f(q) = 0 for q >= 0.
 
-    Built from the coefficient recurrences
+    f(q) is the convergent series of Gamma-function products
+
+        f(q) = sum_{j >= 1} gamma_j Gp(q + a - rho - j),
+
+    where Gp(y) = Gamma(y) / Gamma(y mod 1) is the finite product
+    prod_{i=1..floor(y-1)} (i + y mod 1), continued below its defining range
+    by its own step relation Gp(y+1) = y Gp(y); with it the residual
+    telescopes away.  The coefficients come from the two recurrences
 
         alpha_1 = gamma_1 rho (rho + 2 - a),
-        gamma_{i+1} = alpha_i / i,   alpha_{i+1} = (rho/i) alpha_i (2 + rho - a + i)
+        gamma_{i+1} = alpha_i / i,   alpha_{i+1} = (rho/i) alpha_i (2 + rho - a + i).
 
-    as a series of Gamma-function products sum_j gamma_j Gp(q + a - rho - j).
-    The product Gp is continued below its defining range by its own step
-    relation Gp(y+1) = y Gp(y), which makes the series convergent and the
-    residual telescope away; the truncated floor/ceiling partial sums and
-    their matching constant C (weighted so the leading residual pair cancels
-    at q = 0) are the first terms of the same object.  The boundary
-    convention f(q) = 0 for q < 0 is respected in the only way it can be
-    seen from q >= 0: the recursion instance at q = -1 forces
-    f(1) = (a - 1) f(0), which the series satisfies automatically.
+    ``gamma`` and ``alpha`` hold every coefficient the series used, ``f`` the
+    solution at q = 0..q_max.  The boundary convention f(q) = 0 for q < 0 is
+    respected in the only way it can be seen from q >= 0: the recursion
+    instance at q = -1 forces f(1) = (a - 1) f(0), which the series satisfies
+    automatically.
     """
 
     rho: float
     a: float
     gamma: tuple[float, ...]
     alpha: tuple[float, ...]
-    C: float
     f: tuple[float, ...]
 
     def residual(self, q: int) -> float:
@@ -531,10 +533,13 @@ def recursion_solve(
     """Closed-form solve of the separated cost recursion on q = 0..q_max, in
     ``RECURSION_DPS``-digit arithmetic.
 
-    Requires rho != 0 and a - rho not an integer (at integers the Gamma
-    products degenerate and the two fundamental truncations coincide).
-    Raises :class:`ModelError` on a hypothesis violation and
-    :class:`NumericsError` if the matching constant's denominator vanishes.
+    Sums the series of :class:`CostRecursionSolution` at each q until a term
+    past j = q + 5 falls below 10^-(``RECURSION_DPS`` - 10) of the running
+    total; ``gamma1`` sets the solution's scale.  Requires rho != 0,
+    gamma1 != 0 and a - rho not an integer (at integers the Gamma products
+    degenerate).  Raises :class:`ModelError` on a hypothesis violation and
+    :class:`NumericsError` if the series has not converged after
+    10 (q + |a - rho| + 50) terms.
     """
     if rho == 0.0:
         raise ModelError("rho must be nonzero")
@@ -585,35 +590,10 @@ def recursion_solve(
 
         fvals = [f_at(q) for q in range(q_max + 1)]
 
-        # matching constant: weight of the ceiling-truncated partial sum that
-        # cancels the floor truncation's leading residual at the base point
-        # (the smallest q whose floor truncation is non-empty)
-        F = int(mp.floor(mx))
-        q0 = max(0, 1 - F)
-
-        def partial(q: int, terms: int) -> mp.mpf:
-            if terms < 1:
-                return mp.mpf(0)
-            extend(terms)
-            return mp.fsum(gammas[j - 1] * _gamma_product(q + mx - j) for j in range(1, terms + 1))
-
-        def partial_residual(terms_offset: int) -> mp.mpf:
-            vals = [partial(q0 + d, q0 + d + F + terms_offset) for d in (0, 1, 2)]
-            return vals[2] - (q0 + ma) * vals[1] + mrho * (q0 + 1) * vals[0]
-
-        a_floor = partial_residual(0)
-        a_ceil = partial_residual(1)
-        if abs(a_ceil) < tol * (1 + abs(a_floor)):
-            raise NumericsError(
-                f"matching constant undefined: denominator residual {mp.nstr(a_ceil, 5)} ~ 0"
-            )
-        C = -a_floor / a_ceil
-
         return CostRecursionSolution(
             rho=rho,
             a=a,
             gamma=tuple(float(gm) for gm in gammas),
             alpha=tuple(float(al) for al in alphas),
-            C=float(C),
             f=tuple(float(v) for v in fvals),
         )

@@ -104,7 +104,6 @@ class RelativeCosts:
     """
 
     v: np.ndarray
-    g: float
     anchor: int
     residual: float
     solver: str | None = None
@@ -259,14 +258,15 @@ def solve_howard_exact(
         x, inverse_norm = _superlu_solve(A, rhs)
         condition = _checked_condition(norm_1 * inverse_norm)
         solver, iterations = "superlu", 0
-    v = x - x[anchor]
+    # + 0.0 turns the -0.0 of a shifted zero into +0.0; no other value moves
+    v = x - x[anchor] + 0.0
 
     residual = _residual(Q, v, g, r)
     if residual > RESIDUAL_TOL:
         raise NumericsError(
             f"relative-cost solve residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}"
         )
-    return RelativeCosts(v=v, g=g, anchor=anchor, residual=residual, solver=solver,
+    return RelativeCosts(v=v, anchor=anchor, residual=residual, solver=solver,
                          iterations=iterations, condition=condition)
 
 
@@ -377,17 +377,24 @@ def _require_equal(values, what: str) -> float:
 def symmetric_relative_costs(
     space: StateSpace, classes: Sequence[TrafficClass], g: float
 ) -> RelativeCosts:
-    """Closed-form relative costs over a symmetric full-sharing space."""
+    """Closed-form relative costs over a symmetric full-sharing space; a
+    :class:`ModelError` when the rates, the bandwidths or the sharing differ."""
     classes = tuple(classes)
     mu = _require_equal([c.mu for c in classes], "service rates")
     _require_equal([c.bandwidth for c in classes], "bandwidths")
+    totals = space.occupancy.sum(axis=1)
+    n_max, k = int(totals.max()), len(classes)
+    # closed under departures, the space is {q : sum(q) <= n_max} iff it has
+    # that simplex's number of states
+    if len(space) != math.comb(n_max + k, k):
+        raise ModelError(f"closed form requires complete sharing: {len(space)} states, "
+                         f"not the {math.comb(n_max + k, k)} with at most {n_max} calls")
     rho = sum(c.rho for c in classes)
     if rho == 0.0:
-        return RelativeCosts(v=np.zeros(len(space)), g=g, anchor=0, residual=math.nan)
-    totals = space.occupancy.sum(axis=1)
-    _, D = _total_tables(int(totals.max()), rho)
+        return RelativeCosts(v=np.zeros(len(space)), anchor=0, residual=math.nan)
+    _, D = _total_tables(n_max, rho)
     v = g / (mu * rho) * D[totals]
-    return RelativeCosts(v=v, g=g, anchor=0, residual=math.nan)
+    return RelativeCosts(v=v, anchor=0, residual=math.nan)
 
 
 # The two approximations, each one kernel over an occupancy array (one row
@@ -454,7 +461,7 @@ def equal_bandwidth_relative_costs(
 ) -> RelativeCosts:
     """:func:`relative_cost_equal_bandwidth_approx` over every state."""
     v = _equal_bandwidth_v(space.occupancy, tuple(classes), g)
-    return RelativeCosts(v=v, g=g, anchor=0, residual=math.nan)
+    return RelativeCosts(v=v, anchor=0, residual=math.nan)
 
 
 def general_relative_costs(
@@ -462,7 +469,7 @@ def general_relative_costs(
 ) -> RelativeCosts:
     """:func:`relative_cost_general_approx` over every state."""
     v = _general_v(space.occupancy, tuple(classes), g)
-    return RelativeCosts(v=v, g=g, anchor=0, residual=math.nan)
+    return RelativeCosts(v=v, anchor=0, residual=math.nan)
 
 
 def _delta_k(a: np.ndarray, k: int, lam: float, mu: float) -> np.ndarray:
@@ -608,7 +615,7 @@ def series_refine(
     converged = best_res <= SERIES_CONVERGED_TOL
     if not message:
         message = f"stopped after {len(history) - 1} terms without reaching {SERIES_CONVERGED_TOL:g}"
-    costs = RelativeCosts(v=best_v, g=g, anchor=0, residual=best_res)
+    costs = RelativeCosts(v=best_v, anchor=0, residual=best_res)
     return SeriesResult(
         costs=costs,
         residual_history=tuple(history),

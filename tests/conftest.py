@@ -112,6 +112,46 @@ def kaufman_roberts(classes, capacity):
     return blocking, g
 
 
+def implied_cost_sides(space, classes, dist, v):
+    """Both sides of the implied-cost identity, one (lhs, rhs) pair per class
+    with lam_k > 0:
+
+        sum_q pi(q) adm_k(q) (v(q + e_k) - v(q)) = Cov_pi(r, q_k) / lam_k.
+
+    Differentiating g = pi . r in lam_k through Howard's equation gives the
+    left side, through the product form of pi the right side (Kelly's
+    implied costs).  It needs no solve, so it checks any v at any size."""
+    sides = []
+    for k, c in enumerate(classes):
+        if c.lam == 0.0:
+            continue
+        adm = space.admissible[:, k]
+        price = v[space.up[adm, k]] - v[adm]
+        lhs = float(dist.pi[adm] @ price)
+        q_k = space.occupancy[:, k]
+        rhs = float(dist.pi @ ((dist.r - dist.g) * (q_k - dist.pi @ q_k))) / c.lam
+        sides.append((lhs, rhs))
+    return sides
+
+
+def threshold_factor_solution(classes, thresholds):
+    """Exact v and g of a per-class threshold model from its K one-class
+    models.  Classes never interact under thresholds, so the chain is K
+    independent M/M/T_k/T_k queues: g = sum_k g_k and
+    v(q) = sum_k v_k(q_k), each v_k anchored at its empty state.  Returns
+    the space, v and g."""
+    space = lc.enumerate_states(classes, lc.PerClassThreshold(thresholds))
+    v, g = np.zeros(len(space)), 0.0
+    for k, (c, t) in enumerate(zip(classes, thresholds)):
+        one = lc.enumerate_states((c,), lc.PerClassThreshold((t,)))
+        dist = lc.stationary(one, (c,))
+        v_k = np.empty(t + 1)
+        v_k[one.occupancy[:, 0]] = lc.solve_howard_exact(one, (c,), dist.g, dist.r).v
+        v += v_k[space.occupancy[:, k]]
+        g += dist.g
+    return space, v, g
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240917)

@@ -84,6 +84,14 @@ def test_shadow_zero_load_gives_zero_costs(tmp_path, method):
     assert [float(row["v"]) for row in _read_csv(out / "relative_costs.csv")] == [0.0, 0.0, 0.0]
 
 
+def test_shadow_exact_zero_load_writes_no_negative_zero(tmp_path):
+    model = _write(tmp_path, ZERO_RATE_MODEL)
+    out = tmp_path / "out"
+    assert main(["shadow", "--model", model, "--out", str(out), "--method", "exact"]) == 0
+    for name in ("relative_costs.csv", "shadow_prices.csv", "bill_dist.csv"):
+        assert "-0." not in (out / name).read_text(), name
+
+
 def test_shadow_series_zero_load_is_validation_error(tmp_path, capsys):
     model = _write(tmp_path, ZERO_RATE_MODEL)
     assert main(["shadow", "--model", model, "--out", str(tmp_path / "out"), "--method", "series"]) == 1
@@ -129,6 +137,16 @@ def test_shadow_symmetric_method_rejects_asymmetric(tmp_path, capsys):
     code = main(["shadow", "--model", model, "--out", str(tmp_path / "o"), "--method", "symmetric"])
     assert code == 1
     assert "equal" in capsys.readouterr().err
+
+
+def test_shadow_symmetric_method_rejects_thresholds(tmp_path, capsys):
+    # equal rates and bandwidths, but not complete sharing
+    model = _write(tmp_path, SYMMETRIC_MODEL.replace('"lambda": 0.5, "mu": 1.0, "bandwidth": 1, "omega": 2',
+                                                     '"lambda": 1.0, "mu": 1.0, "bandwidth": 1, "omega": 1')
+                   .replace('"type": "full_sharing", "capacity": 3', '"type": "per_class", "thresholds": [3, 3]'))
+    code = main(["shadow", "--model", model, "--out", str(tmp_path / "o"), "--method", "symmetric"])
+    assert code == 1
+    assert "complete sharing" in capsys.readouterr().err
 
 
 def test_shadow_exact_equals_symmetric_closed_form(tmp_path):

@@ -8,7 +8,8 @@ import pytest
 
 import losscost as lc
 from losscost import howard as hw
-from conftest import heavy_instance, k1_instance, k2_reference, random_instance, random_model
+from conftest import (heavy_instance, implied_cost_sides, k1_instance, k2_reference, random_instance,
+                      random_model, threshold_factor_solution)
 
 
 # Reference forms: the closed forms and the series start evaluated one state
@@ -89,6 +90,16 @@ def test_exact_solve_reference():
     np.testing.assert_allclose(costs.v, [0.0, 0.2, 0.6], atol=1e-12)
     assert costs.residual <= 1e-8
     assert costs.v[costs.anchor] == 0.0
+
+
+def test_exact_solve_gives_no_negative_zero():
+    # with lambda = 0 the SuperLU fallback answers, and shifting its
+    # solution to v(anchor) = 0 gives -0.0 at the states that see no cost
+    classes = (lc.TrafficClass(lam=0.0, mu=1.0, omega=1),)
+    space = lc.enumerate_states(classes, lc.FullSharing(capacity=2))
+    dist, costs = _solved(classes, space)
+    assert not costs.v.any()
+    assert not np.signbit(costs.v).any()
 
 
 def test_zero_cost_gives_zero_relative_cost():
@@ -185,6 +196,77 @@ def test_exact_solve_falls_back_to_superlu(name, monkeypatch):
         _superlu_only(m)
         direct = lc.solve_howard_exact(space, classes, dist.g, dist.r)
     assert np.array_equal(costs.v, direct.v)
+
+
+def _assert_implied_costs(space, classes, dist, v, floor=0.0):
+    sides = implied_cost_sides(space, classes, dist, v)
+    assert sides
+    for lhs, rhs in sides:
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), floor)
+
+
+def test_exact_prices_meet_implied_costs_on_random_instances(rng):
+    policies = set()
+    for _ in range(24):
+        classes, policy = random_model(rng)
+        policies.add(type(policy))
+        space = lc.enumerate_states(classes, policy)
+        dist, costs = _solved(classes, space)
+        # the solve's rounding is relative to the scale of v, which on a
+        # lightly loaded link is 1e3 times both sides; with every cost on a
+        # class that never fits, v is rounding at the scale of r / mu
+        floor = max(np.abs(costs.v).max(), dist.r.max() / min(c.mu for c in classes))
+        _assert_implied_costs(space, classes, dist, costs.v, floor)
+    assert policies == {lc.FullSharing, lc.PerClassThreshold}
+
+
+# K4: four unit-bandwidth classes, 46,376 states, about 0.6 s per solve
+K4_MODEL = ((8, 4, 20, 3), (1, 0.5, 3, 0.2), (1, 1, 1, 1), (1, 2, 3, 1), 30)
+
+
+@pytest.mark.parametrize("name", ["heavy-40", "K4"])
+def test_exact_prices_meet_implied_costs_at_scale(name):
+    classes, space = heavy_instance(40) if name == "heavy-40" else _model(*K4_MODEL)
+    dist, costs = _solved(classes, space)
+    _assert_implied_costs(space, classes, dist, costs.v)
+    # the identity sees an error of 1e-6 of the scale at one likely state
+    admitted = space.admissible.any(axis=1)
+    i = int(np.argmax(np.where(admitted, dist.pi, 0.0)))
+    assert dist.pi[i] >= 1e-3
+    moved = costs.v.copy()
+    moved[i] += 1e-6 * np.max(np.abs(costs.v))
+    assert any(abs(lhs - rhs) > 1e-12 * max(abs(lhs), abs(rhs))
+               for lhs, rhs in implied_cost_sides(space, classes, dist, moved))
+
+
+def test_implied_costs_of_a_zero_cost_class():
+    # a class that is never charged still moves the others' costs, so both
+    # sides of its identity are nonzero
+    classes, space = _model((1, 0.7), (1, 1.3), (1, 2), (0, 2), 5)
+    dist, costs = _solved(classes, space)
+    lhs, rhs = implied_cost_sides(space, classes, dist, costs.v)[0]
+    assert lhs == pytest.approx(0.157669033923756, rel=1e-12)
+    _assert_implied_costs(space, classes, dist, costs.v)
+
+
+# Threshold models (lam, mu, omega, thresholds) and the path that solves
+# them: 29,016 states by BiCGSTAB, and 8,736 states on which BiCGSTAB
+# stalls at about 2e-10 and SuperLU answers
+THRESHOLD_MODELS = {
+    "bicgstab": ((20, 25, 30), (1, 1, 1), (1, 2, 3), (25, 30, 35)),
+    "superlu": ((10, 20, 5), (1, 1, 0.1), (1, 2, 3), (15, 20, 25)),
+}
+
+
+@pytest.mark.parametrize("solver", THRESHOLD_MODELS)
+def test_exact_solve_matches_threshold_factorisation(solver):
+    lam, mu, omega, thresholds = THRESHOLD_MODELS[solver]
+    classes = tuple(lc.TrafficClass(lam=l, mu=m, omega=w) for l, m, w in zip(lam, mu, omega))
+    space, v, g = threshold_factor_solution(classes, thresholds)
+    dist, costs = _solved(classes, space)
+    assert costs.solver == solver
+    assert dist.g == pytest.approx(g, rel=1e-12)
+    assert np.max(np.abs(costs.v - v)) <= 1e-12 * np.max(np.abs(v))
 
 
 def _estimated_direct_solve(space, classes, dist):
@@ -325,8 +407,11 @@ def test_symmetric_closed_form_matches_exact_solver(rng):
 def test_symmetric_closed_form_rejects_asymmetric():
     classes = (lc.TrafficClass(1.0, 1.0), lc.TrafficClass(1.0, 2.0))
     space = lc.enumerate_states(classes, lc.FullSharing(capacity=3))
-    with pytest.raises(lc.ModelError):
-        lc.symmetric_relative_costs(space, classes, g=0.1)
+    same = (lc.TrafficClass(1.0, 1.0, 1, 1),) * 2
+    thresholds = lc.enumerate_states(same, lc.PerClassThreshold((3, 3)))
+    for classes, space in ((classes, space), (same, thresholds)):
+        with pytest.raises(lc.ModelError):
+            lc.symmetric_relative_costs(space, classes, g=0.1)
 
 
 def test_equal_bandwidth_approx_reduces_when_rates_equal():

@@ -155,7 +155,7 @@ def test_write_table_rejects_bad_columns(tmp_path):
 @pytest.mark.parametrize("n", LENGTHS)
 def test_relative_costs_and_shadow_prices(tmp_path, rng, K, n):
     space = Space(rng.integers(0, 40, (n, K)))
-    costs = RelativeCosts(v=floats(rng, n), g=1.0, anchor=0, residual=0.0)
+    costs = RelativeCosts(v=floats(rng, n), anchor=0, residual=0.0)
     same_bytes(tmp_path, report.write_relative_costs, reference_relative_costs, space, costs)
     p = floats(rng, n * K).reshape(n, K)
     p[rng.random((n, K)) < 0.3] = np.nan
