@@ -62,17 +62,18 @@ def cmd_stationary(args, _=None) -> tuple[int, dict]:
 
 
 def _relative_costs(space, classes, dist, method: str, terms: int | None):
-    """(costs, residual history, warnings) of one ``--method``; ``terms`` is
-    read by ``series`` only."""
+    """(costs, residual history, manifest entries) of one ``--method``;
+    ``terms`` is read by ``series`` only."""
     if method == "exact":
         costs = hw.solve_howard_exact(space, classes, dist.g, dist.r)
-        return costs, (costs.residual,), 0
+        return costs, (costs.residual,), {"solver": _solver_meta(costs)}
     if method == "series":
         result = hw.series_refine(space, classes, dist.g, dist.r, n_terms=terms)
-        return result.costs, result.residual_history, int(not result.converged)
+        return result.costs, result.residual_history, {
+            "series": {"converged": result.converged, "message": result.message}}
     v = _APPROXIMATIONS[method](space, classes, dist.g)
     res = hw.howard_residual(space, classes, v, dist.g, dist.r)
-    return hw.RelativeCosts(v=v, anchor=0, residual=res), (res,), 0
+    return hw.RelativeCosts(v=v, anchor=0, residual=res), (res,), {}
 
 
 def cmd_shadow(args, _=None) -> tuple[int, dict]:
@@ -82,7 +83,8 @@ def cmd_shadow(args, _=None) -> tuple[int, dict]:
     elif args.terms is not None:
         raise ModelError(f"--terms applies to --method series only, not {args.method}")
     classes, space, dist = _load(args)
-    costs, history, warnings = _relative_costs(space, classes, dist, args.method, meta.get("terms"))
+    costs, history, entries = _relative_costs(space, classes, dist, args.method, meta.get("terms"))
+    warnings = int("series" in entries and not entries["series"]["converged"])
     out = Path(args.out)
     report.write_relative_costs(out / "relative_costs.csv", space, costs)
     prices = hw.shadow_prices(costs, space)
@@ -90,9 +92,7 @@ def cmd_shadow(args, _=None) -> tuple[int, dict]:
     report.write_bill_distribution(out / "bill_dist.csv", hw.bill_distribution(prices, dist.pi, space))
     report.write_table(out / "residuals.csv", ["method", "terms", "residual"],
                        [args.method, np.arange(len(history)), np.array(history, dtype=float)])
-    if args.method == "exact":
-        meta["solver"] = _solver_meta(costs)
-    return warnings, {"states": len(space), "method": args.method, **meta}
+    return warnings, {"states": len(space), "method": args.method, **meta, **entries}
 
 
 def _solver_meta(costs) -> dict:

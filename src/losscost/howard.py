@@ -78,6 +78,8 @@ BACKWARD_TOL = 4e-15
 BICGSTAB_MAX_ITER = 300
 # BiCGSTAB stops once its updated residual is this far below the true one
 STALL_GAP = 1e-2
+# most states SuperLU may factor; K=4 took 0.25 GB at 17,550 and 1.9 GB at 46,376
+SUPERLU_STATE_CAP = 20_000
 # max-norm residual of the transposed solve for the condition number; as
 # ||A^-T||_inf = ||A^-1||_1, it is also the solve's relative error bound
 COND_SOLVE_TOL = 1e-6
@@ -193,8 +195,8 @@ def solve_howard_exact(
     from zero, which stops once the Howard residual, the dropped equation
     included, is within ``BACKWARD_TOL`` of rounding at the data's scale and
     below a tenth of ``RESIDUAL_TOL``.  When BiCGSTAB breaks down, stagnates
-    or runs ``BICGSTAB_MAX_ITER`` steps without getting there, the system is
-    factored with SuperLU instead; ``RelativeCosts.solver`` says which path
+    or runs ``BICGSTAB_MAX_ITER`` steps without getting there, SuperLU
+    factors the system instead; ``RelativeCosts.solver`` says which path
     answered.  The solution is shifted so that v(``anchor``) = 0, which
     leaves every shadow price unchanged.
 
@@ -204,8 +206,10 @@ def solve_howard_exact(
     one transposed solve (BiCGSTAB to a max-norm residual of
     ``COND_SOLVE_TOL``, which bounds its relative error, or the SuperLU
     factors).  Fails with :class:`ModelError` unless 0 <= ``anchor`` < the
-    state count, and with :class:`NumericsError` when the condition number
-    exceeds ``COND_LIMIT`` or the returned residual misses ``RESIDUAL_TOL``.
+    state count, and with :class:`NumericsError`, saying how BiCGSTAB
+    stopped, when SuperLU would factor more than ``SUPERLU_STATE_CAP``
+    states, when the condition number exceeds ``COND_LIMIT`` or when the
+    returned residual misses ``RESIDUAL_TOL``.
     """
     n = len(space)
     if not 0 <= anchor < n:
@@ -232,10 +236,10 @@ def solve_howard_exact(
         true = ones - At @ y
         return true, np.abs(true).max()
 
-    solved = _bicgstab(At.__matmul__, ones, dinv, lambda y: COND_SOLVE_TOL, transposed_residuals)
-    x = None
-    if solved is not None:
-        condition = _checked_condition(norm_1 * np.abs(solved[0]).max())
+    y, _, stop = _bicgstab(At.__matmul__, ones, dinv, lambda y: COND_SOLVE_TOL, transposed_residuals)
+    x, stop = None, f"{stop} on the transposed system"
+    if y is not None:
+        condition = _checked_condition(norm_1 * np.abs(y).max())
         # ||Q||_inf: each row of a generator sums to zero
         scale_q, scale_rhs = 2.0 * np.abs(Q.diagonal()).max(), np.abs(howard_rhs).max()
 
@@ -250,11 +254,11 @@ def solve_howard_exact(
             true[pivot] = -x[pivot]
             return true, np.abs(howard).max()
 
-        solved = _bicgstab(A.__matmul__, rhs, dinv, tol, residuals)
-        if solved is not None:
-            x, iterations = solved
-            solver = "bicgstab"
+        x, iterations, stop = _bicgstab(A.__matmul__, rhs, dinv, tol, residuals)
+        solver = "bicgstab"
     if x is None:
+        if n > SUPERLU_STATE_CAP:
+            raise NumericsError(f"BiCGSTAB {stop}, and SuperLU factors at most {SUPERLU_STATE_CAP} states, not {n}")
         x, inverse_norm = _superlu_solve(A, rhs)
         condition = _checked_condition(norm_1 * inverse_norm)
         solver, iterations = "superlu", 0
@@ -279,17 +283,18 @@ def _checked_condition(condition: float) -> float:
     return float(condition)
 
 
-def _bicgstab(matvec, b: np.ndarray, dinv: np.ndarray, tol, residuals) -> tuple[np.ndarray, int] | None:
+def _bicgstab(matvec, b: np.ndarray, dinv: np.ndarray, tol, residuals) -> tuple[np.ndarray | None, int, str]:
     """Jacobi-preconditioned BiCGSTAB (van der Vorst 1992) for A x = b from
     x = 0; ``matvec`` applies A and ``dinv`` is the inverse of its diagonal.
 
     ``residuals(x)`` gives the true residual b - A x and the max-norm
     residual that must meet ``tol(x)``.  It is formed only once the
-    recursively updated residual meets ``tol(x)``.  Returns (x, steps) at the
-    first x that meets it, or None on a breakdown (a zero scalar or a
-    non-finite residual), on stagnation (the updated residual has fallen
-    ``STALL_GAP`` times below the true one, so rounding, not the Krylov
-    space, bounds further progress) or after ``BICGSTAB_MAX_ITER`` steps.
+    recursively updated residual meets ``tol(x)``.  Returns (x, steps, how it
+    stopped) at the first x that meets it, and x = None on a breakdown (a
+    zero scalar or a non-finite residual), on stagnation (the updated
+    residual has fallen ``STALL_GAP`` times below the true one, so rounding,
+    not the Krylov space, bounds further progress) or after
+    ``BICGSTAB_MAX_ITER`` steps.
     """
     x = np.zeros_like(b)
     r, r0 = b.copy(), b
@@ -300,7 +305,7 @@ def _bicgstab(matvec, b: np.ndarray, dinv: np.ndarray, tol, residuals) -> tuple[
             if step:
                 rho, rho_prev = r0 @ r, rho
                 if rho == 0.0:
-                    return None
+                    return None, step, f"broke down at step {step}"
                 p = r + (rho / rho_prev) * (alpha / omega) * (p - omega * v)
                 p_hat = dinv * p
                 v = matvec(p_hat)
@@ -314,16 +319,17 @@ def _bicgstab(matvec, b: np.ndarray, dinv: np.ndarray, tol, residuals) -> tuple[
                 r = s - omega * t
             r_norm, bound = np.abs(r).max(), tol(x)
             if not math.isfinite(r_norm):
-                return None
+                return None, step, f"broke down at step {step}"
             if r_norm <= bound:
                 true, res = residuals(x)
                 if res <= bound:
-                    return x, step
-                if r_norm < STALL_GAP * np.abs(true).max():
-                    return None
+                    return x, step, f"converged at step {step}"
+                true_norm = np.abs(true).max()
+                if r_norm < STALL_GAP * true_norm:
+                    return None, step, f"stalled at step {step}: residual {true_norm:.3g}, updated {r_norm:.3g}"
             if step and omega == 0.0:
-                return None
-    return None
+                return None, step, f"broke down at step {step}"
+    return None, step, f"ran out of steps at step {step}: updated residual {r_norm:.3g} > {bound:.3g}"
 
 
 def _superlu_solve(A: scipy.sparse.csr_matrix, rhs: np.ndarray) -> tuple[np.ndarray, float]:
@@ -397,23 +403,10 @@ def symmetric_relative_costs(
     return RelativeCosts(v=v, anchor=0, residual=math.nan)
 
 
-# The two approximations, each one kernel over an occupancy array (one row
-# per state): the whole-space functions pass the state space's occupancy,
-# the per-state functions a one-row array.  Per-class terms are added in
-# class order.
-
-
-def _equal_bandwidth_v(occupancy: np.ndarray, classes: tuple[TrafficClass, ...], g: float) -> np.ndarray:
-    _require_equal([c.bandwidth for c in classes], "bandwidths")
-    totals = occupancy.sum(axis=1)
-    rho = sum(c.rho for c in classes)
-    v = np.zeros(len(occupancy))
-    if rho == 0.0:
-        return v
-    _, D = _total_tables(int(totals.max()), rho)
-    for qj, c in zip(occupancy.T, classes):
-        v += np.where(qj > 0, (qj / np.maximum(totals, 1)) * g / (c.mu * rho) * D[totals], 0.0)
-    return v
+# The one approximation kernel, over an occupancy array (one row per state):
+# whole-space functions pass the state space's, per-state functions a one-row
+# array and the series its box.  At equal bandwidths it is the occupancy-
+# weighted equal-bandwidth form.  Per-class terms are added in class order.
 
 
 def _general_v(occupancy: np.ndarray, classes: tuple[TrafficClass, ...], g: float) -> np.ndarray:
@@ -438,8 +431,10 @@ def relative_cost_equal_bandwidth_approx(
 ) -> float:
     """Occupancy-weighted closed-form approximation for equal bandwidths but
     class-dependent service rates.  Defined as 0 at the empty state.  The
-    value :func:`equal_bandwidth_relative_costs` gives state q."""
-    return float(_equal_bandwidth_v(np.array([q]), tuple(classes), g)[0])
+    value :func:`equal_bandwidth_relative_costs` gives state q; the general
+    approximation, restricted to equal bandwidths."""
+    _require_equal([c.bandwidth for c in classes], "bandwidths")
+    return float(_general_v(np.array([q]), tuple(classes), g)[0])
 
 
 def relative_cost_general_approx(
@@ -460,7 +455,8 @@ def equal_bandwidth_relative_costs(
     space: StateSpace, classes: Sequence[TrafficClass], g: float
 ) -> RelativeCosts:
     """:func:`relative_cost_equal_bandwidth_approx` over every state."""
-    v = _equal_bandwidth_v(space.occupancy, tuple(classes), g)
+    _require_equal([c.bandwidth for c in classes], "bandwidths")
+    v = _general_v(space.occupancy, tuple(classes), g)
     return RelativeCosts(v=v, anchor=0, residual=math.nan)
 
 
@@ -520,12 +516,15 @@ def series_refine(
     """Complete a starting approximation by per-class correction terms.
 
     The start is g u, with u a callable of the occupancy tuple; when ``u``
-    is None it is the symmetric-shaped u(q) = D(total q) / (rho sum_j mu_j),
-    D the double sum of the symmetric closed form and rho the total load.
-    The first correction seed splits the unit cost-rate identity across
-    classes, f1_j = c_j - D_j u with c_j(q) = rho_j E(q+1) - q_j E(q) (the
-    shares c_j sum to one), and each further seed pushes the cross-class
-    coupling one order higher:
+    is None it is the general approximation at g = 1
+    (:func:`relative_cost_general_approx`), exact on symmetric
+    complete-sharing models.  A start that already meets the convergence
+    tolerance is returned before any term is computed.  With E(t) the load
+    increment of the symmetric closed form at the total load, the first
+    correction seed splits the unit cost-rate identity across classes,
+    f1_j = c_j - D_j u with c_j(q) = rho_j E(q+1) - q_j E(q) (the shares c_j
+    sum to one), and each further seed pushes the cross-class coupling one
+    order higher:
 
         f_{n+1,j} = - sum_{k != j} D_k [ (1/mu_j) h(f_{n,j}; q_j, rho_j) ]
 
@@ -560,20 +559,13 @@ def series_refine(
             f"series box and quasi-inverse matrices of {cells} cells for {n_terms} terms "
             f"exceed the cap of {SERIES_BOX_CAP}"
         )
-    rho = sum(c.rho for c in classes)
     Q = sparse_generator(space, classes)
 
     grid = np.indices(shape)
-    totals = grid.sum(axis=0)
-    # E(t) is the load increment; its shares c_j(q) sum to one over j
-    E, D = _total_tables(int(totals.max()) + 1, rho)
     if u is None:
-        ubox = D[totals] / (rho * sum(c.mu for c in classes))
+        ubox = _general_v(grid.reshape(K, -1).T, classes, 1.0).reshape(shape)
     else:
         ubox = np.fromiter(map(u, np.ndindex(*shape)), dtype=float).reshape(shape)
-    f = [c.rho * E[totals + 1] - grid[j] * E[totals] - _delta_k(ubox, j, c.lam, c.mu)
-         for j, c in enumerate(classes)]
-    H = [_quasi_inverse(n, c.rho) for n, c in zip(shape, classes)]
 
     occupied = tuple(space.occupancy.T)
 
@@ -584,8 +576,19 @@ def series_refine(
 
     vbox = g * ubox
     v0, res0 = measure(vbox)
+    if res0 <= SERIES_CONVERGED_TOL:
+        return SeriesResult(RelativeCosts(v=v0, anchor=0, residual=res0), (res0,), True,
+                            "converged after 0 terms")
     history = [res0]
     best_v, best_res, best_terms = v0, res0, 0
+
+    totals = grid.sum(axis=0)
+    # E(t) is the load increment at the total load; its shares c_j(q) sum to
+    # one over j
+    E, _ = _total_tables(int(totals.max()) + 1, sum(c.rho for c in classes))
+    f = [c.rho * E[totals + 1] - grid[j] * E[totals] - _delta_k(ubox, j, c.lam, c.mu)
+         for j, c in enumerate(classes)]
+    H = [_quasi_inverse(n, c.rho) for n, c in zip(shape, classes)]
 
     message = ""
     grow_streak = 0
@@ -612,16 +615,10 @@ def series_refine(
         f = [-sum((_delta_k(hs[j], k, classes[k].lam, classes[k].mu) for k in range(K) if k != j),
                   np.zeros(shape)) for j in range(K)]
 
-    converged = best_res <= SERIES_CONVERGED_TOL
     if not message:
         message = f"stopped after {len(history) - 1} terms without reaching {SERIES_CONVERGED_TOL:g}"
-    costs = RelativeCosts(v=best_v, anchor=0, residual=best_res)
-    return SeriesResult(
-        costs=costs,
-        residual_history=tuple(history),
-        converged=converged,
-        message=message,
-    )
+    return SeriesResult(RelativeCosts(v=best_v, anchor=0, residual=best_res), tuple(history),
+                        best_res <= SERIES_CONVERGED_TOL, message)
 
 
 def shadow_prices(costs: RelativeCosts | np.ndarray, space: StateSpace) -> ShadowPriceTable:

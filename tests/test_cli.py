@@ -549,6 +549,28 @@ def test_shadow_series_manifest_names_default_terms(tmp_path):
         assert (tmp_path / "default" / name).read_bytes() == (tmp_path / "explicit" / name).read_bytes()
 
 
+@pytest.mark.parametrize("text", [ASYMMETRIC_MODEL, SYM969_MODEL], ids=["asymmetric", "symmetric"])
+def test_series_manifest_records_outcome(tmp_path, text):
+    from losscost import enumerate_states, series_refine, stationary
+    from losscost.model_io import load_model
+
+    model = _write(tmp_path, text)
+    classes, policy = load_model(model)
+    space = enumerate_states(classes, policy)
+    dist = stationary(space, classes)
+    result = series_refine(space, classes, dist.g, dist.r)
+    for method in ("series", "exact", "general", "equal-bandwidth"):
+        out = tmp_path / method
+        code = main(["shadow", "--method", method, "--model", model, "--out", str(out)])
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        if method == "series":
+            assert code == (0 if result.converged else 3)
+            assert manifest["series"] == {"converged": result.converged, "message": result.message}
+        else:
+            assert "series" not in manifest
+    assert result.converged == (text == SYM969_MODEL)
+
+
 def test_risk_quantile_past_truncation_reads_rmax_plus_one(tmp_path):
     # with r_max = 1 the truncated law never reaches 0.95: both quantiles
     # read r_max + 1, and the leakage warning makes the run exit 3
@@ -744,7 +766,7 @@ def test_exact_manifests_record_the_solver(tmp_path, monkeypatch, path):
     from losscost.model_io import load_model
 
     if path == "superlu":
-        monkeypatch.setattr(hw, "_bicgstab", lambda *args: None)
+        monkeypatch.setattr(hw, "_bicgstab", lambda *args: (None, 0, "not run"))
     model = _write(tmp_path, B12_MODEL)
     classes, policy = load_model(model)
     space = enumerate_states(classes, policy)
@@ -774,6 +796,27 @@ def test_exact_solve_failure_exits_2(tmp_path, monkeypatch, capsys, argv):
     model = _write(tmp_path, B12_MODEL)
     assert main(argv + ["--model", model, "--out", str(tmp_path / "o")]) == 2
     assert "numeric failure: relative-cost solve residual" in capsys.readouterr().err
+
+
+# rates spread over five decades, 444 states: BiCGSTAB does not converge
+SPREAD_RATES_MODEL = json.dumps({
+    "classes": [{"lambda": l, "mu": m, "bandwidth": b, "omega": w}
+                for l, m, b, w in zip((0.001, 50, 1), (0.001, 10, 100), (1, 1, 2), (1, 2, 3))],
+    "policy": {"type": "full_sharing", "capacity": 15},
+})
+
+
+@pytest.mark.parametrize("argv", [["shadow"], ["simulate", "--t", "3", "--reps", "20"]],
+                         ids=["shadow", "simulate"])
+def test_exact_solve_above_superlu_bound_exits_2(tmp_path, monkeypatch, capsys, argv):
+    from losscost import howard as hw
+
+    monkeypatch.setattr(hw, "SUPERLU_STATE_CAP", 400)
+    model = _write(tmp_path, SPREAD_RATES_MODEL)
+    assert main(argv + ["--model", model, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: BiCGSTAB ")
+    assert "SuperLU factors at most 400 states, not 444" in err
 
 
 def test_cli_import_leaves_heavy_modules_unloaded():

@@ -12,10 +12,11 @@ from conftest import (heavy_instance, implied_cost_sides, k1_instance, k2_refere
                       random_model, threshold_factor_solution)
 
 
-# Reference forms: the closed forms and the series start evaluated one state
-# at a time by the double-sum loop, as the library once computed them.  The
-# library's per-state and whole-space names share one kernel, so these are
-# what both are checked against.
+# Reference forms: the closed forms evaluated one state at a time by the
+# double-sum loop, as the library once computed them.  The library's
+# per-state and whole-space names share one kernel, so these are what both
+# are checked against.  The series start is the per-state general
+# approximation, so its tabulated box is checked against that.
 
 
 def _double_sum(q, rho):
@@ -65,17 +66,8 @@ def _loop_general(q, classes, g):
 
 
 def _loop_series_start(classes):
-    # the series completion's default start u(q) = D(total q) / (rho sum_j mu_j)
-    rho = sum(c.rho for c in classes)
-    mu_sum = sum(c.mu for c in classes)
-
-    def u(q):
-        total = sum(q)
-        if total == 0:
-            return 0.0
-        return _double_sum(total, rho) / (rho * mu_sum)
-
-    return u
+    # the series completion's default start: the general approximation at g = 1
+    return lambda q: lc.relative_cost_general_approx(q, classes, 1.0)
 
 
 def _solved(classes, space):
@@ -131,7 +123,7 @@ def test_exact_solve_heavy_load_matches_closed_form():
 
 def _superlu_only(monkeypatch):
     """Route the exact solve to its SuperLU fallback."""
-    monkeypatch.setattr(hw, "_bicgstab", lambda *args: None)
+    monkeypatch.setattr(hw, "_bicgstab", lambda *args: (None, 0, "not run"))
 
 
 def _model(lam, mu, bandwidth, omega, capacity):
@@ -196,6 +188,20 @@ def test_exact_solve_falls_back_to_superlu(name, monkeypatch):
         _superlu_only(m)
         direct = lc.solve_howard_exact(space, classes, dist.g, dist.r)
     assert np.array_equal(costs.v, direct.v)
+
+
+def test_exact_solve_above_superlu_bound_fails_before_factoring(monkeypatch):
+    # BiCGSTAB does not converge on the 444-state spread-rates model; with
+    # the bound below its state count the solve says how the iteration
+    # stopped instead of factoring
+    classes, space = _model(*FALLBACK_MODELS["spread-rates"])
+    dist = lc.stationary(space, classes)
+    monkeypatch.setattr(hw, "SUPERLU_STATE_CAP", len(space) - 1)
+    monkeypatch.setattr(hw, "_superlu_solve", lambda *a: pytest.fail("SuperLU ran"))
+    with pytest.raises(lc.NumericsError,
+                       match=r"^BiCGSTAB (stalled|broke down|ran out).*SuperLU factors at most 443 "
+                             r"states, not 444$"):
+        lc.solve_howard_exact(space, classes, dist.g, dist.r)
 
 
 def _assert_implied_costs(space, classes, dist, v, floor=0.0):
@@ -423,6 +429,17 @@ def test_equal_bandwidth_approx_reduces_when_rates_equal():
         assert lc.relative_cost_equal_bandwidth_approx(q, classes, g) == pytest.approx(want, rel=1e-12)
 
 
+def test_equal_bandwidth_approx_rejects_unequal_bandwidths():
+    # the general approximation answers here; its equal-bandwidth names do not
+    classes = (lc.TrafficClass(1.0, 1.0, 1, 1), lc.TrafficClass(1.0, 2.0, 2, 1))
+    space = lc.enumerate_states(classes, lc.FullSharing(capacity=4))
+    assert lc.general_relative_costs(space, classes, 0.5).v.any()
+    with pytest.raises(lc.ModelError, match="equal bandwidths"):
+        lc.equal_bandwidth_relative_costs(space, classes, 0.5)
+    with pytest.raises(lc.ModelError, match="equal bandwidths"):
+        lc.relative_cost_equal_bandwidth_approx((1, 1), classes, 0.5)
+
+
 def test_equal_bandwidth_approx_zero_state():
     classes = (lc.TrafficClass(1.0, 1.0), lc.TrafficClass(1.0, 2.0))
     assert lc.relative_cost_equal_bandwidth_approx((0, 0), classes, g=0.5) == 0.0
@@ -469,9 +486,11 @@ def test_general_approx_zero_state_and_finite_residual():
 
 def test_vectorised_approximations_match_scalar_forms(rng):
     # the whole-space and per-state names both give, bit for bit, the
-    # reference loops evaluated state by state; the symmetric instances get
-    # unequal service rates (the state space does not depend on them) so
-    # that equal-bandwidth is not the closed form
+    # general reference loop evaluated state by state (equal-bandwidth is
+    # the general approximation at equal bandwidths), and equal-bandwidth
+    # stays within rounding of its own occupancy-weighted loop; the
+    # symmetric instances get unequal service rates (the state space does
+    # not depend on them) so that equal-bandwidth is not the closed form
     zero_load = (lc.TrafficClass(0.0, 1.0, 1, 1), lc.TrafficClass(0.0, 2.0, 1, 2))
     one_class = (lc.TrafficClass(1.3, 0.7, 2, 1),)
     mixed = (lc.TrafficClass(1.0, 1.0, 1, 1), lc.TrafficClass(0.5, 2.0, 2, 2),
@@ -489,9 +508,12 @@ def test_vectorised_approximations_match_scalar_forms(rng):
                             for c in classes), space))
     for classes, space in cases:
         g = lc.stationary(space, classes).g
-        want = [_loop_equal_bandwidth(q, classes, g) for q in space.states]
-        assert np.array_equal(lc.equal_bandwidth_relative_costs(space, classes, g).v, want)
+        want = [_loop_general(q, classes, g) for q in space.states]
+        got = lc.equal_bandwidth_relative_costs(space, classes, g).v
+        assert np.array_equal(got, want)
         assert [lc.relative_cost_equal_bandwidth_approx(q, classes, g) for q in space.states] == want
+        own = np.array([_loop_equal_bandwidth(q, classes, g) for q in space.states])
+        assert np.max(np.abs(got - own)) <= 4e-15 * np.max(np.abs(own))
     cases = special + [heavy_instance(12),
                        (mixed, lc.enumerate_states(mixed, lc.PerClassThreshold((3, 2, 2))))]
     cases += [random_instance(rng) for _ in range(16)]
@@ -617,6 +639,22 @@ def test_series_outcome_is_documented(rng):
         assert res.costs.residual == min(res.residual_history)
         hits += 1
     assert hits >= 3
+
+
+def test_series_default_start_is_exact_on_symmetric_models(monkeypatch):
+    # K=3 complete sharing with one bandwidth and one service rate: the
+    # general approximation is the closed form, so the series returns its
+    # start without computing a term
+    classes = tuple(lc.TrafficClass(lam, 1.0, 1, w) for lam, w in ((2.0, 1), (2.1, 2), (1.9, 3)))
+    space = lc.enumerate_states(classes, lc.FullSharing(capacity=16))
+    dist = lc.stationary(space, classes)
+    monkeypatch.setattr(hw, "_quasi_inverse", lambda *a: pytest.fail("a term was computed"))
+    res = lc.series_refine(space, classes, dist.g, dist.r)
+    closed = lc.symmetric_relative_costs(space, classes, dist.g).v
+    assert res.costs.residual <= 1e-10
+    assert np.max(np.abs(res.costs.v - closed)) <= 1e-12 * np.max(np.abs(closed))
+    assert res.converged and res.message == "converged after 0 terms"
+    assert res.residual_history == (res.costs.residual,)
 
 
 def test_series_k1_converges():
