@@ -52,9 +52,10 @@ res_zero = hw.howard_residual(space, classes, np.zeros(len(space)), dist.g, dist
 print(f"bandwidth-scaled approximation residual {res_approx:.3f} "
       f"(the all-zero guess scores {res_zero:.3f})")
 
-# The series completion refines a starting approximation and reports its
-# residual trajectory honestly; on blocking instances it may stall, in which
-# case the flags say so and the exact solver is the tool to use.
+# The series completion refines a starting approximation term by term, each
+# term one exact solve per class along that class's lines, and reports its
+# residual trajectory; it is an approximation ladder, so when it stops short
+# of the tolerance the flags say so and the exact solver is the tool to use.
 series = lc.series_refine(space, classes, dist.g, dist.r, n_terms=6)
 print("\nseries completion residuals:", [f"{r:.3f}" for r in series.residual_history])
 print("converged:", series.converged, "|", series.message)

@@ -20,8 +20,9 @@ answer it returns meets the residual gate ``RESIDUAL_TOL``, and it reports
 the anchored system's exact 1-norm condition number, which must stay under
 ``COND_LIMIT``.  Besides it this module has the closed form for the symmetric
 single-service-rate case, two cheap closed-form approximations for
-asymmetric systems, and an iterative series completion that tries to refine
-any starting approximation by per-class quasi-inversion of the generator.
+asymmetric systems, and a series completion that refines any starting
+approximation term by term, each term one exact solve per class along that
+class's lines of the anchored system.
 """
 
 from __future__ import annotations
@@ -34,11 +35,9 @@ import numpy as np
 import scipy.sparse
 
 from .model import (
-    DEFAULT_STATE_CAP,
     ModelError,
     NumericsError,
     StateSpace,
-    StateSpaceSizeError,
     TrafficClass,
     _log_weights,
     sparse_generator,
@@ -89,10 +88,6 @@ SERIES_CONVERGED_TOL = 1e-6
 SERIES_STALL_TOL = 1e-10
 # correction terms of a series completion when none are asked for
 SERIES_TERMS = 6
-# most cells in the series completion's box plus its per-class matrices; the
-# 585,276-state K=3 model at the default 6 terms needs 159^3 + 3 * 159^2,
-# about 4.1M
-SERIES_BOX_CAP = 8 * DEFAULT_STATE_CAP
 
 
 @dataclass(frozen=True)
@@ -175,6 +170,25 @@ def _residual(Q: scipy.sparse.csr_matrix, v: np.ndarray, g: float, r: np.ndarray
     return float(np.max(np.abs(Q @ v - (g - r))))
 
 
+def _anchored_system(
+    space: StateSpace, classes: Sequence[TrafficClass], g: float, r: np.ndarray
+) -> tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix, np.ndarray, int]:
+    """(Q, A, rhs, pivot): the generator and the anchored system A x = rhs,
+    Howard's equation with the row of the most likely state q* = argmax pi
+    (index ``pivot``) replaced by v(q*) = 0, so rhs = g - r with
+    rhs[pivot] = 0."""
+    Q = sparse_generator(space, classes)
+    pivot = int(np.argmax(_log_weights(space, classes)))
+    # sparse_generator stores every diagonal entry, so the pivot's row keeps
+    # its slot for the 1
+    A = Q.copy()
+    row = slice(A.indptr[pivot], A.indptr[pivot + 1])
+    A.data[row] = np.where(A.indices[row] == pivot, 1.0, 0.0)
+    rhs = g - np.asarray(r, dtype=float)
+    rhs[pivot] = 0.0
+    return Q, A, rhs, pivot
+
+
 def solve_howard_exact(
     space: StateSpace,
     classes: Sequence[TrafficClass],
@@ -214,17 +228,9 @@ def solve_howard_exact(
     n = len(space)
     if not 0 <= anchor < n:
         raise ModelError(f"anchor must be a state index in [0, {n}), got {anchor}")
-    Q = sparse_generator(space, classes)
+    Q, A, rhs, pivot = _anchored_system(space, classes, g, r)
     r = np.asarray(r, dtype=float)
-    pivot = int(np.argmax(_log_weights(space, classes)))
-    # the pivot's row becomes v(q*) = 0; sparse_generator stores every
-    # diagonal entry, so the row keeps its slot for the 1
-    A = Q.copy()
-    row = slice(A.indptr[pivot], A.indptr[pivot + 1])
-    A.data[row] = np.where(A.indices[row] == pivot, 1.0, 0.0)
     howard_rhs = g - r
-    rhs = howard_rhs.copy()
-    rhs[pivot] = 0.0
     norm_1 = float(np.bincount(A.indices, weights=np.abs(A.data), minlength=n).max())
 
     with np.errstate(divide="ignore"):
@@ -404,9 +410,10 @@ def symmetric_relative_costs(
 
 
 # The one approximation kernel, over an occupancy array (one row per state):
-# whole-space functions pass the state space's, per-state functions a one-row
-# array and the series its box.  At equal bandwidths it is the occupancy-
-# weighted equal-bandwidth form.  Per-class terms are added in class order.
+# whole-space functions and the series start pass the state space's,
+# per-state functions a one-row array.  At equal bandwidths it is the
+# occupancy-weighted equal-bandwidth form.  Per-class terms are added in
+# class order.
 
 
 def _general_v(occupancy: np.ndarray, classes: tuple[TrafficClass, ...], g: float) -> np.ndarray:
@@ -468,41 +475,49 @@ def general_relative_costs(
     return RelativeCosts(v=v, anchor=0, residual=math.nan)
 
 
-def _delta_k(a: np.ndarray, k: int, lam: float, mu: float) -> np.ndarray:
-    # one-class generator without admission control along axis k; valid one
-    # layer inside the box
-    up = np.roll(a, -1, axis=k)
-    dn = np.roll(a, 1, axis=k)
-    qk = np.arange(a.shape[k]).reshape([-1 if ax == k else 1 for ax in range(a.ndim)])
-    out = lam * (up - a) - mu * qk * (a - dn)
-    # roll wrapped the edges; zero the top layer where up is meaningless
-    idx = [slice(None)] * a.ndim
-    idx[k] = -1
-    out[tuple(idx)] = 0.0
-    return out
+def _line_factors(space: StateSpace, A: scipy.sparse.csr_matrix) -> list[tuple[np.ndarray, tuple]]:
+    """Per class k, the state order with q_k fastest and the LAPACK ``gttrf``
+    factors of M_k: diag(A) plus A's couplings between class-k neighbours.
 
-
-def _quasi_inverse(n: int, rho: float) -> np.ndarray:
-    """Strictly lower-triangular matrix of the one-class quasi-inverse on
-    levels 0..n-1.
-
-    H[q, m] = rho^-1 sum_{j=0}^{q-m-1} (m+j)!/m! rho^-j for m < q, so that
-    the one-class generator maps (1/mu) H f back to f below the top level.
-    Row q adds to row q-1 the term T(q, m) = (q-1)!/m! rho^-(q-1-m), carried
-    from T(q-1, m) by one factor (q-1)/rho.
+    Every other class count is fixed along a line of M_k, so M_k is
+    tridiagonal in that order.  It is A with its off-class couplings dropped,
+    a nonsingular M-matrix up to row signs.  Each system carries two
+    identity rows at its end, since ``dgttrf`` refuses systems of at most
+    two rows.
     """
-    H = np.zeros((n, n))
-    T = np.zeros(n)
-    for q in range(1, n):
-        T[:q - 1] *= (q - 1) / rho
-        T[q - 1] = 1.0
-        H[q] = H[q - 1] + T
-    return H / rho
+    from scipy.linalg.lapack import dgttrf
+
+    n, occ = len(space), space.occupancy
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    diag = A.diagonal()
+    pad = np.zeros(2)
+    factors = []
+    for k in range(space.K):
+        order = np.lexsort((occ[:, k], *np.delete(occ, k, axis=1).T))
+        # q - e_k and q + e_k are the neighbours of q in this order when they
+        # are states; a state without one couples to nothing there
+        up, down = np.zeros(n), np.zeros(n)
+        for coupling, neighbour in ((up, space.up[:, k]), (down, space.down[:, k])):
+            hit = A.indices == neighbour[rows]
+            coupling[rows[hit]] = A.data[hit]
+        *lu, info = dgttrf(np.concatenate([down[order[1:]], pad]),
+                           np.concatenate([diag[order], [1.0, 1.0]]),
+                           np.concatenate([up[order[:-1]], pad]))
+        if info != 0:
+            raise NumericsError(f"class {k + 1} line system is singular (dgttrf info {info})")
+        factors.append((order, tuple(lu)))
+    return factors
 
 
-def _apply_along(M: np.ndarray, a: np.ndarray, k: int) -> np.ndarray:
-    """M applied to every line of ``a`` along axis k."""
-    return np.moveaxis(np.tensordot(M, a, axes=(1, k)), 0, k)
+def _line_solve(factor: tuple[np.ndarray, tuple], b: np.ndarray) -> np.ndarray:
+    """M_k^-1 b for one class's factor from :func:`_line_factors`."""
+    from scipy.linalg.lapack import dgttrs
+
+    order, lu = factor
+    y, _ = dgttrs(*lu, np.concatenate([b[order], np.zeros(2)]))
+    x = np.empty_like(b)
+    x[order] = y[:-2]
+    return x
 
 
 def series_refine(
@@ -515,88 +530,63 @@ def series_refine(
 ) -> SeriesResult:
     """Complete a starting approximation by per-class correction terms.
 
-    The start is g u, with u a callable of the occupancy tuple; when ``u``
-    is None it is the general approximation at g = 1
+    The start is g u, with u a callable of the occupancy tuple evaluated on
+    every state; when ``u`` is None it is the general approximation at g = 1
     (:func:`relative_cost_general_approx`), exact on symmetric
     complete-sharing models.  A start that already meets the convergence
-    tolerance is returned before any term is computed.  With E(t) the load
-    increment of the symmetric closed form at the total load, the first
-    correction seed splits the unit cost-rate identity across classes,
-    f1_j = c_j - D_j u with c_j(q) = rho_j E(q+1) - q_j E(q) (the shares c_j
-    sum to one), and each further seed pushes the cross-class coupling one
-    order higher:
+    tolerance is returned before any term is computed.
 
-        f_{n+1,j} = - sum_{k != j} D_k [ (1/mu_j) h(f_{n,j}; q_j, rho_j) ]
+    The terms work on the anchored system A z = b of :func:`solve_howard_exact`.
+    Fixing every class count but class k's turns the generator into
+    birth-death lines along class k; M_k, diag(A) plus A's class-k couplings,
+    is tridiagonal with q_k fastest and is factored once per call.  One term
+    is one symmetric block Gauss-Seidel sweep over the class axes (Stewart,
+    *Introduction to the Numerical Solution of Markov Chains*, 1994, ch. 3):
+    for the classes in order, then in reverse,
 
-    where h is the exact one-class inverse of D_j, one lower-triangular
-    matrix per class applied along that class's axis.  All operators act on
-    an enlarged box around the admitted region (levels 0..max q_j + n_terms
-    + 2 per axis) so that no admission boundary is seen by the recursion; the
-    residual is always measured with the admission boundary in force.
-    Raises :class:`StateSpaceSizeError` when the box and the matrices would
-    hold more than ``SERIES_BOX_CAP`` cells, before allocating them.
+        z <- z + M_k^-1 (b - A z),
 
-    The corrections drive the residual of the *unconstrained* balance
-    equation to zero, but on blocking instances the completed function can
-    settle on a solution whose boundary increments disagree with the blocking
-    costs, so the policy-equation residual may stall above the convergence
-    tolerance.  That outcome is reported by ``converged`` and ``message``
-    instead of being iterated forever; use :func:`solve_howard_exact` when an
-    exact answer is required.
+    each class's exact one-class solve with the admission boundary and every
+    other class's counts held.  With one class M_1 = A and the first term is
+    the exact solution.  The residual of every iterate is measured on
+    v = z - z(empty) with Howard's equation in full.
+
+    The terms are an approximation ladder, not a solver: on some blocking
+    instances the residual rises after the first terms while v still moves
+    toward the exact solution.  The iterate of least residual is returned,
+    and ``converged`` and ``message`` say how the terms ended; use
+    :func:`solve_howard_exact` when an exact answer is required.
     """
     classes = tuple(classes)
-    K = space.K
     if n_terms < 0:
         raise ModelError(f"n_terms must be >= 0, got {n_terms}")
-    if any(c.lam == 0.0 for c in classes):
-        # the per-class quasi-inverse weights carry inverse powers of the
-        # per-class load
-        raise ModelError("series completion requires a positive arrival rate per class")
-    shape = tuple(int(m) + n_terms + 3 for m in space.occupancy.max(axis=0))
-    cells = math.prod(shape) + sum(n * n for n in shape)
-    if cells > SERIES_BOX_CAP:
-        raise StateSpaceSizeError(
-            f"series box and quasi-inverse matrices of {cells} cells for {n_terms} terms "
-            f"exceed the cap of {SERIES_BOX_CAP}"
-        )
-    Q = sparse_generator(space, classes)
-
-    grid = np.indices(shape)
+    Q, A, b, pivot = _anchored_system(space, classes, g, r)
     if u is None:
-        ubox = _general_v(grid.reshape(K, -1).T, classes, 1.0).reshape(shape)
+        z = g * _general_v(space.occupancy, classes, 1.0)
     else:
-        ubox = np.fromiter(map(u, np.ndindex(*shape)), dtype=float).reshape(shape)
+        z = g * np.fromiter(map(u, space.states), dtype=float, count=len(space))
 
-    occupied = tuple(space.occupancy.T)
-
-    def measure(vbox: np.ndarray) -> tuple[np.ndarray, float]:
-        v = vbox[occupied]
-        v = v - v[0]
+    def measure(z: np.ndarray) -> tuple[np.ndarray, float]:
+        v = z - z[0]
         return v, _residual(Q, v, g, r)
 
-    vbox = g * ubox
-    v0, res0 = measure(vbox)
+    v0, res0 = measure(z)
     if res0 <= SERIES_CONVERGED_TOL:
         return SeriesResult(RelativeCosts(v=v0, anchor=0, residual=res0), (res0,), True,
                             "converged after 0 terms")
     history = [res0]
     best_v, best_res, best_terms = v0, res0, 0
-
-    totals = grid.sum(axis=0)
-    # E(t) is the load increment at the total load; its shares c_j(q) sum to
-    # one over j
-    E, _ = _total_tables(int(totals.max()) + 1, sum(c.rho for c in classes))
-    f = [c.rho * E[totals + 1] - grid[j] * E[totals] - _delta_k(ubox, j, c.lam, c.mu)
-         for j, c in enumerate(classes)]
-    H = [_quasi_inverse(n, c.rho) for n, c in zip(shape, classes)]
+    factors = _line_factors(space, A)
+    sweep = factors + factors[::-1]
+    # the anchored system's solution is zero at the pivot
+    z = z - z[pivot]
 
     message = ""
     grow_streak = 0
     for n in range(1, n_terms + 1):
-        hs = [_apply_along(H[j], f[j], j) / classes[j].mu for j in range(K)]
-        for h in hs:
-            vbox += g * h
-        v, res = measure(vbox)
+        for factor in sweep:
+            z = z + _line_solve(factor, b - A @ z)
+        v, res = measure(z)
         history.append(res)
         if res < best_res:
             best_v, best_res, best_terms = v, res, n
@@ -607,13 +597,9 @@ def series_refine(
         if res <= SERIES_CONVERGED_TOL:
             message = f"converged after {n} terms"
             break
-        if abs(history[-2] - res) < SERIES_STALL_TOL:
-            message = f"residual improvement below {SERIES_STALL_TOL:g} after {n} terms; stopping"
+        if abs(history[-2] - res) <= SERIES_STALL_TOL * history[-2]:
+            message = f"residual stalled (relative change at most {SERIES_STALL_TOL:g}) after {n} terms; stopping"
             break
-        if n == n_terms:
-            break
-        f = [-sum((_delta_k(hs[j], k, classes[k].lam, classes[k].mu) for k in range(K) if k != j),
-                  np.zeros(shape)) for j in range(K)]
 
     if not message:
         message = f"stopped after {len(history) - 1} terms without reaching {SERIES_CONVERGED_TOL:g}"
