@@ -13,16 +13,16 @@ v(empty) = 0, which leaves the shadow prices p_k(q) = v(q+e_k) - v(q)
 unchanged.
 
 The exact solve works on the sparse (CSR) generator with one equation
-replaced at the most likely state, so no n x n matrix is formed.  It runs
-Jacobi-preconditioned BiCGSTAB and keeps a SuperLU factorization as the
-fallback for the systems on which the iteration breaks down or stalls.  An
-answer it returns meets the residual gate ``RESIDUAL_TOL``, and it reports
-the anchored system's exact 1-norm condition number, which must stay under
-``COND_LIMIT``.  Besides it this module has the closed form for the symmetric
-single-service-rate case, two cheap closed-form approximations for
-asymmetric systems, and a series completion that refines any starting
-approximation term by term, each term one exact solve per class along that
-class's lines of the anchored system.
+replaced at the most likely state, so no n x n matrix is formed.  One
+BiCGSTAB driver runs with A's inverse diagonal (Jacobi) as preconditioner
+and, on the systems where that iteration breaks down or stalls, once more
+with a SuperLU factorization.  An answer it returns meets the residual gate
+``RESIDUAL_TOL``, and it reports the anchored system's exact 1-norm
+condition number, which must stay under ``COND_LIMIT``.  Besides it this
+module has the closed form for the symmetric single-service-rate case, two
+cheap closed-form approximations for asymmetric systems, and a series
+completion that refines any starting approximation term by term, each term
+one exact solve per class along that class's lines of the anchored system.
 """
 
 from __future__ import annotations
@@ -68,12 +68,12 @@ __all__ = [
 RESIDUAL_TOL = 1e-8
 # largest 1-norm condition number of the anchored exact system
 COND_LIMIT = 1e12
-# the iterative exact solve accepts v once ||Q v - (g - r)||_inf is at most
-# this multiple of ||Q||_inf ||v||_inf + ||g - r||_inf (18 units of
+# the exact solve's Jacobi attempt accepts v once ||Q v - (g - r)||_inf is
+# at most this multiple of ||Q||_inf ||v||_inf + ||g - r||_inf (18 units of
 # roundoff); SuperLU reaches 1e-17 to 1e-15 on the same systems
 BACKWARD_TOL = 4e-15
-# BiCGSTAB steps before the exact solve falls back to SuperLU; 39,711 and
-# 46,376 states take about 150
+# BiCGSTAB steps per attempt of the exact solve; 39,711 and 46,376 states
+# take about 150 under Jacobi
 BICGSTAB_MAX_ITER = 300
 # BiCGSTAB stops once its updated residual is this far below the true one
 STALL_GAP = 1e-2
@@ -95,9 +95,12 @@ class RelativeCosts:
     """Relative cost per state, anchored to zero at ``anchor``.
 
     The exact solve also reports how it answered: ``solver`` is
-    ``"bicgstab"`` or ``"superlu"``, ``iterations`` the BiCGSTAB steps (0 on
-    SuperLU) and ``condition`` the 1-norm condition number of the anchored
-    system.  A closed form or series leaves them at None, 0 and NaN.
+    ``"bicgstab"`` (Jacobi-preconditioned) or ``"superlu"`` (preconditioned
+    by SuperLU factors), ``iterations`` the BiCGSTAB steps of the attempt
+    that answered (1 on every SuperLU-preconditioned answer measured: the
+    direct solve and one refinement) and ``condition`` the 1-norm condition
+    number of the anchored system.  A closed form or series leaves them at
+    None, 0 and NaN.
     """
 
     v: np.ndarray
@@ -205,69 +208,65 @@ def solve_howard_exact(
     the state count, while at the empty state of a heavily loaded link it
     is 1/pi(empty), about 1e13 for three classes at rho_k = 10 on 40 units.
 
-    The anchored sparse system is solved by Jacobi-preconditioned BiCGSTAB
-    from zero, which stops once the Howard residual, the dropped equation
+    The anchored sparse system is solved from zero by :func:`_bicgstab`, at
+    most twice.  The first attempt is preconditioned by A's inverse diagonal
+    (Jacobi) and stops once the Howard residual, the dropped equation
     included, is within ``BACKWARD_TOL`` of rounding at the data's scale and
-    below a tenth of ``RESIDUAL_TOL``.  When BiCGSTAB breaks down, stagnates
-    or runs ``BICGSTAB_MAX_ITER`` steps without getting there, SuperLU
-    factors the system instead; ``RelativeCosts.solver`` says which path
-    answered.  The solution is shifted so that v(``anchor``) = 0, which
-    leaves every shadow price unchanged.
+    below a tenth of ``RESIDUAL_TOL``.  When it breaks down, stagnates or
+    runs ``BICGSTAB_MAX_ITER`` steps without getting there, the second is
+    preconditioned by SuperLU factors of A and stops at ``RESIDUAL_TOL``:
+    its first step is the direct solve, further steps refine it.
+    ``RelativeCosts.solver`` says which attempt answered.  The solution is
+    shifted so that v(``anchor``) = 0, which leaves every shadow price
+    unchanged.
 
     The 1-norm condition number is exact, not estimated: with the sign of
     every row but the pivot's flipped, the anchored matrix A is a nonsingular
     M-matrix, whose inverse is entrywise >= 0, so ||A^-1||_1 = ||A^-T 1||_inf,
-    one transposed solve (BiCGSTAB to a max-norm residual of
-    ``COND_SOLVE_TOL``, which bounds its relative error, or the SuperLU
-    factors).  Fails with :class:`ModelError` unless 0 <= ``anchor`` < the
-    state count, and with :class:`NumericsError`, saying how BiCGSTAB
-    stopped, when SuperLU would factor more than ``SUPERLU_STATE_CAP``
-    states, when the condition number exceeds ``COND_LIMIT`` or when the
-    returned residual misses ``RESIDUAL_TOL``.
+    one transposed solve per attempt, with its preconditioner, to a max-norm
+    residual of ``COND_SOLVE_TOL``, which bounds its relative error.  Fails
+    with :class:`ModelError` unless 0 <= ``anchor`` < the state count, and
+    with :class:`NumericsError`, saying how BiCGSTAB stopped, when SuperLU
+    would factor more than ``SUPERLU_STATE_CAP`` states, when the condition
+    number exceeds ``COND_LIMIT`` or when no answer meets ``RESIDUAL_TOL``.
     """
     n = len(space)
     if not 0 <= anchor < n:
         raise ModelError(f"anchor must be a state index in [0, {n}), got {anchor}")
-    Q, A, rhs, pivot = _anchored_system(space, classes, g, r)
+    Q, A, rhs, _ = _anchored_system(space, classes, g, r)
     r = np.asarray(r, dtype=float)
-    howard_rhs = g - r
     norm_1 = float(np.bincount(A.indices, weights=np.abs(A.data), minlength=n).max())
+    # ||Q||_inf: each row of a generator sums to zero
+    scale_q, scale_rhs = 2.0 * np.abs(Q.diagonal()).max(), np.abs(g - r).max()
 
-    with np.errstate(divide="ignore"):
-        dinv = 1.0 / A.diagonal()
-    At = A.T
-    ones = np.ones(n)
+    def tol(x):
+        return min(BACKWARD_TOL * (scale_q * np.abs(x).max() + scale_rhs), 0.1 * RESIDUAL_TOL)
 
-    def transposed_residuals(y):
-        true = ones - At @ y
-        return true, np.abs(true).max()
-
-    y, _, stop = _bicgstab(At.__matmul__, ones, dinv, lambda y: COND_SOLVE_TOL, transposed_residuals)
-    x, stop = None, f"{stop} on the transposed system"
-    if y is not None:
-        condition = _checked_condition(norm_1 * np.abs(y).max())
-        # ||Q||_inf: each row of a generator sums to zero
-        scale_q, scale_rhs = 2.0 * np.abs(Q.diagonal()).max(), np.abs(howard_rhs).max()
-
-        def tol(x):
-            return min(BACKWARD_TOL * (scale_q * np.abs(x).max() + scale_rhs), 0.1 * RESIDUAL_TOL)
-
-        def residuals(x):
-            # the anchored system's and Howard's, whose pivot equation the
-            # anchored system has dropped
-            howard = Q @ x - howard_rhs
-            true = -howard
-            true[pivot] = -x[pivot]
-            return true, np.abs(howard).max()
-
-        x, iterations, stop = _bicgstab(A.__matmul__, rhs, dinv, tol, residuals)
-        solver = "bicgstab"
-    if x is None:
-        if n > SUPERLU_STATE_CAP:
-            raise NumericsError(f"BiCGSTAB {stop}, and SuperLU factors at most {SUPERLU_STATE_CAP} states, not {n}")
-        x, inverse_norm = _superlu_solve(A, rhs)
-        condition = _checked_condition(norm_1 * inverse_norm)
-        solver, iterations = "superlu", 0
+    At, stops = A.T, []
+    precondition = precondition_t = _jacobi(A)
+    for solver in ("bicgstab", "superlu"):
+        if solver == "superlu":
+            if n > SUPERLU_STATE_CAP:
+                raise NumericsError(f"BiCGSTAB {stops[0]}, and SuperLU factors at most "
+                                    f"{SUPERLU_STATE_CAP} states, not {n}")
+            lu = _superlu(A)
+            precondition, precondition_t = lu.solve, lambda b: lu.solve(b, trans="T")
+            tol = lambda x: RESIDUAL_TOL  # the gate a direct answer meets
+        y, _, stop = _bicgstab(At.__matmul__, np.ones(n), precondition_t, lambda y: COND_SOLVE_TOL)
+        if y is None:
+            stops.append(f"{stop} on the transposed system")
+            continue
+        condition = norm_1 * float(np.abs(y).max())
+        if condition > COND_LIMIT:
+            raise NumericsError(f"anchored system too ill-conditioned: condition number {condition:.3e} "
+                                f"exceeds limit {COND_LIMIT:.1e}")
+        x, iterations, stop = _bicgstab(A.__matmul__, rhs, precondition, tol, lambda x: _residual(Q, x, g, r))
+        if x is not None:
+            break
+        stops.append(stop)
+    else:
+        raise NumericsError(f"relative-cost solve residual misses {RESIDUAL_TOL:.1e}: BiCGSTAB {stops[0]}; "
+                            f"SuperLU-preconditioned, {stops[1]}")
     # + 0.0 turns the -0.0 of a shifted zero into +0.0; no other value moves
     v = x - x[anchor] + 0.0
 
@@ -280,26 +279,34 @@ def solve_howard_exact(
                          iterations=iterations, condition=condition)
 
 
-def _checked_condition(condition: float) -> float:
-    if condition > COND_LIMIT:
-        raise NumericsError(
-            f"anchored system too ill-conditioned: condition number {condition:.3e} "
-            f"exceeds limit {COND_LIMIT:.1e}"
-        )
-    return float(condition)
+def _jacobi(A: scipy.sparse.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
+    """Jacobi preconditioner: multiplication by the inverse diagonal of A,
+    which is also A^T's."""
+    with np.errstate(divide="ignore"):
+        dinv = 1.0 / A.diagonal()
+    return lambda b: dinv * b
 
 
-def _bicgstab(matvec, b: np.ndarray, dinv: np.ndarray, tol, residuals) -> tuple[np.ndarray | None, int, str]:
-    """Jacobi-preconditioned BiCGSTAB (van der Vorst 1992) for A x = b from
-    x = 0; ``matvec`` applies A and ``dinv`` is the inverse of its diagonal.
+def _superlu(A: scipy.sparse.csr_matrix):
+    """SuperLU factors of A."""
+    from scipy.sparse.linalg import splu
 
-    ``residuals(x)`` gives the true residual b - A x and the max-norm
-    residual that must meet ``tol(x)``.  It is formed only once the
-    recursively updated residual meets ``tol(x)``.  Returns (x, steps, how it
-    stopped) at the first x that meets it, and x = None on a breakdown (a
-    zero scalar or a non-finite residual), on stagnation (the updated
-    residual has fallen ``STALL_GAP`` times below the true one, so rounding,
-    not the Krylov space, bounds further progress) or after
+    # the generator is structurally symmetric; minimum degree on A^T + A
+    # gives about half the fill of the default column ordering
+    return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+
+
+def _bicgstab(matvec, b: np.ndarray, precondition, tol, measure=None) -> tuple[np.ndarray | None, int, str]:
+    """Preconditioned BiCGSTAB (van der Vorst 1992) for A x = b from x = 0;
+    ``matvec`` applies A and ``precondition`` an approximate inverse of A.
+
+    ``measure(x)`` is the max-norm residual that must meet ``tol(x)``; by
+    default the true residual's, ||b - A x||_inf.  Both are formed only once
+    the recursively updated residual meets ``tol(x)``.  Returns (x, steps,
+    how it stopped) at the first x that meets it, and x = None on a
+    breakdown (a zero scalar or a non-finite residual), on stagnation (the
+    updated residual has fallen ``STALL_GAP`` times below the true one, so
+    rounding, not the Krylov space, bounds further progress) or after
     ``BICGSTAB_MAX_ITER`` steps.
     """
     x = np.zeros_like(b)
@@ -313,11 +320,11 @@ def _bicgstab(matvec, b: np.ndarray, dinv: np.ndarray, tol, residuals) -> tuple[
                 if rho == 0.0:
                     return None, step, f"broke down at step {step}"
                 p = r + (rho / rho_prev) * (alpha / omega) * (p - omega * v)
-                p_hat = dinv * p
+                p_hat = precondition(p)
                 v = matvec(p_hat)
                 alpha = rho / (r0 @ v)
                 s = r - alpha * v
-                s_hat = dinv * s
+                s_hat = precondition(s)
                 t = matvec(s_hat)
                 tt = t @ t
                 omega = (t @ s) / tt if tt > 0.0 else 0.0
@@ -327,26 +334,14 @@ def _bicgstab(matvec, b: np.ndarray, dinv: np.ndarray, tol, residuals) -> tuple[
             if not math.isfinite(r_norm):
                 return None, step, f"broke down at step {step}"
             if r_norm <= bound:
-                true, res = residuals(x)
-                if res <= bound:
+                true_norm = np.abs(b - matvec(x)).max()
+                if (true_norm if measure is None else measure(x)) <= bound:
                     return x, step, f"converged at step {step}"
-                true_norm = np.abs(true).max()
                 if r_norm < STALL_GAP * true_norm:
                     return None, step, f"stalled at step {step}: residual {true_norm:.3g}, updated {r_norm:.3g}"
             if step and omega == 0.0:
                 return None, step, f"broke down at step {step}"
     return None, step, f"ran out of steps at step {step}: updated residual {r_norm:.3g} > {bound:.3g}"
-
-
-def _superlu_solve(A: scipy.sparse.csr_matrix, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """x = A^-1 rhs and ||A^-T 1||_inf from one SuperLU factorization."""
-    from scipy.sparse.linalg import splu
-
-    # the generator is structurally symmetric; minimum degree on A^T + A
-    # gives about half the fill of the default column ordering
-    lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
-    x = lu.solve(rhs)
-    return x, float(np.max(np.abs(lu.solve(np.ones(len(rhs)), trans="T"))))
 
 
 def _total_tables(n: int, rho: float) -> tuple[np.ndarray, np.ndarray]:

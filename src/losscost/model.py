@@ -350,11 +350,15 @@ def stationary(
     states, with the average blocking-cost rate.
 
     The product form holds because every :class:`StateSpace` is closed under
-    departures and admits exactly the arrivals that stay in the set.
+    departures and admits exactly the arrivals that stay in the set.  Fails
+    with :class:`ModelError` when sum_j lam_j omega_j, the largest
+    blocking-cost rate r(q) can reach, is not finite.
     """
     classes = tuple(classes)
     if len(classes) != space.K:
         raise ModelError(f"{len(classes)} classes for K={space.K} space")
+    if not math.isfinite(sum(c.lam * c.omega for c in classes)):
+        raise ModelError("total blocking-cost rate sum_j lam_j omega_j is not finite")
 
     logw = _log_weights(space, classes)
     m = float(np.max(logw))

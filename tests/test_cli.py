@@ -437,6 +437,24 @@ def test_costdist_rejects_infinite_rate_products(tmp_path, capsys, scheme, extra
         assert err.startswith("error: horizon 5 times") and "not finite" in err
 
 
+# lambda * omega = 2e308 for class 1: every state that blocks it has an
+# infinite blocking-cost rate
+INFINITE_COST_RATE_MODEL = json.dumps({
+    "classes": [{"lambda": 1e308, "mu": 1, "bandwidth": 1, "omega": 2},
+                {"lambda": 1, "mu": 1, "bandwidth": 1, "omega": 1}],
+    "policy": {"type": "full_sharing", "capacity": 3},
+})
+
+
+@pytest.mark.parametrize("argv", [["stationary"], ["shadow", "--method", "exact"],
+                                  ["shadow", "--method", "general"], ["simulate", "--t", "1", "--reps", "2"]],
+                         ids=["stationary", "exact", "general", "simulate"])
+def test_infinite_blocking_cost_rate_is_refused(tmp_path, capsys, argv):
+    path = _write(tmp_path, INFINITE_COST_RATE_MODEL)
+    assert main(argv + ["--model", path, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: total blocking-cost rate sum_j lam_j omega_j is not finite")
+
+
 @pytest.mark.parametrize("command", ["stationary", "shadow", "costdist", "simulate"])
 @pytest.mark.parametrize("field,value", [("lambda", "NaN"), ("lambda", "Infinity"),
                                          ("mu", "NaN"), ("mu", "Infinity")])
@@ -777,7 +795,8 @@ def test_exact_manifests_record_the_solver(tmp_path, monkeypatch, path):
     from losscost.model_io import load_model
 
     if path == "superlu":
-        monkeypatch.setattr(hw, "_bicgstab", lambda *args: (None, 0, "not run"))
+        # a NaN Jacobi preconditioner breaks the first attempt down
+        monkeypatch.setattr(hw, "_jacobi", lambda A: lambda b: np.full_like(b, np.nan))
     model = _write(tmp_path, B12_MODEL)
     classes, policy = load_model(model)
     space = enumerate_states(classes, policy)
@@ -785,7 +804,7 @@ def test_exact_manifests_record_the_solver(tmp_path, monkeypatch, path):
     costs = solve_howard_exact(space, classes, dist.g, dist.r)
     want = {"path": path, "iterations": costs.iterations, "condition": costs.condition,
             "residual": costs.residual}
-    assert (costs.iterations > 0) == (path == "bicgstab")
+    assert costs.iterations == 1 if path == "superlu" else costs.iterations > 1
     runs = {"shadow": ["shadow", "--method", "exact"],
             "simulate": ["simulate", "--t", "3", "--reps", "20", "--seed", "2"]}
     for name, argv in runs.items():
@@ -831,9 +850,9 @@ def test_exact_solve_above_superlu_bound_exits_2(tmp_path, monkeypatch, capsys, 
 
 
 def test_cli_import_leaves_heavy_modules_unloaded():
-    # mpmath serves recursion_solve, scipy.sparse.linalg the SuperLU
-    # fallback and scipy.linalg the series completion's line solves; none is
-    # loaded at start-up
+    # mpmath serves recursion_solve, scipy.sparse.linalg the exact solve's
+    # SuperLU preconditioner and scipy.linalg the series completion's line
+    # solves; none is loaded at start-up
     import os
     import subprocess
     import sys

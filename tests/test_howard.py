@@ -122,8 +122,9 @@ def test_exact_solve_heavy_load_matches_closed_form():
 
 
 def _superlu_only(monkeypatch):
-    """Route the exact solve to its SuperLU fallback."""
-    monkeypatch.setattr(hw, "_bicgstab", lambda *args: (None, 0, "not run"))
+    """Route the exact solve to its SuperLU-preconditioned attempt: a Jacobi
+    preconditioner that returns NaN breaks the first one down at step 1."""
+    monkeypatch.setattr(hw, "_jacobi", lambda A: lambda b: np.full_like(b, np.nan))
 
 
 def _model(lam, mu, bandwidth, omega, capacity):
@@ -132,15 +133,18 @@ def _model(lam, mu, bandwidth, omega, capacity):
     return classes, lc.enumerate_states(classes, lc.FullSharing(capacity=capacity))
 
 
-# Models on which BiCGSTAB cannot meet its bound and only the SuperLU
-# fallback passes the residual gate: (1) rates spread over five decades,
-# where the iteration does not converge; (2) a very heavy load, where its
-# residual stalls at 4.9e-9 against SuperLU's 5.9e-11; (3) slow mixing,
-# 2.8e-7 against 3.7e-10.
+# Models on which Jacobi-preconditioned BiCGSTAB cannot meet its bound and
+# the SuperLU-preconditioned attempt answers: (1) rates spread over five
+# decades, where the iteration does not converge; (2) a very heavy load,
+# where its residual stalls at 4.9e-9 against SuperLU's 5.9e-11; (3) slow
+# mixing, 2.8e-7 against 3.7e-10; (4) slower mixing on 1,891 states, where
+# the SuperLU-preconditioned step reaches 1.5e-9: under RESIDUAL_TOL, but
+# never under Jacobi's bound of 1e-9.
 FALLBACK_MODELS = {
     "spread-rates": ((0.001, 50, 1), (0.001, 10, 100), (1, 1, 2), (1, 2, 3), 15),
     "very-heavy": ((1000, 500, 200), (1, 1, 1), (1, 1, 1), (1, 2, 3), 25),
     "slow-mixing": ((1, 1), (1e-5, 1e3), (1, 1), (1, 1), 25),
+    "slow-mixing-60": ((1, 1), (1e-5, 1e3), (1, 1), (1, 1), 60),
 }
 
 
@@ -156,7 +160,7 @@ def test_bicgstab_matches_superlu_on_random_instances(rng, monkeypatch):
             _superlu_only(m)
             direct = lc.solve_howard_exact(space, classes, dist.g, dist.r)
         assert (iterative.solver, direct.solver) == ("bicgstab", "superlu")
-        assert direct.iterations == 0
+        assert direct.iterations == 1
         scale = max(1.0, float(np.max(np.abs(direct.v))))
         assert np.max(np.abs(iterative.v - direct.v)) <= 1e-10 * scale
         assert iterative.residual <= max(10 * direct.residual, 1e-11)
@@ -175,15 +179,37 @@ def test_exact_solve_heavy_60_matches_closed_form():
     np.testing.assert_allclose(exact.v, closed.v, rtol=1e-10, atol=0.0)
 
 
-@pytest.mark.parametrize("name", FALLBACK_MODELS)
+def _superlu_oracle(space, classes, dist):
+    """v(empty) = 0 from one SuperLU solve of Howard's equation with the most
+    likely state's equation replaced by v = 0 there."""
+    from scipy.sparse.linalg import splu
+
+    A = lc.sparse_generator(space, classes).tolil()
+    pivot = int(np.argmax(dist.pi))
+    A[pivot] = 0.0
+    A[pivot, pivot] = 1.0
+    rhs = dist.g - dist.r
+    rhs[pivot] = 0.0
+    x = splu(A.tocsc()).solve(rhs)
+    return x - x[0]
+
+
+@pytest.mark.parametrize("name", [*FALLBACK_MODELS, "thresholds"])
 def test_exact_solve_falls_back_to_superlu(name, monkeypatch):
     # quietly: pytest turns a warning, such as an overflow in the failed
     # iteration, into an error
-    classes, space = _model(*FALLBACK_MODELS[name])
+    if name == "thresholds":
+        lam, mu, omega, thresholds = THRESHOLD_MODELS["superlu"]
+        classes = tuple(lc.TrafficClass(lam=l, mu=m, omega=w) for l, m, w in zip(lam, mu, omega))
+        space = threshold_factor_solution(classes, thresholds)[0]
+    else:
+        classes, space = _model(*FALLBACK_MODELS[name])
     dist = lc.stationary(space, classes)
     costs = lc.solve_howard_exact(space, classes, dist.g, dist.r)
-    assert costs.solver == "superlu" and costs.iterations == 0
+    assert costs.solver == "superlu" and costs.iterations == 1
     assert costs.residual <= hw.RESIDUAL_TOL
+    want = _superlu_oracle(space, classes, dist)
+    assert np.max(np.abs(costs.v - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
     with monkeypatch.context() as m:
         _superlu_only(m)
         direct = lc.solve_howard_exact(space, classes, dist.g, dist.r)
@@ -197,7 +223,7 @@ def test_exact_solve_above_superlu_bound_fails_before_factoring(monkeypatch):
     classes, space = _model(*FALLBACK_MODELS["spread-rates"])
     dist = lc.stationary(space, classes)
     monkeypatch.setattr(hw, "SUPERLU_STATE_CAP", len(space) - 1)
-    monkeypatch.setattr(hw, "_superlu_solve", lambda *a: pytest.fail("SuperLU ran"))
+    monkeypatch.setattr(hw, "_superlu", lambda *a: pytest.fail("SuperLU ran"))
     with pytest.raises(lc.NumericsError,
                        match=r"^BiCGSTAB (stalled|broke down|ran out).*SuperLU factors at most 443 "
                              r"states, not 444$"):
@@ -358,13 +384,13 @@ def test_exact_solve_rejects_bad_anchor():
 
 
 def test_exact_solve_fails_when_both_paths_miss_the_gate(monkeypatch):
-    # with a zero gate no BiCGSTAB iterate is accepted, and SuperLU's
+    # with a zero gate neither attempt accepts an iterate: SuperLU's
     # rounding-level residual misses it too
     classes, space = k2_reference()
     dist = lc.stationary(space, classes)
     calls = []
-    superlu = hw._superlu_solve
-    monkeypatch.setattr(hw, "_superlu_solve", lambda *a: calls.append(1) or superlu(*a))
+    superlu = hw._superlu
+    monkeypatch.setattr(hw, "_superlu", lambda *a: calls.append(1) or superlu(*a))
     monkeypatch.setattr(hw, "RESIDUAL_TOL", 0.0)
     with pytest.raises(lc.NumericsError, match="residual"):
         lc.solve_howard_exact(space, classes, dist.g, dist.r)

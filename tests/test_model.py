@@ -244,6 +244,15 @@ def test_normalization_overflow_reported():
     assert abs(dist.pi.sum() - 1.0) < 1e-12
 
 
+def test_stationary_refuses_an_infinite_blocking_cost_rate():
+    # lam * omega overflows to inf, so r and g would be NaN; the refusal
+    # comes before any arithmetic that warns (warnings are errors here)
+    classes = (lc.TrafficClass(lam=1e308, mu=1.0, omega=2), lc.TrafficClass(lam=1.0, mu=1.0, omega=1))
+    space = lc.enumerate_states(classes, lc.FullSharing(capacity=3))
+    with pytest.raises(lc.ModelError, match="blocking-cost rate .* is not finite"):
+        lc.stationary(space, classes)
+
+
 def test_generator_k1_matrix():
     classes, space = k1_instance()
     Q = lc.build_generator(space, classes)
