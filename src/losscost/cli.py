@@ -50,7 +50,7 @@ def _load(args):
     return classes, space, stationary(space, classes)
 
 
-def cmd_stationary(args, _=None) -> tuple[int, dict]:
+def cmd_stationary(args) -> tuple[int, dict]:
     classes, space, dist = _load(args)
     out = Path(args.out)
     report.write_table(out / "pi.csv", report.state_header(space.K) + ["probability"],
@@ -76,7 +76,7 @@ def _relative_costs(space, classes, dist, method: str, terms: int | None):
     return hw.RelativeCosts(v=v, anchor=0, residual=res), (res,), {}
 
 
-def cmd_shadow(args, _=None) -> tuple[int, dict]:
+def cmd_shadow(args) -> tuple[int, dict]:
     meta = {}
     if args.method == "series":
         meta["terms"] = hw.SERIES_TERMS if args.terms is None else args.terms
@@ -101,21 +101,20 @@ def _solver_meta(costs) -> dict:
             "condition": costs.condition, "residual": costs.residual}
 
 
-def cmd_costdist(args, _=None) -> tuple[int, dict]:
+def cmd_costdist(args) -> tuple[int, dict]:
     if args.scheme == "closed" and args.steps is not None:
         raise ModelError("--steps applies to the shadow and simple schemes only, not closed")
     classes, space, dist = _load(args)
     out, t, meta = Path(args.out), args.t, {}
+    r_max = args.rmax if args.rmax is not None else cd.default_r_max(classes, t)
     if args.scheme == "closed":
-        total = cd.total_cost_distribution(space, classes, t, r_max=args.rmax)
-        grid = cd.closed_form_grid(space, classes, t, len(total.mass) - 1, dist=dist)
+        grid = cd.closed_form_grid(space, classes, t, r_max, dist=dist)
     else:
         steps = args.steps if args.steps is not None else cd.default_steps(space, classes, t)
-        r_max = args.rmax if args.rmax is not None else cd.default_r_max(classes, t)
         evolve = cd.evolve_shadow_costs if args.scheme == "shadow" else cd.evolve_simple_costs
         grid = evolve(space, classes, t, steps, r_max, warn=False)
-        total = cd.TotalCostDistribution.from_mass(t, grid.total_cost(), grid.leakage)
         meta["steps"] = steps
+    total = cd.TotalCostDistribution.from_mass(t, grid.total_cost(), grid.leakage)
     report.write_cost_grid(out / "cost_dist.csv", space, grid)
     report.write_total_cost(out / "total_cost.csv", t, total.mass)
     report.write_risk(out / "risk.csv", total)
@@ -123,7 +122,7 @@ def cmd_costdist(args, _=None) -> tuple[int, dict]:
     return warnings, {"states": len(space), "scheme": args.scheme, "r_max": grid.r_max, **meta}
 
 
-def cmd_simulate(args, _=None) -> tuple[int, dict]:
+def cmd_simulate(args) -> tuple[int, dict]:
     classes, space, dist = _load(args)
     # a quarter of the horizon is discarded for the stationary estimates
     # (occupancy, bills); cost accumulates from time zero
@@ -229,7 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", default="closed", choices=("shadow", "simple", "closed"))
     p.add_argument("--steps", type=int, default=None,
                    help="recursion steps of the shadow and simple schemes (default: minimal valid)")
-    p.add_argument("--rmax", type=int, default=None, help="cost truncation (default: automatic)")
+    p.add_argument("--rmax", type=int, default=None, help="cost truncation of every scheme (default: leaks <= 1e-6)")
     p.set_defaults(fn=cmd_costdist)
 
     p = sub.add_parser("simulate", help="Monte Carlo cross-check")

@@ -195,7 +195,7 @@ def evolve_shadow_costs(
             leakage += p * src[:, max(0, r_max - w + 1):].sum()
         mass = new
     return _warned(CostGrid(mass=mass, horizon=horizon, steps=steps, r_max=r_max,
-                            leakage=leakage), warn)
+                            leakage=leakage), r_max, warn)
 
 
 def evolve_simple_costs(
@@ -218,13 +218,15 @@ def evolve_simple_costs(
     dt = _check_step(space, classes, horizon, steps)
     return _warned(_mixed_grid(space, classes, stationary(space, classes),
                                partial(_binomial_law, steps, dt, r_max),
-                               horizon, steps, r_max), warn)
+                               horizon, steps, r_max), r_max, warn)
 
 
-def _warned(grid: CostGrid, warn: bool) -> CostGrid:
-    if warn and grid.leakage > LEAKAGE_WARN:
-        warnings.warn(f"cost truncation leaked {grid.leakage:.3e} probability past r_max={grid.r_max}")
-    return grid
+def _warned(result, r_max: int, warn: bool):
+    """``result`` (a grid or a total-cost law), after a warning when ``warn``
+    and its leakage is above ``LEAKAGE_WARN``."""
+    if warn and result.leakage > LEAKAGE_WARN:
+        warnings.warn(f"cost truncation leaked {result.leakage:.3e} probability past r_max={r_max}")
+    return result
 
 
 def _unit(r_max: int) -> tuple[np.ndarray, float]:
@@ -407,14 +409,40 @@ class TotalCostDistribution:
 
 
 def default_r_max(classes: Sequence[TrafficClass], t: float) -> int:
-    """Cost truncation mean + 10 sqrt(mean) of the dominating Poisson bound
-    (all arrivals charging their cost) over time t."""
-    bound = t * sum(c.lam * c.omega for c in classes)
-    r_max = bound + 10.0 * math.sqrt(bound + 1.0)
-    if not math.isfinite(r_max):
+    """Cost truncation over time t whose leak is at most ``LEAKAGE_WARN`` under
+    every scheme.
+
+    Each scheme's cost R(t) has a moment generating function at or below that
+    of the all-charging sum S = sum_j omega_j N_j, N_j ~ Poisson(t lam_j), for
+    every theta >= 0: in the closed law a state charges only a subset of the
+    classes, and in a discrete step 1 + sum_j p_j (e^(theta omega_j) - 1) <=
+    exp(sum_j p_j (e^(theta omega_j) - 1)), also conditionally on the state
+    along the shadow chain.  So Bennett's inequality for S (Bennett 1962,
+    JASA 57:33), which rests on that function alone, bounds every leak: with
+    m = t sum_j lam_j omega_j, v = t sum_j lam_j omega_j^2 and b the largest
+    omega_j with lam_j > 0, P(R(t) >= m + u v / b) <= LEAKAGE_WARN when
+    h(u) = (1 + u) ln(1 + u) - u = c, c = ln(1 / LEAKAGE_WARN) b^2 / v.  h is
+    convex and at most u^2 / 2, so Newton steps from u = sqrt(2 c), below the
+    root, pass it at the first step and then fall towards it: each later
+    iterate is a valid point.  The truncation is the larger of that point,
+    rounded up, and the floor ceil(m + 10 sqrt(m + 1)) + 1, which decides
+    where the costs are alike and keeps the truncated mean of a large-mean
+    law close to the full one.
+    """
+    mean = t * sum(c.lam * c.omega for c in classes)
+    var = t * sum(c.lam * c.omega * c.omega for c in classes)
+    floor, point = mean + 10.0 * math.sqrt(mean + 1.0), 0.0
+    if 0 < var < math.inf:
+        b = max(c.omega for c in classes if c.lam > 0)
+        level = math.log(1.0 / LEAKAGE_WARN) * b / (var / b)
+        u = math.sqrt(2.0 * level)
+        for _ in range(8):
+            u -= ((1.0 + u) * math.log1p(u) - u - level) / math.log1p(u)
+        point = mean + u * (var / b)
+    if not math.isfinite(floor + var + point):
         raise ModelError(
             f"horizon {t:g} times the total charging rate is not finite; no cost truncation fits")
-    return math.ceil(r_max) + 1
+    return max(math.ceil(floor) + 1, math.ceil(point))
 
 
 def total_cost_distribution(
@@ -423,27 +451,22 @@ def total_cost_distribution(
     t: float,
     r_max: int | None = None,
 ) -> TotalCostDistribution:
-    """Marginal law of the accumulated cost at time t under the simple scheme.
+    """Marginal law of the accumulated cost at time t under the simple scheme,
+    truncated at ``r_max`` (default :func:`default_r_max`).
 
-    ``r_max`` defaults to :func:`default_r_max` and is doubled (0 grows to
-    1) until the truncated tail is at most ``LEAKAGE_WARN``.  Every truncation
-    tried must keep the (state, cost) lattice within ``LATTICE_CAP`` cells,
-    else :class:`~losscost.model.StateSpaceSizeError` is raised.
+    Warns when the mass past r_max is above ``LEAKAGE_WARN``; the truncation
+    must keep the (state, cost) lattice within ``LATTICE_CAP`` cells, else
+    :class:`~losscost.model.StateSpaceSizeError` is raised.
     """
     _check_horizon(t)
     classes = tuple(classes)
-    dist = stationary(space, classes)
     if r_max is None:
         r_max = default_r_max(classes, t)
-    for _ in range(20):
-        _check_r_max(space, r_max)
-        inverse, laws = _mask_laws(space, classes, partial(_poisson_law, t, r_max))
-        mass = np.bincount(inverse, weights=dist.pi, minlength=len(laws)) @ laws
-        leakage = max(0.0, 1.0 - float(mass.sum()))
-        if leakage <= LEAKAGE_WARN:
-            break
-        r_max = max(2 * r_max, 1)
-    return TotalCostDistribution.from_mass(t, mass, leakage)
+    _check_r_max(space, r_max)
+    inverse, laws = _mask_laws(space, classes, partial(_poisson_law, t, r_max))
+    mass = np.bincount(inverse, weights=stationary(space, classes).pi, minlength=len(laws)) @ laws
+    return _warned(TotalCostDistribution.from_mass(t, mass, max(0.0, 1.0 - float(mass.sum()))),
+                   r_max, True)
 
 
 @dataclass(frozen=True)

@@ -344,9 +344,8 @@ def _bicgstab(matvec, b: np.ndarray, precondition, tol, measure=None) -> tuple[n
     return None, step, f"ran out of steps at step {step}: updated residual {r_norm:.3g} > {bound:.3g}"
 
 
-def _total_tables(n: int, rho: float) -> tuple[np.ndarray, np.ndarray]:
-    # Over total call counts t = 0..n: the load increment E(t) = S(t-1)/rho
-    # and the double sum
+def _total_tables(n: int, rho: float) -> np.ndarray:
+    # Over total call counts t = 0..n, the double sum
     #   D(t) = sum_{i=1}^{t} sum_{m=0}^{t-i} (t-i)!/(t-i-m)! * rho^-m
     #        = S(0) + ... + S(t-1)
     # from one pass of the inner-sum recursion S(p) = 1 + p/rho * S(p-1),
@@ -357,9 +356,17 @@ def _total_tables(n: int, rho: float) -> tuple[np.ndarray, np.ndarray]:
         if p > 0:
             s = 1.0 + p * (1.0 / rho) * s
         S[p] = s
-    E = np.concatenate([[0.0], S / rho])
-    D = np.concatenate([[0.0], np.cumsum(S)])
-    return E, D
+    return np.concatenate([[0.0], np.cumsum(S)])
+
+
+def _finite(v: np.ndarray) -> np.ndarray:
+    """``v`` of a closed form, or a :class:`NumericsError` when 1/rho or a
+    double sum overflowed; callers compute v under ``np.errstate`` so that
+    the overflow reaches this check rather than a numpy warning."""
+    if not np.isfinite(v).all():
+        raise NumericsError("closed-form relative costs are not finite: the load is too small "
+                            "or too large for the double sums")
+    return v
 
 
 def relative_cost_symmetric(q: int, g: float, mu: float, rho: float) -> float:
@@ -371,7 +378,8 @@ def relative_cost_symmetric(q: int, g: float, mu: float, rho: float) -> float:
         raise ValueError(f"call count must be >= 0, got {q}")
     if rho == 0.0:
         return 0.0
-    return float(g / (mu * rho) * _total_tables(q, rho)[1][q])
+    with np.errstate(all="ignore"):
+        return float(_finite(g / (mu * rho) * _total_tables(q, rho)[q]))
 
 
 def _require_equal(values, what: str) -> float:
@@ -385,7 +393,8 @@ def symmetric_relative_costs(
     space: StateSpace, classes: Sequence[TrafficClass], g: float
 ) -> RelativeCosts:
     """Closed-form relative costs over a symmetric full-sharing space; a
-    :class:`ModelError` when the rates, the bandwidths or the sharing differ."""
+    :class:`ModelError` when the rates, the bandwidths or the sharing differ,
+    a :class:`NumericsError` when the double sums overflow."""
     classes = tuple(classes)
     mu = _require_equal([c.mu for c in classes], "service rates")
     _require_equal([c.bandwidth for c in classes], "bandwidths")
@@ -399,8 +408,8 @@ def symmetric_relative_costs(
     rho = sum(c.rho for c in classes)
     if rho == 0.0:
         return RelativeCosts(v=np.zeros(len(space)), anchor=0, residual=math.nan)
-    _, D = _total_tables(n_max, rho)
-    v = g / (mu * rho) * D[totals]
+    with np.errstate(all="ignore"):
+        v = _finite(g / (mu * rho) * _total_tables(n_max, rho)[totals])
     return RelativeCosts(v=v, anchor=0, residual=math.nan)
 
 
@@ -418,14 +427,15 @@ def _general_v(occupancy: np.ndarray, classes: tuple[TrafficClass, ...], g: floa
     rho = sum(cl.rho * (cl.bandwidth / b) ** 2 for cl in classes)
     if rho == 0.0:
         return v
-    for qj, cl in zip(occupancy.T, classes):
-        # standard floor; keeps the reduction to the symmetric form exact at
-        # integer capacity ratios
-        level = c // cl.bandwidth
-        _, D = _total_tables(int(level.max()), (b / cl.bandwidth) ** 2 * rho)
-        share = (cl.bandwidth * qj / np.maximum(c, 1)) * (cl.bandwidth / b) ** 2 * g / (cl.mu * rho)
-        v += np.where(qj > 0, share * D[level], 0.0)
-    return v
+    with np.errstate(all="ignore"):
+        for qj, cl in zip(occupancy.T, classes):
+            # standard floor; keeps the reduction to the symmetric form exact
+            # at integer capacity ratios
+            level = c // cl.bandwidth
+            D = _total_tables(int(level.max()), (b / cl.bandwidth) ** 2 * rho)
+            share = (cl.bandwidth * qj / np.maximum(c, 1)) * (cl.bandwidth / b) ** 2 * g / (cl.mu * rho)
+            v += np.where(qj > 0, share * D[level], 0.0)
+    return _finite(v)
 
 
 def relative_cost_equal_bandwidth_approx(

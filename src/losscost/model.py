@@ -330,7 +330,8 @@ def _log_weights(space: StateSpace, classes: Sequence[TrafficClass]) -> np.ndarr
             # only q_j = 0 carries mass
             logw = np.where(qj > 0, -np.inf, logw)
             continue
-        logw = logw + qj * math.log(c.rho) - log_factorial[qj]
+        # log rho from the logs of the rates: lam / mu may under- or overflow
+        logw = logw + qj * (math.log(c.lam) - math.log(c.mu)) - log_factorial[qj]
     return logw
 
 

@@ -351,14 +351,73 @@ def test_costdist_rejects_negative_rmax(tmp_path, capsys, scheme):
     assert "error:" in capsys.readouterr().err
 
 
-def test_costdist_closed_rmax_zero_grows(tmp_path):
-    # the truncation doubles from 1 until the tail fits, as from --rmax 1
+def test_costdist_closed_rmax_is_honoured(tmp_path):
+    # --rmax is the truncation of every scheme, closed too: it is not grown,
+    # and a leak past it above LEAKAGE_WARN exits 3
     model = _write(tmp_path, K1_MODEL)
-    for rmax in ("0", "1"):
-        assert main(["costdist", "--model", model, "--out", str(tmp_path / rmax),
-                     "--t", "2.0", "--scheme", "closed", "--rmax", rmax]) == 0
-    for name in ("total_cost.csv", "risk.csv", "cost_dist.csv"):
-        assert (tmp_path / "0" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+    for rmax, code in (("0", 3), ("1", 3), ("40", 0)):
+        out = tmp_path / rmax
+        assert main(["costdist", "--model", model, "--out", str(out),
+                     "--t", "2.0", "--scheme", "closed", "--rmax", rmax]) == code
+        assert json.loads((out / "run_manifest.json").read_text())["r_max"] == int(rmax)
+        assert len(_read_csv(out / "total_cost.csv")) == int(rmax) + 1
+
+
+# lam = (0.5, 1), omega = (100, 1), C = 2: the cost spread is far from one
+# Poisson count, t g = 31.655172 at t = 2
+WIDE_COST_MODEL = """{
+  "classes": [
+    {"lambda": 0.5, "mu": 1.0, "bandwidth": 1, "omega": 100},
+    {"lambda": 1.0, "mu": 1.0, "bandwidth": 1, "omega": 1}
+  ],
+  "policy": {"type": "full_sharing", "capacity": 2}
+}
+"""
+
+
+def test_costdist_default_rmax_is_one_for_every_scheme(tmp_path):
+    # every scheme truncates at default_r_max and none leaks past it
+    model = _write(tmp_path, WIDE_COST_MODEL)
+    out = tmp_path / "pi"
+    assert main(["stationary", "--model", model, "--out", str(out)]) == 0
+    tg = 2.0 * float(_read_csv(out / "summary.csv")[0]["g"])
+    r_max = set()
+    for scheme in ("closed", "simple", "shadow"):
+        out = tmp_path / scheme
+        assert main(["costdist", "--model", model, "--out", str(out), "--t", "2",
+                     "--scheme", scheme]) == 0
+        r_max.add(json.loads((out / "run_manifest.json").read_text())["r_max"])
+        if scheme != "shadow":
+            assert float(_read_csv(out / "risk.csv")[0]["mean"]) == pytest.approx(tg, rel=1e-5)
+    assert r_max == {993}
+
+
+@pytest.mark.parametrize("lam,mu", [("1e-300", "1e300"), ("1e12", "1e-300")],
+                         ids=["underflow", "overflow"])
+def test_stationary_load_beyond_float_range(tmp_path, lam, mu):
+    # rho = lam / mu under- or overflows; the stationary law uses log rho
+    model = _write(tmp_path, K1_MODEL.replace('"lambda": 1.0', f'"lambda": {lam}')
+                   .replace('"mu": 1.0', f'"mu": {mu}'))
+    out = tmp_path / "o"
+    assert main(["stationary", "--model", model, "--out", str(out)]) == 0
+    pi = [float(row["probability"]) for row in _read_csv(out / "pi.csv")]
+    if lam == "1e-300":
+        assert pi == [1.0, 0.0, 0.0]
+    else:
+        # pi(1) / pi(2) = 2 / rho = 2e-312
+        assert pi[0] == 0.0 and pi[2] == 1.0
+        assert pi[1] == pytest.approx(2e-312, rel=1e-9)
+
+
+@pytest.mark.parametrize("method", ["general", "symmetric", "equal-bandwidth", "series"])
+def test_shadow_closed_forms_refuse_overflow(tmp_path, capsys, method):
+    # rho = 1e-312: 1/rho overflows in the double sums, which must fail, not
+    # write nan
+    model = _write(tmp_path, K1_MODEL.replace('"lambda": 1.0', '"lambda": 1e-300')
+                   .replace('"mu": 1.0', '"mu": 1e12').replace('"omega": 1', '"omega": 2'))
+    assert main(["shadow", "--model", model, "--out", str(tmp_path / "o"), "--method", method]) == 2
+    assert "relative costs are not finite" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "relative_costs.csv").exists()
 
 
 @pytest.mark.parametrize("terms,code", [("-5", 1), ("0", 0)])
@@ -726,11 +785,10 @@ def _render_reference(out, model, method):
     reference_write(out / "shadow" / "residuals.csv", ["method", "terms", "residual"],
                     ([method, n, ref_fmt(res)] for n, res in enumerate(history)))
 
-    total = cd.total_cost_distribution(space, classes, 2.0)
-    grids = {"closed": (cd.closed_form_grid(space, classes, 2.0, len(total.mass) - 1, dist=dist), total)}
-    grid = cd.evolve_simple_costs(space, classes, 2.0, 80, 12, warn=False)
-    grids["simple"] = (grid, cd.TotalCostDistribution.from_mass(2.0, grid.total_cost(), grid.leakage))
-    for d, (grid, total) in grids.items():
+    grids = {"closed": cd.closed_form_grid(space, classes, 2.0, cd.default_r_max(classes, 2.0), dist=dist),
+             "simple": cd.evolve_simple_costs(space, classes, 2.0, 80, 12, warn=False)}
+    for d, grid in grids.items():
+        total = cd.TotalCostDistribution.from_mass(2.0, grid.total_cost(), grid.leakage)
         reference_cost_grid(out / d / "cost_dist.csv", space, grid)
         reference_total_cost(out / d / "total_cost.csv", 2.0, total.mass)
         reference_risk(out / d / "risk.csv", total)

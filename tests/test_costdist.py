@@ -107,8 +107,7 @@ def test_evolve_rejects_negative_r_max():
 
 
 def test_cost_lattice_cap(monkeypatch):
-    # every lattice builder refuses states x (r_max + 1) past the cap, and the
-    # closed law's doubling stops at the first truncation that would pass it
+    # every lattice builder refuses states x (r_max + 1) past the cap
     classes, space = k1_instance()
     monkeypatch.setattr(cd, "LATTICE_CAP", 3 * 64)
     cd.closed_form_grid(space, classes, 1.0, 63)
@@ -118,20 +117,55 @@ def test_cost_lattice_cap(monkeypatch):
                   lambda: lc.total_cost_distribution(space, classes, 1.0, r_max=64)):
         with pytest.raises(lc.StateSpaceSizeError, match="r_max=64 "):
             build()
-    # mean cost 40 at t = 200: the tail leaks at r_max = 32, and 64 is refused
-    with pytest.raises(lc.StateSpaceSizeError, match="r_max=64 "):
-        lc.total_cost_distribution(space, classes, 200.0, r_max=1)
 
 
-def test_total_cost_r_max_zero_grows():
-    # doubling from 0 must reach a lattice, and the same law as from 1
+def test_total_cost_r_max_is_honoured():
+    # an explicit truncation is kept, not grown: the law is the default one's
+    # prefix, and the leak past it is reported and warned about
     classes, space = k1_instance()
-    zero = lc.total_cost_distribution(space, classes, 2.0, r_max=0)
-    one = lc.total_cost_distribution(space, classes, 2.0, r_max=1)
-    assert zero.leakage <= cd.LEAKAGE_WARN
-    np.testing.assert_array_equal(zero.mass, one.mass)
-    assert (zero.q95, zero.q99, zero.leakage) == (one.q95, one.q99, one.leakage)
-    assert zero.q99 < len(zero.mass)
+    full = lc.total_cost_distribution(space, classes, 2.0)
+    assert full.leakage <= cd.LEAKAGE_WARN
+    for r_max in (0, 1):
+        with pytest.warns(UserWarning, match=f"past r_max={r_max}$"):
+            total = lc.total_cost_distribution(space, classes, 2.0, r_max=r_max)
+        assert len(total.mass) == r_max + 1
+        np.testing.assert_allclose(total.mass, full.mass[:r_max + 1], rtol=1e-14)
+        assert total.leakage == pytest.approx(full.mass[r_max + 1:].sum(), rel=1e-12)
+        assert total.leakage > cd.LEAKAGE_WARN
+        assert total.q99 == r_max + 1
+
+
+def test_default_r_max_bounds_every_scheme_leak():
+    # Bennett's bound on the all-charging Poisson sum dominates the cost of
+    # every scheme, so no scheme leaks past LEAKAGE_WARN at the default
+    # truncation, also when one cost is far above the others
+    rng = np.random.default_rng(23)
+    for i in range(120):
+        classes, policy = random_model(rng)
+        t = 1.0
+        if i % 2:
+            classes = tuple(lc.TrafficClass(c.lam, c.mu, c.bandwidth, int(rng.choice([0, 1, 5, 40, 200])))
+                            for c in classes)
+            t = float(rng.choice([0.1, 1.0, 4.0]))
+        space = lc.enumerate_states(classes, policy)
+        r_max = cd.default_r_max(classes, t)
+        steps = cd.default_steps(space, classes, t)
+        for grid in (cd.closed_form_grid(space, classes, t, r_max),
+                     lc.evolve_simple_costs(space, classes, t, steps, r_max),
+                     lc.evolve_shadow_costs(space, classes, t, steps, r_max)):
+            assert grid.leakage <= cd.LEAKAGE_WARN, (i, classes, t)
+
+
+def test_default_r_max_keeps_its_floor():
+    # the floor mean + 10 sqrt(mean + 1) still decides where it is larger,
+    # as at the risk shapes (mean 17 and 12 of costs 1, 2, 3); Bennett's
+    # point decides when one cost dominates the spread
+    band = [lc.TrafficClass(lam, 1.0, b, b) for lam, b in ((4.0, 1), (2.0, 2), (1.0, 3))]
+    assert cd.default_r_max(band, 17.0 / 11.0) == 61
+    assert cd.default_r_max(band, 12.0 / 11.0) == 50
+    wide = [lc.TrafficClass(0.5, 1.0, 1, 100), lc.TrafficClass(1.0, 1.0, 1, 1)]
+    assert cd.default_r_max(wide, 2.0) == 993
+    assert cd.default_r_max([lc.TrafficClass(1.0, 1.0, 1, 0)], 3.0) == 11
 
 
 def test_shadow_zero_cost_is_pure_chain():
@@ -433,7 +467,7 @@ def test_step_size_guard():
 def test_true_leak_at_large_mean_is_seen():
     # one circuit at lam = 1e5: the blocked state pays Poisson(1e5) costs,
     # and a truncation at their 2e-6 upper quantile leaks pi(1) * 2e-6,
-    # above LEAKAGE_WARN, so the risk law doubles it once
+    # above LEAKAGE_WARN, which the risk law reports and warns about
     classes = (lc.TrafficClass(lam=1e5, mu=1e-3, bandwidth=1, omega=1),)
     space = lc.enumerate_states(classes, lc.FullSharing(capacity=1))
     r_max = int(scipy.stats.poisson.isf(2e-6, 1e5))
@@ -442,9 +476,10 @@ def test_true_leak_at_large_mean_is_seen():
     grid = cd.closed_form_grid(space, classes, 1.0, r_max)
     assert grid.leakage == pytest.approx(pi[1] * scipy.stats.poisson.sf(r_max, 1e5), rel=1e-4)
     assert grid.leakage > cd.LEAKAGE_WARN
-    total = lc.total_cost_distribution(space, classes, 1.0, r_max=r_max)
-    assert len(total.mass) - 1 == 2 * r_max
-    assert total.leakage <= cd.LEAKAGE_WARN
+    with pytest.warns(UserWarning, match=f"past r_max={r_max}$"):
+        total = lc.total_cost_distribution(space, classes, 1.0, r_max=r_max)
+    assert len(total.mass) - 1 == r_max
+    assert total.leakage == pytest.approx(grid.leakage, rel=1e-9)
 
 
 def test_leakage_warning():

@@ -410,13 +410,22 @@ def test_symmetric_relative_costs_match_scalar_form(rng):
 
 def test_total_tables_match_scalar_sums():
     for rho in (0.3, 2.0, 17.5):
-        E, D = hw._total_tables(60, rho)
+        D = hw._total_tables(60, rho)
         assert np.array_equal(D, [_double_sum(t, rho) for t in range(61)])
-        # E is the load increment: rho E(t+1) - t E(t) = 1, up to rounding
-        # of the two terms
-        t = np.arange(60)
-        err = np.abs(rho * E[1:] - t * E[:-1] - 1.0)
-        assert np.all(err <= 1e-13 * (1.0 + rho * E[1:]))
+
+
+def test_closed_forms_refuse_overflowing_sums():
+    # rho = 1e-312: 1/rho overflows in the double sums, so no closed form
+    # has a finite value at two calls
+    classes = (lc.TrafficClass(lam=1e-300, mu=1e12, bandwidth=1, omega=2),)
+    space = lc.enumerate_states(classes, lc.FullSharing(capacity=2))
+    g = lc.stationary(space, classes).g
+    for call in (lambda: lc.relative_cost_symmetric(2, g, 1e12, classes[0].rho),
+                 lambda: lc.relative_cost_general_approx((2,), classes, g),
+                 lambda: lc.symmetric_relative_costs(space, classes, g),
+                 lambda: lc.general_relative_costs(space, classes, g)):
+        with pytest.raises(lc.NumericsError, match="not finite"):
+            call()
 
 
 def test_symmetric_closed_form_scalar():
