@@ -80,6 +80,9 @@ RECURSION_DPS = 50
 STEP_LIMIT = 0.5
 # most (state, cost) cells, states x (r_max + 1), that a cost law may span
 LATTICE_CAP = 8 * DEFAULT_STATE_CAP
+# most cell-steps, steps x states x (r_max + 1), of the shadow recursion:
+# about a minute at 2.6e8 cell-steps/s (b123(40), lambda (12, 5, 3), t = 3)
+SHADOW_WORK_CAP = 2**34
 
 
 class StepSizeError(ModelError):
@@ -171,13 +174,19 @@ def evolve_shadow_costs(
     :func:`~losscost.model.sparse_generator`, then moves dt lam_j of the mass
     of every state where class j charges from r to r + omega_j.  Blocked
     classes that never charge keep their mass on P's diagonal; mass pushed
-    past r_max is accumulated as leakage.
+    past r_max is accumulated as leakage.  A run of more than
+    ``SHADOW_WORK_CAP`` cell-steps, steps x states x (r_max + 1), is refused
+    with :class:`ModelError` before the first step.
     """
     classes = tuple(classes)
     _check_r_max(space, r_max)
     dt = _check_step(space, classes, horizon, steps)
-    lam, omega, charge = _charging(space, classes)
     n = len(space)
+    work = steps * n * (r_max + 1)
+    if work > SHADOW_WORK_CAP:
+        raise ModelError(f"{steps} steps over {n} states x {r_max + 1} costs is {work:.3g} "
+                         f"cell-steps, past the shadow recursion's cap of {SHADOW_WORK_CAP}")
+    lam, omega, charge = _charging(space, classes)
     P = (scipy.sparse.identity(n, format="csr")
          + dt * (sparse_generator(space, classes) - scipy.sparse.diags(charge @ lam))).T.tocsr()
     shifts = [(np.flatnonzero(charge[:, j]), dt * lam[j], int(omega[j]))

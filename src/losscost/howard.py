@@ -671,7 +671,9 @@ def _run_sums(values: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.n
 
 def bill_distribution(prices: ShadowPriceTable, pi: np.ndarray, space: StateSpace) -> BillDistribution:
     """Law of the shadow price charged to an admitted arrival of each class;
-    the empty law for a class that no state admits."""
+    the empty law for a class that no state admits.  Raises
+    :class:`NumericsError` when the admitting states' stationary
+    probabilities underflow to zero."""
     per_class = []
     for k in range(space.K):
         mask = space.admissible[:, k]
@@ -680,8 +682,10 @@ def bill_distribution(prices: ShadowPriceTable, pi: np.ndarray, space: StateSpac
             continue
         weight = pi[mask]
         total = weight.sum()
+        # pi is positive on every state, so a zero sum is underflow
         if total <= 0:
-            raise ModelError(f"class {k + 1} admitting states carry zero probability")
+            raise NumericsError(f"class {k + 1}: the stationary probability of its admitting "
+                                "states underflows to zero")
         pk = prices.p[mask, k]
         order = np.argsort(pk)
         price, mass = _merge_atoms(pk[order], weight[order] / total, BILL_MERGE_TOL)

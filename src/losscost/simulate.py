@@ -25,7 +25,9 @@ digits of the occupancy estimates, nothing else.
 
 Also contains a direct sampler for the simple charging scheme (stationary
 state, then frozen compound-Poisson charges), which is the Monte Carlo
-counterpart of the closed-form cost law.
+counterpart of the closed-form cost law.  It draws the states first, then
+one vector of Poisson counts per charging class over the replications whose
+state charges that class.
 """
 
 from __future__ import annotations
@@ -196,9 +198,12 @@ def _walk(tables: _EventTables, rng: np.random.Generator, horizon: float,
     occupied at the horizon.
     """
     cum, total, nxt = tables.cum, tables.total, tables.nxt
-    s, now = 0, 0.0
-    rate = total[0]
-    while rate != 0.0:
+    s, now, rate = 0, 0.0, total[0]
+    # blocked arrivals fire too, so every state's total rate is at least the
+    # empty state's (the sum of the arrival rates): past this, none is zero
+    if rate == 0.0:
+        return s
+    while True:
         u = rng.random(2 * BLOCK)
         for h, p in zip((-np.log1p(-u[:BLOCK])).tolist(), u[BLOCK:].tolist()):
             now += h / rate
@@ -212,9 +217,6 @@ def _walk(tables: _EventTables, rng: np.random.Generator, horizon: float,
             time.append(now)
             s = nxt[s][e]
             rate = total[s]
-            if rate == 0.0:
-                return s
-    return s
 
 
 class _Tally:
@@ -322,11 +324,10 @@ def simulate(
     K, n, R, H, W = space.K, len(space), config.replications, config.horizon, config.warmup
     tally = _Tally(tables, config, prices)
 
-    bitgen = np.random.Philox(key=[config.seed, 0])
-    rng = np.random.Generator(bitgen)
+    rng = _rng_for(config.seed, 0)
     src, event, time, ends, finals = [], [], [], [], []
     for rep in range(R):
-        _rekey(bitgen, config.seed, rep)
+        _rekey(rng.bit_generator, config.seed, rep)
         finals.append(_walk(tables, rng, H, src, event, time))
         ends.append(len(src))
         if len(src) >= CHUNK_EVENTS or len(ends) * n >= CHUNK_CELLS or rep == R - 1:
@@ -387,11 +388,14 @@ def simulate_simple_total_costs(
     Each replication draws a stationary state and then, with that state's
     admission set frozen, Poisson counts of charging arrivals over [0, t]:
     cost = sum_j omega_j N_j over blocked classes.  This is the exact
-    sampling counterpart of the closed-form cost law.  ``t`` must be finite
-    and above zero and ``replications`` at least zero; every class that
-    charges somewhere must have t * lam within numpy's Poisson limit, and
-    the cost truncation :func:`~losscost.costdist.default_r_max` of those
-    classes must fit int64.  All are checked before anything is drawn.
+    sampling counterpart of the closed-form cost law.  The states of a seed
+    come first, in one draw; then, class by class, one vector of Poisson
+    counts goes to the replications whose state charges that class, in
+    position order.  ``t`` must be finite and above zero and
+    ``replications`` at least zero; every class that charges somewhere must
+    have t * lam within numpy's Poisson limit, and the cost truncation
+    :func:`~losscost.costdist.default_r_max` of those classes must fit
+    int64.  All are checked before anything is drawn.
     """
     classes = tuple(classes)
     _check_horizon(t)
@@ -408,27 +412,12 @@ def simulate_simple_total_costs(
         j = charges[np.argmax(lam[charges] * omega[charges])]
         raise ModelError(f"class {j + 1}: t * lambda * omega = {t * lam[j] * omega[j]:g} "
                          "lets the sampled costs overflow int64")
-    n = len(space)
-    dist = stationary(space, classes)
     rng = _rng_for(seed, 0)
-    states = _choice(rng, dist.pi, replications)
-    # the replications whose state charges, grouped by state (stable, so in
-    # position order); radix sorted on 16-bit codes when the states fit
-    charged = np.flatnonzero(charging.any(axis=1)[states])
-    code = states[charged]
-    charged = charged[np.argsort(code.astype(np.uint16) if n <= 2**16 else code, kind="stable")]
-    counts = np.bincount(code, minlength=n)
-    starts = np.cumsum(counts) - counts
-    # the Poisson counts are drawn by ascending state, then class, an order
-    # the samples of a seed depend on; one call over a vector of means draws
-    # the same numbers as one call per (state, class)
-    state, cls = np.nonzero(charging & (counts > 0)[:, None])
-    size = counts[state]
-    draws = rng.poisson(np.repeat(t * lam[cls], size))
-    # draw k of a (state, class) pair goes to the k-th replication in the state
-    first = np.repeat(starts[state] - (np.cumsum(size) - size), size)
+    states = _choice(rng, stationary(space, classes).pi, replications)
     costs = np.zeros(replications, dtype=np.int64)
-    np.add.at(costs, charged[first + np.arange(len(draws))], np.repeat(omega[cls], size) * draws)
+    for j in charges:
+        hit = np.flatnonzero(charging[states, j])
+        costs[hit] += omega[j] * rng.poisson(t * lam[j], len(hit))
     return costs
 
 

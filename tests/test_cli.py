@@ -2,7 +2,10 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -477,6 +480,26 @@ def test_costdist_rejects_oversized_lattice(tmp_path, capsys, scheme, model, ext
     assert err.startswith("error: r_max=") and "cost lattice cap" in err
 
 
+# mu_2 = 1e12 asks for 1e14 steps of 6 states x 603 costs at t = 50
+UNBOUNDED_STEPS_MODEL = json.dumps({
+    "classes": [{"lambda": l, "mu": m, "bandwidth": 1, "omega": 1} for l, m in ((1.0, 1e-300), (7.0, 1e12))],
+    "policy": {"type": "per_class", "thresholds": [2, 1]},
+})
+
+
+def test_costdist_shadow_refuses_unbounded_work(tmp_path):
+    # in a child process, so that a recursion that runs on fails the test
+    # at its timeout instead of holding the run
+    path = _write(tmp_path, UNBOUNDED_STEPS_MODEL)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-m", "losscost", "costdist", "--model", path,
+                           "--out", str(tmp_path / "o"), "--t", "50", "--scheme", "shadow"],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: 100000000000800 steps over 6 states x 603 costs")
+    assert "is 3.62e+17 cell-steps, past the shadow recursion's cap of 17179869184" in done.stderr
+
+
 # t * lambda * omega and the peak event rate times t overflow to inf
 INFINITE_PRODUCT_MODEL = HUGE_RATE_MODEL.replace('"lambda": 1e160', '"lambda": 1e308')
 
@@ -886,6 +909,22 @@ def test_exact_solve_failure_exits_2(tmp_path, monkeypatch, capsys, argv):
     assert "numeric failure: relative-cost solve residual" in capsys.readouterr().err
 
 
+# lambda_1 = 1e6 on a link of 100: pi(empty) underflows to 0, and only the
+# empty state admits class 2
+UNDERFLOW_BILL_MODEL = json.dumps({
+    "classes": [{"lambda": 1e6, "mu": 1.0, "bandwidth": 1, "omega": 1},
+                {"lambda": 1.0, "mu": 1.0, "bandwidth": 100, "omega": 1}],
+    "policy": {"type": "full_sharing", "capacity": 100},
+})
+
+
+def test_shadow_bill_underflow_exits_2(tmp_path, capsys):
+    model = _write(tmp_path, UNDERFLOW_BILL_MODEL)
+    assert main(["shadow", "--method", "general", "--model", model, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == ("numeric failure: class 2: the stationary probability "
+                                       "of its admitting states underflows to zero\n")
+
+
 # rates spread over five decades, 444 states: BiCGSTAB does not converge
 SPREAD_RATES_MODEL = json.dumps({
     "classes": [{"lambda": l, "mu": m, "bandwidth": b, "omega": w}
@@ -911,10 +950,6 @@ def test_cli_import_leaves_heavy_modules_unloaded():
     # mpmath serves recursion_solve, scipy.sparse.linalg the exact solve's
     # SuperLU preconditioner and scipy.linalg the series completion's line
     # solves; none is loaded at start-up
-    import os
-    import subprocess
-    import sys
-
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = ("import losscost.cli, sys; "
             "print(sorted(m for m in ('mpmath', 'scipy.sparse.linalg', 'scipy.linalg') if m in sys.modules))")

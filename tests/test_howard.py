@@ -737,6 +737,19 @@ def test_series_stall_is_relative(monkeypatch):
     assert res.message == "stopped after 6 terms without reaching 1e-06"
 
 
+def test_series_stops_when_its_residual_grows():
+    # b123(40): the first term takes the residual from 195 to 13.3, the next
+    # three raise it, and the series returns the first term's iterate
+    classes = tuple(lc.TrafficClass(lam, 1.0, b, b) for lam, b in ((12.0, 1), (5.0, 2), (3.0, 3)))
+    space = lc.enumerate_states(classes, lc.FullSharing(capacity=40))
+    dist = lc.stationary(space, classes)
+    res = lc.series_refine(space, classes, dist.g, dist.r)
+    assert res.message == "residual grew for 3 consecutive terms; returning best iterate (after 1 terms)"
+    assert not res.converged
+    assert len(res.residual_history) == 5
+    assert res.costs.residual == res.residual_history[1]
+
+
 def test_shadow_prices_reference():
     classes, space = k1_instance()
     dist, costs = _solved(classes, space)
@@ -862,6 +875,18 @@ def test_bill_distribution_never_admitted_class():
     bills = lc.bill_distribution(table, np.array([1.0]), space)
     assert bills.per_class == ((),)
     assert math.isnan(bills.mean(0))
+
+
+def test_bill_distribution_refuses_underflowing_admitting_states():
+    # at lam_1 = 1e6 on a link of 100, pi(empty) underflows to 0, and only
+    # the empty state admits class 2's bandwidth of 100
+    classes = (lc.TrafficClass(1e6, 1.0, 1, 1), lc.TrafficClass(1.0, 1.0, 100, 1))
+    space = lc.enumerate_states(classes, lc.FullSharing(capacity=100))
+    dist = lc.stationary(space, classes)
+    assert dist.pi[0] == 0.0 and np.flatnonzero(space.admissible[:, 1]).tolist() == [0]
+    table = lc.shadow_prices(lc.general_relative_costs(space, classes, dist.g), space)
+    with pytest.raises(lc.NumericsError, match="class 2: .* admitting states underflows to zero"):
+        lc.bill_distribution(table, dist.pi, space)
 
 
 def test_csv_emitters(tmp_path):
