@@ -14,13 +14,15 @@ unchanged.
 
 The exact solve works on the sparse (CSR) generator with one equation
 replaced at the most likely state, so no n x n matrix is formed.  One
-BiCGSTAB driver runs with A's inverse diagonal (Jacobi) as preconditioner
-and, on the systems where that iteration breaks down or stalls, once more
-with a SuperLU factorization.  An answer it returns meets the residual gate
-``RESIDUAL_TOL``, and it reports the anchored system's exact 1-norm
-condition number, which must stay under ``COND_LIMIT``.  Besides it this
-module has the closed form for the symmetric single-service-rate case, two
-cheap closed-form approximations for asymmetric systems, and a series
+BiCGSTAB driver, which restarts from the true residual when it stalls, runs
+with A's inverse diagonal (Jacobi) as preconditioner and, on the systems
+where that iteration breaks down, runs out of steps or stalls past its
+restarts, once more with a SuperLU factorization.  Each attempt measures
+the residual of the v it would return, so an answer meets the residual
+gate ``RESIDUAL_TOL``; the solve also reports the anchored system's exact
+1-norm condition number, which must stay under ``COND_LIMIT``.  Besides it
+this module has the closed form for the symmetric single-service-rate case,
+two cheap closed-form approximations for asymmetric systems, and a series
 completion that refines any starting approximation term by term, each term
 one exact solve per class along that class's lines of the anchored system.
 """
@@ -75,7 +77,9 @@ BACKWARD_TOL = 4e-15
 # BiCGSTAB steps per attempt of the exact solve; 39,711 and 46,376 states
 # take about 150 under Jacobi
 BICGSTAB_MAX_ITER = 300
-# BiCGSTAB stops once its updated residual is this far below the true one
+# BiCGSTAB has stalled once its updated residual is this far below the
+# true one: it restarts from the true residual, or stops when the last
+# restart did not lower it
 STALL_GAP = 1e-2
 # most states SuperLU may factor; K=4 took 0.25 GB at 17,550 and 1.9 GB at 46,376
 SUPERLU_STATE_CAP = 20_000
@@ -94,13 +98,14 @@ SERIES_TERMS = 6
 class RelativeCosts:
     """Relative cost per state, anchored to zero at ``anchor``.
 
-    The exact solve also reports how it answered: ``solver`` is
-    ``"bicgstab"`` (Jacobi-preconditioned) or ``"superlu"`` (preconditioned
-    by SuperLU factors), ``iterations`` the BiCGSTAB steps of the attempt
-    that answered (1 on every SuperLU-preconditioned answer measured: the
-    direct solve and one refinement) and ``condition`` the 1-norm condition
-    number of the anchored system.  A closed form or series leaves them at
-    None, 0 and NaN.
+    ``residual`` is the max-norm Howard residual of ``v``.  The exact solve
+    also reports how it answered: ``solver`` is ``"bicgstab"``
+    (Jacobi-preconditioned) or ``"superlu"`` (preconditioned by SuperLU
+    factors), ``iterations`` the BiCGSTAB steps of the attempt that
+    answered, restarts included (1 on most SuperLU-preconditioned answers:
+    the direct solve and one refinement) and ``condition`` the 1-norm
+    condition number of the anchored system.  A closed form or series
+    leaves them at None, 0 and NaN.
     """
 
     v: np.ndarray
@@ -209,16 +214,17 @@ def solve_howard_exact(
     is 1/pi(empty), about 1e13 for three classes at rho_k = 10 on 40 units.
 
     The anchored sparse system is solved from zero by :func:`_bicgstab`, at
-    most twice.  The first attempt is preconditioned by A's inverse diagonal
-    (Jacobi) and stops once the Howard residual, the dropped equation
-    included, is within ``BACKWARD_TOL`` of rounding at the data's scale and
-    below a tenth of ``RESIDUAL_TOL``.  When it breaks down, stagnates or
-    runs ``BICGSTAB_MAX_ITER`` steps without getting there, the second is
-    preconditioned by SuperLU factors of A and stops at ``RESIDUAL_TOL``:
-    its first step is the direct solve, further steps refine it.
-    ``RelativeCosts.solver`` says which attempt answered.  The solution is
-    shifted so that v(``anchor``) = 0, which leaves every shadow price
-    unchanged.
+    most twice.  Both attempts measure the Howard residual, the dropped
+    equation included, of the solution shifted so that v(``anchor``) = 0,
+    the v this returns; the shift leaves every shadow price unchanged.  The
+    first attempt is preconditioned by A's inverse diagonal (Jacobi) and
+    stops once that residual is within ``BACKWARD_TOL`` of rounding at the
+    data's scale and below a tenth of ``RESIDUAL_TOL``.  When it breaks
+    down, stalls past its restarts or runs ``BICGSTAB_MAX_ITER`` steps
+    without getting there, the second is preconditioned by SuperLU factors
+    of A and stops at ``RESIDUAL_TOL``: its first step is the direct solve,
+    further steps refine it.  ``RelativeCosts.solver`` says which attempt
+    answered.
 
     The 1-norm condition number is exact, not estimated: with the sign of
     every row but the pivot's flipped, the anchored matrix A is a nonsingular
@@ -228,7 +234,8 @@ def solve_howard_exact(
     with :class:`ModelError` unless 0 <= ``anchor`` < the state count, and
     with :class:`NumericsError`, saying how BiCGSTAB stopped, when SuperLU
     would factor more than ``SUPERLU_STATE_CAP`` states, when the condition
-    number exceeds ``COND_LIMIT`` or when no answer meets ``RESIDUAL_TOL``.
+    number exceeds ``COND_LIMIT`` or when neither attempt meets its gate,
+    saying how each stopped.
     """
     n = len(space)
     if not 0 <= anchor < n:
@@ -241,6 +248,10 @@ def solve_howard_exact(
 
     def tol(x):
         return min(BACKWARD_TOL * (scale_q * np.abs(x).max() + scale_rhs), 0.1 * RESIDUAL_TOL)
+
+    def shifted(x):
+        # + 0.0 turns the -0.0 of a shifted zero into +0.0; no other value moves
+        return x - x[anchor] + 0.0
 
     At, stops = A.T, []
     precondition = precondition_t = _jacobi(A)
@@ -260,22 +271,16 @@ def solve_howard_exact(
         if condition > COND_LIMIT:
             raise NumericsError(f"anchored system too ill-conditioned: condition number {condition:.3e} "
                                 f"exceeds limit {COND_LIMIT:.1e}")
-        x, iterations, stop = _bicgstab(A.__matmul__, rhs, precondition, tol, lambda x: _residual(Q, x, g, r))
+        x, iterations, stop = _bicgstab(A.__matmul__, rhs, precondition, tol,
+                                        lambda x: _residual(Q, shifted(x), g, r))
         if x is not None:
             break
         stops.append(stop)
     else:
         raise NumericsError(f"relative-cost solve residual misses {RESIDUAL_TOL:.1e}: BiCGSTAB {stops[0]}; "
                             f"SuperLU-preconditioned, {stops[1]}")
-    # + 0.0 turns the -0.0 of a shifted zero into +0.0; no other value moves
-    v = x - x[anchor] + 0.0
-
-    residual = _residual(Q, v, g, r)
-    if residual > RESIDUAL_TOL:
-        raise NumericsError(
-            f"relative-cost solve residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}"
-        )
-    return RelativeCosts(v=v, anchor=anchor, residual=residual, solver=solver,
+    v = shifted(x)
+    return RelativeCosts(v=v, anchor=anchor, residual=_residual(Q, v, g, r), solver=solver,
                          iterations=iterations, condition=condition)
 
 
@@ -302,17 +307,22 @@ def _bicgstab(matvec, b: np.ndarray, precondition, tol, measure=None) -> tuple[n
 
     ``measure(x)`` is the max-norm residual that must meet ``tol(x)``; by
     default the true residual's, ||b - A x||_inf.  Both are formed only once
-    the recursively updated residual meets ``tol(x)``.  Returns (x, steps,
-    how it stopped) at the first x that meets it, and x = None on a
-    breakdown (a zero scalar or a non-finite residual), on stagnation (the
-    updated residual has fallen ``STALL_GAP`` times below the true one, so
-    rounding, not the Krylov space, bounds further progress) or after
-    ``BICGSTAB_MAX_ITER`` steps.
+    the recursively updated residual meets ``tol(x)``.  When the updated
+    residual has fallen ``STALL_GAP`` times below the true one, rounding,
+    not the Krylov space, bounds further progress: the iteration restarts
+    from the true residual with it as the new shadow vector, as long as
+    each restart lowers the true residual.  Returns (x, steps, how it
+    stopped) at the first x that meets it, and x = None on a breakdown (a
+    zero scalar or a non-finite residual), on a stall after a restart that
+    did not lower the true residual, or after ``BICGSTAB_MAX_ITER`` steps,
+    restarts included.
     """
     x = np.zeros_like(b)
     r, r0 = b.copy(), b
     p = v = x
     rho = alpha = omega = 1.0
+    # the true residual at the last restart
+    last = math.inf
     with np.errstate(all="ignore"):
         for step in range(BICGSTAB_MAX_ITER + 1):
             if step:
@@ -334,11 +344,17 @@ def _bicgstab(matvec, b: np.ndarray, precondition, tol, measure=None) -> tuple[n
             if not math.isfinite(r_norm):
                 return None, step, f"broke down at step {step}"
             if r_norm <= bound:
-                true_norm = np.abs(b - matvec(x)).max()
+                true = b - matvec(x)
+                true_norm = np.abs(true).max()
                 if (true_norm if measure is None else measure(x)) <= bound:
                     return x, step, f"converged at step {step}"
                 if r_norm < STALL_GAP * true_norm:
-                    return None, step, f"stalled at step {step}: residual {true_norm:.3g}, updated {r_norm:.3g}"
+                    if true_norm >= last:
+                        return None, step, f"stalled at step {step}: residual {true_norm:.3g}, updated {r_norm:.3g}"
+                    last = true_norm
+                    r = r0 = true
+                    p = v = np.zeros_like(b)
+                    rho = alpha = omega = 1.0
             if step and omega == 0.0:
                 return None, step, f"broke down at step {step}"
     return None, step, f"ran out of steps at step {step}: updated residual {r_norm:.3g} > {bound:.3g}"

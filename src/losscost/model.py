@@ -275,8 +275,8 @@ def sparse_generator(
     mu = np.array([c.mu for c in classes])
     arrive = np.where(space.admissible, lam, 0.0)
     depart = mu * space.occupancy
-    # the diagonal is accumulated class by class, arrival before departure,
-    # so that it is bit-identical to a per-entry build
+    # the diagonal is accumulated class by class, arrival before departure:
+    # this order keeps the diagonal's bits, and so every output, as before
     diag = np.zeros(n)
     for j in range(space.K):
         diag -= arrive[:, j]

@@ -65,6 +65,11 @@ BATCHES = 16
 # or its (replication, state) occupancy block CHUNK_CELLS cells
 CHUNK_EVENTS = 2**16
 CHUNK_CELLS = 2**18
+# most events a run may ask for, replications x horizon x the peak per-state
+# event rate: a walk holds its path at about 56 B per event and runs at
+# 0.3-0.5 us per event (2-vCPU host), so one replication at the cap holds
+# about 1 GB and any run at the cap takes a few seconds
+EVENT_CAP = 2**24
 _ZERO4 = np.zeros(4, dtype=np.uint64)
 
 
@@ -165,15 +170,14 @@ class _EventTables:
     cum: list[list[float]]   # cumulative event rates of each state
     total: list[float]       # total event rate of each state
     nxt: list[list[int]]     # state after each event (a blocked arrival stays)
-    charge: np.ndarray       # (states, 2K) int64: omega_j for a blocked arrival
+    charge: np.ndarray       # (states, 2K) int64: omega_j where class j charges
     admitted: np.ndarray     # (states, 2K) bool: an admitted arrival
 
 
 def _event_tables(space: StateSpace, classes: Sequence[TrafficClass]) -> _EventTables:
     n, K = len(space), space.K
-    lam = np.array([c.lam for c in classes], dtype=float)
+    lam, omega, charging = _charging(space, classes)
     mu = np.array([c.mu for c in classes], dtype=float)
-    omega = np.array([c.omega for c in classes], dtype=np.int64)
     rates = np.hstack([np.broadcast_to(lam, (n, K)), mu * space.occupancy])
     # a blocked arrival stays put; a departure of a class with q_j = 0 has
     # rate zero and is never drawn
@@ -184,7 +188,7 @@ def _event_tables(space: StateSpace, classes: Sequence[TrafficClass]) -> _EventT
         cum=cum.tolist(),
         total=cum[:, -1].tolist(),
         nxt=nxt.tolist(),
-        charge=np.hstack([np.where(space.admissible, 0, omega), departures]),
+        charge=np.hstack([np.where(charging, omega, 0), departures]),
         admitted=np.hstack([space.admissible, departures.astype(bool)]),
     )
 
@@ -317,11 +321,17 @@ def simulate(
     occupancy is merged across chunks by Chan's update, so memory is
     O(states + one chunk).  ``cost_rate`` and ``cost_rate_se`` cover
     (warmup, horizon]: across replications, or by batch means over
-    ``BATCHES`` equal windows of a single one.
+    ``BATCHES`` equal windows of a single one.  A run whose replications x
+    horizon x peak per-state event rate passes ``EVENT_CAP`` is refused with
+    :class:`ModelError` before the first walk.
     """
     classes = tuple(classes)
     tables = _event_tables(space, classes)
     K, n, R, H, W = space.K, len(space), config.replications, config.horizon, config.warmup
+    peak = max(tables.total)
+    if R * H * peak > EVENT_CAP:
+        raise ModelError(f"{R} replications x horizon {H:g} x peak event rate {peak:g} is "
+                         f"{R * H * peak:.3g} events, past the simulator's cap of {EVENT_CAP}")
     tally = _Tally(tables, config, prices)
 
     rng = _rng_for(config.seed, 0)

@@ -500,6 +500,25 @@ def test_costdist_shadow_refuses_unbounded_work(tmp_path):
     assert "is 3.62e+17 cell-steps, past the shadow recursion's cap of 17179869184" in done.stderr
 
 
+# about 5e9 events at t = 1e9
+BUSY_MODEL = json.dumps({
+    "classes": [{"lambda": l, "mu": 1.0, "bandwidth": 1, "omega": w} for l, w in ((2.0, 1), (1.0, 2))],
+    "policy": {"type": "full_sharing", "capacity": 3},
+})
+
+
+def test_simulate_refuses_unbounded_work(tmp_path):
+    # in a child process, like the shadow recursion's test
+    path = _write(tmp_path, BUSY_MODEL)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-m", "losscost", "simulate", "--model", path,
+                           "--out", str(tmp_path / "o"), "--t", "1e9", "--reps", "1"],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert done.returncode == 1
+    assert done.stderr == ("error: 1 replications x horizon 1e+09 x peak event rate 6 is 6e+09 events, "
+                           "past the simulator's cap of 16777216\n")
+
+
 # t * lambda * omega and the peak event rate times t overflow to inf
 INFINITE_PRODUCT_MODEL = HUGE_RATE_MODEL.replace('"lambda": 1e160', '"lambda": 1e308')
 
@@ -923,6 +942,25 @@ def test_shadow_bill_underflow_exits_2(tmp_path, capsys):
     assert main(["shadow", "--method", "general", "--model", model, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == ("numeric failure: class 2: the stationary probability "
                                        "of its admitting states underflows to zero\n")
+
+
+# the same load on 441 states, where an iterate meets the residual gate
+# before the shift to v(empty) = 0 and misses it after
+NARROW_UNDERFLOW_MODEL = (UNDERFLOW_BILL_MODEL.replace('"bandwidth": 100', '"bandwidth": 2')
+                          .replace('"capacity": 100', '"capacity": 40'))
+
+
+@pytest.mark.parametrize("text", [UNDERFLOW_BILL_MODEL, NARROW_UNDERFLOW_MODEL], ids=["b2-100", "b2-2"])
+@pytest.mark.parametrize("argv", [["shadow", "--method", "exact"], ["simulate", "--t", "1", "--reps", "10"]],
+                         ids=["shadow", "simulate"])
+def test_bill_underflow_exact_solve_fails_in_its_attempts(tmp_path, capsys, argv, text):
+    # neither attempt meets the residual gate on the v it would return, so
+    # the failure names both instead of a gate applied after them
+    model = _write(tmp_path, text)
+    assert main(argv + ["--model", model, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: relative-cost solve residual misses 1.0e-08: BiCGSTAB ")
+    assert "; SuperLU-preconditioned, " in err and "exceeds" not in err
 
 
 # rates spread over five decades, 444 states: BiCGSTAB does not converge

@@ -135,16 +135,21 @@ def _model(lam, mu, bandwidth, omega, capacity):
 
 # Models on which Jacobi-preconditioned BiCGSTAB cannot meet its bound and
 # the SuperLU-preconditioned attempt answers: (1) rates spread over five
-# decades, where the iteration does not converge; (2) a very heavy load,
-# where its residual stalls at 4.9e-9 against SuperLU's 5.9e-11; (3) slow
-# mixing, 2.8e-7 against 3.7e-10; (4) slower mixing on 1,891 states, where
-# the SuperLU-preconditioned step reaches 1.5e-9: under RESIDUAL_TOL, but
-# never under Jacobi's bound of 1e-9.
+# decades, where the iteration does not converge; (2) slow mixing on 1,891
+# states, where the Howard iteration runs out of steps and the
+# SuperLU-preconditioned step reaches 1.5e-9: under RESIDUAL_TOL, but never
+# under Jacobi's bound of 1e-9.
 FALLBACK_MODELS = {
     "spread-rates": ((0.001, 50, 1), (0.001, 10, 100), (1, 1, 2), (1, 2, 3), 15),
+    "slow-mixing-60": ((1, 1), (1e-5, 1e3), (1, 1), (1, 1), 60),
+}
+# Models on which Jacobi-preconditioned BiCGSTAB stalls, its updated
+# residual far below the true one, and a restart from the true residual
+# answers: (1) a very heavy load, whose first run stalls at 4.9e-9; (2) slow
+# mixing on 351 states
+RESTART_MODELS = {
     "very-heavy": ((1000, 500, 200), (1, 1, 1), (1, 1, 1), (1, 2, 3), 25),
     "slow-mixing": ((1, 1), (1e-5, 1e3), (1, 1), (1, 1), 25),
-    "slow-mixing-60": ((1, 1), (1e-5, 1e3), (1, 1), (1, 1), 60),
 }
 
 
@@ -194,16 +199,18 @@ def _superlu_oracle(space, classes, dist):
     return x - x[0]
 
 
-@pytest.mark.parametrize("name", [*FALLBACK_MODELS, "thresholds"])
+def _threshold_model(name):
+    lam, mu, omega, thresholds = THRESHOLD_MODELS[name]
+    classes = tuple(lc.TrafficClass(lam=l, mu=m, omega=w) for l, m, w in zip(lam, mu, omega))
+    space, v, g = threshold_factor_solution(classes, thresholds)
+    return classes, space, v, g
+
+
+@pytest.mark.parametrize("name", FALLBACK_MODELS)
 def test_exact_solve_falls_back_to_superlu(name, monkeypatch):
     # quietly: pytest turns a warning, such as an overflow in the failed
     # iteration, into an error
-    if name == "thresholds":
-        lam, mu, omega, thresholds = THRESHOLD_MODELS["superlu"]
-        classes = tuple(lc.TrafficClass(lam=l, mu=m, omega=w) for l, m, w in zip(lam, mu, omega))
-        space = threshold_factor_solution(classes, thresholds)[0]
-    else:
-        classes, space = _model(*FALLBACK_MODELS[name])
+    classes, space = _model(*FALLBACK_MODELS[name])
     dist = lc.stationary(space, classes)
     costs = lc.solve_howard_exact(space, classes, dist.g, dist.r)
     assert costs.solver == "superlu" and costs.iterations == 1
@@ -214,6 +221,23 @@ def test_exact_solve_falls_back_to_superlu(name, monkeypatch):
         _superlu_only(m)
         direct = lc.solve_howard_exact(space, classes, dist.g, dist.r)
     assert np.array_equal(costs.v, direct.v)
+
+
+@pytest.mark.parametrize("name", [*RESTART_MODELS, "thresholds"])
+def test_exact_solve_restarts_on_a_stall(name, monkeypatch):
+    # Jacobi's first run stalls on each; restarts answer without a factorisation
+    if name == "thresholds":
+        classes, space, _, _ = _threshold_model("restarted")
+    else:
+        classes, space = _model(*RESTART_MODELS[name])
+    dist = lc.stationary(space, classes)
+    with monkeypatch.context() as m:
+        m.setattr(hw, "_superlu", lambda *a: pytest.fail("SuperLU ran"))
+        costs = lc.solve_howard_exact(space, classes, dist.g, dist.r)
+    assert costs.solver == "bicgstab" and 0 < costs.iterations <= hw.BICGSTAB_MAX_ITER
+    assert costs.residual <= hw.RESIDUAL_TOL
+    want = _superlu_oracle(space, classes, dist)
+    assert np.max(np.abs(costs.v - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
 
 
 def test_exact_solve_above_superlu_bound_fails_before_factoring(monkeypatch):
@@ -228,6 +252,19 @@ def test_exact_solve_above_superlu_bound_fails_before_factoring(monkeypatch):
                        match=r"^BiCGSTAB (stalled|broke down|ran out).*SuperLU factors at most 443 "
                              r"states, not 444$"):
         lc.solve_howard_exact(space, classes, dist.g, dist.r)
+
+
+def test_exact_solve_gates_the_v_it_returns():
+    # 1,681 states at lambda_1 = 3e5: an iterate meets the residual gate
+    # before the shift to v(empty) = 0 and misses it after (1.02e-8), so an
+    # attempt that measured the unshifted iterate gave an answer the gate
+    # then refused; measured after the shift, the SuperLU step is refined
+    classes, space = _model((3e5, 1), (1, 1), (1, 2), (1, 1), 80)
+    dist, costs = _solved(classes, space)
+    assert costs.residual <= hw.RESIDUAL_TOL
+    assert costs.residual == lc.howard_residual(space, classes, costs.v, dist.g, dist.r)
+    want = _superlu_oracle(space, classes, dist)
+    assert np.max(np.abs(costs.v - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
 
 
 def _assert_implied_costs(space, classes, dist, v, floor=0.0):
@@ -281,22 +318,20 @@ def test_implied_costs_of_a_zero_cost_class():
     _assert_implied_costs(space, classes, dist, costs.v)
 
 
-# Threshold models (lam, mu, omega, thresholds) and the path that solves
-# them: 29,016 states by BiCGSTAB, and 8,736 states on which BiCGSTAB
-# stalls at about 2e-10 and SuperLU answers
+# Threshold models (lam, mu, omega, thresholds), both solved by BiCGSTAB:
+# 29,016 states in one run, and 8,736 states on which the first run stalls
+# at about 2e-10 and a restart answers
 THRESHOLD_MODELS = {
     "bicgstab": ((20, 25, 30), (1, 1, 1), (1, 2, 3), (25, 30, 35)),
-    "superlu": ((10, 20, 5), (1, 1, 0.1), (1, 2, 3), (15, 20, 25)),
+    "restarted": ((10, 20, 5), (1, 1, 0.1), (1, 2, 3), (15, 20, 25)),
 }
 
 
-@pytest.mark.parametrize("solver", THRESHOLD_MODELS)
-def test_exact_solve_matches_threshold_factorisation(solver):
-    lam, mu, omega, thresholds = THRESHOLD_MODELS[solver]
-    classes = tuple(lc.TrafficClass(lam=l, mu=m, omega=w) for l, m, w in zip(lam, mu, omega))
-    space, v, g = threshold_factor_solution(classes, thresholds)
+@pytest.mark.parametrize("name", THRESHOLD_MODELS)
+def test_exact_solve_matches_threshold_factorisation(name):
+    classes, space, v, g = _threshold_model(name)
     dist, costs = _solved(classes, space)
-    assert costs.solver == solver
+    assert costs.solver == "bicgstab"
     assert dist.g == pytest.approx(g, rel=1e-12)
     assert np.max(np.abs(costs.v - v)) <= 1e-12 * np.max(np.abs(v))
 

@@ -3,8 +3,12 @@
 import dataclasses
 import importlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from bisect import bisect_right
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -338,6 +342,24 @@ def test_negative_seed_rejected():
     classes, space = k1_instance()
     with pytest.raises(lc.ModelError, match="seed"):
         lc.simulate_simple_total_costs(space, classes, 1.0, 10, seed=-1)
+
+
+def test_simulate_refuses_unbounded_work():
+    # about 5e9 events in one walk: in a child process, so that a run that
+    # goes on fails at the timeout instead of growing its path lists until
+    # it is killed
+    code = ("import losscost as lc\n"
+            "classes = (lc.TrafficClass(lam=2, mu=1, omega=1), lc.TrafficClass(lam=1, mu=1, omega=2))\n"
+            "space = lc.enumerate_states(classes, lc.FullSharing(capacity=3))\n"
+            "try:\n"
+            "    lc.simulate(space, classes, lc.SimConfig(horizon=1e9, replications=1))\n"
+            "except lc.ModelError as e:\n"
+            "    print(e)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert done.stdout == ("1 replications x horizon 1e+09 x peak event rate 6 is 6e+09 events, "
+                           f"past the simulator's cap of {simulate_module.EVENT_CAP}\n")
 
 
 def test_single_run_batch_means_exclude_warmup():
