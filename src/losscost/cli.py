@@ -11,7 +11,9 @@ Every run writes its outputs as CSV plus a ``run_manifest.json`` that records
 the command, parameters, seed, tool version, state-space size and wall-clock
 time; the data files are byte-reproducible given the same model, flags and
 seed.  Exit codes: 0 success, 1 validation error, 2 numeric failure,
-3 success with warnings.
+3 success with warnings.  Each warning is one ``warning:`` line on stderr,
+and the manifest keeps their count as ``warnings`` and their texts as
+``warning_messages``.
 """
 
 from __future__ import annotations
@@ -42,6 +44,10 @@ _APPROXIMATIONS = {
     "general": lambda space, classes, g: hw.general_relative_costs(space, classes, g).v,
 }
 _METHODS = ("exact", *_APPROXIMATIONS, "series")
+# pass bounds of the simulate comparisons: |z| of a mean, and the occupancy
+# total-variation distance
+Z_BOUND = 3.0
+TV_BOUND = 0.05
 
 
 def _load(args):
@@ -50,7 +56,7 @@ def _load(args):
     return classes, space, stationary(space, classes)
 
 
-def cmd_stationary(args) -> tuple[int, dict]:
+def cmd_stationary(args) -> tuple[list[str], dict]:
     classes, space, dist = _load(args)
     out = Path(args.out)
     report.write_table(out / "pi.csv", report.state_header(space.K) + ["probability"],
@@ -58,7 +64,7 @@ def cmd_stationary(args) -> tuple[int, dict]:
     bp = blocking_probabilities(space, dist.pi)
     report.write_table(out / "summary.csv", ["G", "g"] + [f"blocking_prob_{k + 1}" for k in range(space.K)],
                        [["overflow"] if dist.G is None else [dist.G], [dist.g], *bp.reshape(-1, 1)])
-    return 0, {"states": len(space)}
+    return [], {"states": len(space)}
 
 
 def _relative_costs(space, classes, dist, method: str, terms: int | None):
@@ -76,7 +82,7 @@ def _relative_costs(space, classes, dist, method: str, terms: int | None):
     return hw.RelativeCosts(v=v, anchor=0, residual=res), (res,), {}
 
 
-def cmd_shadow(args) -> tuple[int, dict]:
+def cmd_shadow(args) -> tuple[list[str], dict]:
     meta = {}
     if args.method == "series":
         meta["terms"] = hw.SERIES_TERMS if args.terms is None else args.terms
@@ -84,7 +90,8 @@ def cmd_shadow(args) -> tuple[int, dict]:
         raise ModelError(f"--terms applies to --method series only, not {args.method}")
     classes, space, dist = _load(args)
     costs, history, entries = _relative_costs(space, classes, dist, args.method, meta.get("terms"))
-    warnings = int("series" in entries and not entries["series"]["converged"])
+    warnings = ([f"series did not converge: {entries['series']['message']}"]
+                if "series" in entries and not entries["series"]["converged"] else [])
     out = Path(args.out)
     report.write_relative_costs(out / "relative_costs.csv", space, costs)
     prices = hw.shadow_prices(costs, space)
@@ -101,7 +108,7 @@ def _solver_meta(costs) -> dict:
             "condition": costs.condition, "residual": costs.residual}
 
 
-def cmd_costdist(args) -> tuple[int, dict]:
+def cmd_costdist(args) -> tuple[list[str], dict]:
     if args.scheme == "closed" and args.steps is not None:
         raise ModelError("--steps applies to the shadow and simple schemes only, not closed")
     classes, space, dist = _load(args)
@@ -118,11 +125,12 @@ def cmd_costdist(args) -> tuple[int, dict]:
     report.write_cost_grid(out / "cost_dist.csv", space, grid)
     report.write_total_cost(out / "total_cost.csv", t, total.mass)
     report.write_risk(out / "risk.csv", total)
-    warnings = int(total.leakage > cd.LEAKAGE_WARN)
+    warnings = ([f"cost truncation leaked {total.leakage:.3e} probability past r_max={grid.r_max}, "
+                 f"above LEAKAGE_WARN={cd.LEAKAGE_WARN:g}"] if total.leakage > cd.LEAKAGE_WARN else [])
     return warnings, {"states": len(space), "scheme": args.scheme, "r_max": grid.r_max, **meta}
 
 
-def cmd_simulate(args) -> tuple[int, dict]:
+def cmd_simulate(args) -> tuple[list[str], dict]:
     classes, space, dist = _load(args)
     # a quarter of the horizon is discarded for the stationary estimates
     # (occupancy, bills); cost accumulates from time zero
@@ -155,9 +163,17 @@ def cmd_simulate(args) -> tuple[int, dict]:
     names, *values, passed = zip(*comparisons)
     report.write_table(out / "comparison.csv", ["quantity", "simulated", "analytic", "se", "z", "pass"],
                        [names, *(np.array(v, dtype=float) for v in values), np.array(passed, dtype=bool)])
-    failed = sum(1 for c in comparisons if not c[5])
+    failed = [_failed_comparison(*c[:5]) for c in comparisons if not c[5]]
     return failed, {"states": len(space), "replications": n, "events": result.events,
-                    "checks_failed": failed, "solver": _solver_meta(costs)}
+                    "checks_failed": len(failed), "solver": _solver_meta(costs)}
+
+
+def _failed_comparison(name, simulated, analytic, se, z) -> str:
+    """The warning of a failed ``comparison.csv`` row."""
+    if name == "occupancy_tv_distance":
+        return f"comparison {name} failed: TV distance {simulated:.4g}, not below {TV_BOUND:g}"
+    return (f"comparison {name} failed: simulated {simulated:.6g} against analytic {analytic:.6g}, "
+            f"z = {z:+.2f}, |z| > {Z_BOUND:g}")
 
 
 def simulation_checks(space, dist, costs, prices, result) -> list[tuple]:
@@ -174,9 +190,9 @@ def simulation_checks(space, dist, costs, prices, result) -> list[tuple]:
     se = result.mean_cost_se()
     if np.isfinite(se) and se > 0:
         z = (result.mean_cost() - analytic_mean) / se
-        comparisons.append(("mean_total_cost", result.mean_cost(), analytic_mean, se, z, abs(z) <= 3.0))
+        comparisons.append(("mean_total_cost", result.mean_cost(), analytic_mean, se, z, abs(z) <= Z_BOUND))
     tv = 0.5 * float(np.abs(result.occupancy - dist.pi).sum())
-    comparisons.append(("occupancy_tv_distance", tv, 0.0, float("nan"), float("nan"), tv < 0.05))
+    comparisons.append(("occupancy_tv_distance", tv, 0.0, float("nan"), float("nan"), tv < TV_BOUND))
     bills = hw.bill_distribution(prices, dist.pi, space)
     for k in range(space.K):
         # pooled ratio estimator over replications; the delta-method standard
@@ -190,7 +206,7 @@ def simulation_checks(space, dist, costs, prices, result) -> list[tuple]:
         ana = bills.mean(k)
         bse = float(np.sqrt(np.sum((sums - emp * counts) ** 2)) / counts.sum())
         z = (emp - ana) / bse if bse > 0 else 0.0
-        comparisons.append((f"mean_bill_class_{k + 1}", emp, ana, bse, z, abs(z) <= 3.0))
+        comparisons.append((f"mean_bill_class_{k + 1}", emp, ana, bse, z, abs(z) <= Z_BOUND))
     return comparisons
 
 
@@ -260,7 +276,8 @@ def main(argv=None) -> int:
                            if k not in {"fn", "command", "model", "out"} and v is not None},
             "tool_version": __version__,
             "elapsed_seconds": round(time.time() - started, 6),
-            "warnings": warnings,
+            "warnings": len(warnings),
+            "warning_messages": warnings,
             **meta,
         }
         report.write_manifest(out / "run_manifest.json", manifest)
@@ -271,6 +288,8 @@ def main(argv=None) -> int:
     except NumericsError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
+    for text in warnings:
+        print(f"warning: {text}", file=sys.stderr)
     return 3 if warnings else 0
 
 

@@ -8,20 +8,27 @@ draws from its own counter-based stream, a Philox generator keyed by
 replications run and however they are scheduled.
 
 The simulator builds per-state event tables once (cumulative rates, next
-state and charge per event), then walks each replication over them in a
-plain Python loop.  One Philox generator is re-keyed to (seed, replication)
-for each walk, which draws the same stream as a fresh one.  Uniforms come in
-blocks of ``2 * BLOCK``: holding times are exponentials by inversion,
--log(1 - u) / rate, and the event is found by bisection on the state's
-cumulative rates.  The walks append their paths (source state, event, jump
-time) to lists shared by a chunk of replications; a chunk is reduced in one
-pass of array operations once it holds ``CHUNK_EVENTS`` events or its
-replications x states occupancy block reaches ``CHUNK_CELLS`` cells.  Costs,
-final states, post-warm-up costs, bills and window costs are exact reductions
-of the paths, so they do not depend on the chunking.  Per-state occupancy mean
-and sum of squared deviations are merged across chunks by Chan's pairwise
-update, so memory is O(states + one chunk); the merge may move the last
-digits of the occupancy estimates, nothing else.
+state and charge per event), then walks the replications over them in
+batches.  Uniforms come in blocks of ``2 * BLOCK``: holding times are
+exponentials by inversion, -log(1 - u) / rate, and the event is the first
+of the state's cumulative rates above the pick times the rate.  Philox is
+counter based, so one generator set to key (seed, replication) and counter
+b * BLOCK / 2 draws block b of that replication's stream.  While at least
+``LANES_MIN`` replications of a batch are live, they step together, one
+event each per numpy step on the uniforms each draws alone; every
+replication still live after that, or every one of a smaller batch, is
+finished by a plain Python loop from its state, time and place in its
+block.  Both do the same float operations on the same uniforms, so the
+paths do not depend on the batching.  A path is a replication's events as
+cells (source state * 2K + event) and jump times.  The paths are reduced in
+chunks with array operations; a chunk closes once it holds ``CHUNK_EVENTS``
+events or its replications x states occupancy block reaches ``CHUNK_CELLS``
+cells.  Costs, final states, post-warm-up costs, bills and window costs are
+exact reductions of the paths, so they do not depend on the chunking.
+Per-state occupancy mean and sum of squared deviations are merged across
+chunks by Chan's pairwise update, so memory is O(states + one batch + one
+chunk); the merge may move the last digits of the occupancy estimates,
+nothing else.
 
 Also contains a direct sampler for the simple charging scheme (stationary
 state, then frozen compound-Poisson charges), which is the Monte Carlo
@@ -65,11 +72,23 @@ BATCHES = 16
 # or its (replication, state) occupancy block CHUNK_CELLS cells
 CHUNK_EVENTS = 2**16
 CHUNK_CELLS = 2**18
-# most events a run may ask for, replications x horizon x the peak per-state
-# event rate: a walk holds its path at about 56 B per event and runs at
-# 0.3-0.5 us per event (2-vCPU host), so one replication at the cap holds
-# about 1 GB and any run at the cap takes a few seconds
+# replications are walked in batches of about WALK_EVENTS events, each
+# replication counted as horizon x peak event rate and at least as the BLOCK
+# events of its block of uniforms (both 16 B per event)
+WALK_EVENTS = 2**17
+# most events a run may ask for, replications x the larger of horizon x the
+# peak per-state event rate and BLOCK.  The Python loop holds a path at
+# about 64 B per event (peak, lists then arrays) and runs at 0.36-0.41 us
+# per event; lockstep holds about 50-55 B per event at its peak and 4 KB of
+# uniforms per replication, at 0.10-0.36 us per event for 512 down to 32
+# replications (2-vCPU host).  So one replication at the cap holds about
+# 1 GB, any run at the cap takes a few seconds, and at most 65,536
+# replications run, whatever the horizon.
 EVENT_CAP = 2**24
+# fewest live replications that step in lockstep: a lockstep step costs
+# 468 / 357 / 212 / 102 ns per replication at 24 / 32 / 64 / 512 of them,
+# the Python loop about 380 ns per event (2-vCPU host)
+LANES_MIN = 32
 _ZERO4 = np.zeros(4, dtype=np.uint64)
 
 
@@ -153,23 +172,39 @@ def _rng_for(seed: int, rep: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, rep]))
 
 
-def _rekey(bitgen: np.random.Philox, seed: int, rep: int) -> None:
-    """Restart ``bitgen`` on the stream of ``_rng_for(seed, rep)``: the state
-    of a fresh Philox keyed by (seed, rep), set without building a new one."""
-    bitgen.state = {"bit_generator": "Philox",
-                    "state": {"counter": _ZERO4, "key": np.array([seed, rep], dtype=np.uint64)},
-                    "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+class _Streams:
+    """One Philox generator that can be pointed at any block of any
+    replication's stream: the state of ``_rng_for(seed, rep)`` once its
+    first ``block`` blocks of ``2 * BLOCK`` uniforms are drawn, set
+    without building a new generator.  A counter step gives four 64-bit
+    words, one uniform each, so a block is ``BLOCK // 2`` steps."""
+
+    def __init__(self, seed: int):
+        self.rng = _rng_for(seed, 0)
+        self._key = np.array([seed, 0], dtype=np.uint64)
+        self._counter = np.zeros(4, dtype=np.uint64)
+        self._state = {"bit_generator": "Philox", "state": {"counter": self._counter, "key": self._key},
+                       "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+    def at(self, rep: int, block: int) -> np.random.Generator:
+        self._key[1] = rep
+        self._counter[0] = block * (BLOCK // 2)
+        self.rng.bit_generator.state = self._state
+        return self.rng
 
 
 @dataclass(frozen=True)
 class _EventTables:
     """Per-state event tables; event e < K is a class-e arrival, event K + j
-    a class-j departure.  The walk reads the Python lists, the bookkeeping
-    the arrays."""
+    a class-j departure, and cell s * 2K + e is event e fired from state s.
+    The scalar walk reads the Python lists, the lockstep walk and the
+    bookkeeping the arrays."""
 
     cum: list[list[float]]   # cumulative event rates of each state
     total: list[float]       # total event rate of each state
     nxt: list[list[int]]     # state after each event (a blocked arrival stays)
+    cum_rows: np.ndarray     # (states, 2K) float: ``cum`` as an array
+    nxt_cells: np.ndarray    # (states * 2K,) intp: ``nxt`` by cell
     charge: np.ndarray       # (states, 2K) int64: omega_j where class j charges
     admitted: np.ndarray     # (states, 2K) bool: an admitted arrival
 
@@ -188,28 +223,26 @@ def _event_tables(space: StateSpace, classes: Sequence[TrafficClass]) -> _EventT
         cum=cum.tolist(),
         total=cum[:, -1].tolist(),
         nxt=nxt.tolist(),
+        cum_rows=cum,
+        nxt_cells=nxt.ravel().astype(np.intp),
         charge=np.hstack([np.where(charging, omega, 0), departures]),
         admitted=np.hstack([space.admissible, departures.astype(bool)]),
     )
 
 
-def _walk(tables: _EventTables, rng: np.random.Generator, horizon: float,
-          src: list, event: list, time: list) -> int:
-    """One replication from the empty state over [0, horizon].
+def _walk(tables: _EventTables, rng: np.random.Generator, horizon: float, s: int, now: float,
+          holds: Sequence[float], picks: Sequence[float], src: list, event: list, time: list) -> int:
+    """One replication from state ``s`` at time ``now`` < horizon, whose
+    next uniforms are ``holds`` and ``picks`` and then ``rng``'s blocks.
 
     Appends the path to ``src`` (the state each event fires from), ``event``
     (the event fired) and ``time`` (its jump time); returns the state
-    occupied at the horizon.
+    occupied at the horizon.  The state's total rate must not be zero.
     """
     cum, total, nxt = tables.cum, tables.total, tables.nxt
-    s, now, rate = 0, 0.0, total[0]
-    # blocked arrivals fire too, so every state's total rate is at least the
-    # empty state's (the sum of the arrival rates): past this, none is zero
-    if rate == 0.0:
-        return s
+    rate = total[s]
     while True:
-        u = rng.random(2 * BLOCK)
-        for h, p in zip((-np.log1p(-u[:BLOCK])).tolist(), u[BLOCK:].tolist()):
+        for h, p in zip(holds, picks):
             now += h / rate
             if now >= horizon:
                 return s
@@ -221,6 +254,110 @@ def _walk(tables: _EventTables, rng: np.random.Generator, horizon: float,
             time.append(now)
             s = nxt[s][e]
             rate = total[s]
+        u = rng.random(2 * BLOCK)
+        holds, picks = (-np.log1p(-u[:BLOCK])).tolist(), u[BLOCK:].tolist()
+
+
+def _lockstep(tables: _EventTables, streams: _Streams, first: int, m: int, horizon: float
+              ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Step replications ``first`` .. ``first + m - 1`` together from the
+    empty state, one event each per step, while at least ``LANES_MIN`` of
+    them are live.
+
+    Each step is the scalar walk's arithmetic in array operations, on the
+    uniforms each replication would draw alone.  Replications whose time
+    passed the horizon keep stepping (their times only grow), so that no
+    step compacts the arrays.  Returns the number of steps, each
+    replication's state and time after the last one and its current block
+    of uniforms (-log(1 - u) holding times, then picks), and the cells
+    (source state * 2K + event) and jump times of every step, step-major.
+    """
+    K2 = tables.charge.shape[1]
+    s, now = np.zeros(m, dtype=np.intp), np.zeros(m)
+    uniforms = np.empty((m, 2 * BLOCK))
+    holds, picks = uniforms[:, :BLOCK], uniforms[:, BLOCK:]
+    cells, times = np.empty((BLOCK, m), dtype=np.intp), np.empty((BLOCK, m))
+    step = 0
+    while np.count_nonzero(now < horizon) >= LANES_MIN:
+        if step == len(cells):
+            cells = np.concatenate((cells, np.empty_like(cells)))
+            times = np.concatenate((times, np.empty_like(times)))
+        pos = step % BLOCK
+        if pos == 0:
+            for lane in np.flatnonzero(now < horizon).tolist():
+                streams.at(first + lane, step // BLOCK).random(out=uniforms[lane])
+            # a finished replication keeps its stale holding times, which
+            # are no uniforms: zero them so that its time stays put
+            holds[now >= horizon] = 0.0
+            np.log1p(np.negative(holds, out=holds), out=holds)
+            np.negative(holds, out=holds)
+        rows = np.take(tables.cum_rows, s, axis=0)
+        rate = rows[:, -1]
+        now = np.add(now, holds[:, pos] / rate, out=times[step])
+        # the first cumulative rate above p * rate: bisect_right's event
+        e = np.argmax(rows > (picks[:, pos] * rate)[:, None], axis=1)
+        cell = np.multiply(s, K2, out=cells[step])
+        cell += e
+        s = tables.nxt_cells[cell]
+        step += 1
+    return step, s, now, uniforms, cells[:step], times[:step]
+
+
+def _walks(tables: _EventTables, seed: int, first: int, m: int, horizon: float
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Replications ``first`` .. ``first + m - 1`` from the empty state
+    over [0, horizon].
+
+    With at least ``LANES_MIN`` of them, they start in :func:`_lockstep`;
+    each one still live after it, or every one of fewer, is finished by
+    :func:`_walk` from its state, time and place in its block.  Returns
+    the events in replication order, as cells (source state * 2K + event)
+    and jump times, the end offset of each replication's events and the
+    state each occupies at the horizon.
+    """
+    K2 = tables.charge.shape[1]
+    streams = _Streams(seed)
+    step, s, now = 0, np.zeros(m, dtype=np.intp), np.zeros(m)
+    counts, finals = np.zeros(m, dtype=np.intp), np.zeros(m, dtype=np.intp)
+    if tables.total[0] == 0.0:
+        # blocked arrivals fire too, so every state's total rate is at least
+        # the empty state's (the sum of the arrival rates): only there can
+        # it be zero, and then nothing ever fires
+        return np.zeros(0, dtype=np.intp), np.zeros(0), counts, finals
+    if m >= LANES_MIN:
+        step, s, now, uniforms, cells, times = _lockstep(tables, streams, first, m, horizon)
+        # replication-major; the events of each are the steps before its
+        # time reached the horizon
+        cells, times = cells.T, times.T
+        done = times < horizon
+        counts = done.sum(axis=1)
+        last = cells[np.arange(m), np.maximum(counts - 1, 0)]
+        finals = np.where(counts > 0, tables.nxt_cells[last], 0)
+        cells, times = cells[done], times[done]
+
+    # the scalar finish: the rest of the current block, then the next ones
+    live = np.flatnonzero(now < horizon)
+    src, event, time, extra = [], [], [], np.zeros(m, dtype=np.intp)
+    pos = step % BLOCK
+    for lane in live.tolist():
+        rng = streams.at(first + lane, -(-step // BLOCK))
+        holds, picks = ((uniforms[lane, pos:BLOCK].tolist(), uniforms[lane, BLOCK + pos:].tolist())
+                        if pos else ((), ()))
+        finals[lane] = _walk(tables, rng, horizon, int(s[lane]), float(now[lane]), holds, picks,
+                             src, event, time)
+        extra[lane] = len(src)
+    extra[live] = np.diff(extra[live], prepend=0)
+    tail_cells = np.fromiter(src, dtype=np.intp, count=len(src)) * K2
+    tail_cells += np.fromiter(event, dtype=np.intp, count=len(src))
+    tail_times = np.fromiter(time, dtype=float, count=len(src))
+    if not step:
+        return tail_cells, tail_times, np.cumsum(extra), finals
+    if len(src):
+        # each replication the scalar loop finished: its scalar events after
+        # its lockstep ones
+        at = np.repeat(np.cumsum(counts)[live], extra[live])
+        cells, times = np.insert(cells, at, tail_cells), np.insert(times, at, tail_times)
+    return cells, times, np.cumsum(counts + extra), finals
 
 
 class _Tally:
@@ -245,21 +382,49 @@ class _Tally:
         self.window_costs = np.zeros(BATCHES)
         self.reps = 0
         self.events = 0
+        # walked replications not yet in a complete chunk, as _walks returns them
+        self.held = (np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0, dtype=np.intp),
+                     np.zeros(0, dtype=np.intp))
 
-    def add(self, src: list, event: list, time: list, ends: list, finals: list) -> None:
-        """Fold in the paths of the next ``len(ends)`` replications: their
-        events concatenated, replication r's ending before ``ends[r]``."""
+    def feed(self, cells: np.ndarray, times: np.ndarray, ends: np.ndarray, finals: np.ndarray) -> None:
+        """Take the paths of the next replications, as :func:`_walks`
+        returns them, and :meth:`add` every chunk they complete.  A chunk
+        closes at its first replication that brings its events to
+        ``CHUNK_EVENTS`` or its occupancy block to ``CHUNK_CELLS`` cells,
+        or at the run's last replication, so chunks do not depend on how
+        the replications were walked."""
+        held = self.held
+        if len(held[2]):
+            cells, times = np.concatenate((held[0], cells)), np.concatenate((held[1], times))
+            ends = np.concatenate((held[2], ends + len(held[0])))
+            finals = np.concatenate((held[3], finals))
+        per_chunk = -(-CHUNK_CELLS // self.n)
+        run_done = len(ends) == self.config.replications - self.reps
+        start = base = 0
+        while start < len(ends):
+            stop = min(int(np.searchsorted(ends, base + CHUNK_EVENTS)) + 1, start + per_chunk)
+            if stop > len(ends):
+                if not run_done:
+                    break
+                stop = len(ends)
+            self.add(cells[base:ends[stop - 1]], times[base:ends[stop - 1]],
+                     ends[start:stop] - base, finals[start:stop])
+            start, base = stop, ends[stop - 1]
+        # copies, so that the reduced chunks are freed
+        self.held = (cells[base:].copy(), times[base:].copy(), ends[start:] - base, finals[start:].copy())
+
+    def add(self, cell: np.ndarray, at: np.ndarray, ends: np.ndarray, finals: np.ndarray) -> None:
+        """Fold in one chunk: the paths of the next ``len(ends)``
+        replications, their events' cells and jump times concatenated,
+        replication r's ending before ``ends[r]``, and the states they
+        occupy at the horizon."""
         tables, n, K = self.tables, self.n, self.K
         H, W = self.config.horizon, self.config.warmup
         first, m = self.reps, len(ends)
-        src = np.fromiter(src, dtype=np.intp, count=len(src))
-        ev = np.fromiter(event, dtype=np.intp, count=len(src))
-        at = np.fromiter(time, dtype=float, count=len(src))
-        ends = np.array(ends, dtype=np.intp)
         counts = np.diff(ends, prepend=0)
         starts = ends - counts
         row = np.arange(0, m * n, n)  # each replication's row of the occupancy block
-        cell = src * (2 * K) + ev  # the event's cell of the (states, 2K) tables
+        src = cell // (2 * K)
 
         charged = tables.charge.ravel()[cell]
         post = at > W
@@ -287,14 +452,14 @@ class _Tally:
 
         if self.price is not None:
             billed = (at >= W) & tables.admitted.ravel()[cell]
-            self.bill_class.append(ev[billed])
+            self.bill_class.append(cell[billed] % (2 * K))
             self.bill_price.append(self.price[cell[billed]])
             self.bill_count[first:first + m] = _segment_sums(billed, starts, ends)
         if self.config.replications == 1:
             window = np.minimum(((at[post] - W) * (BATCHES / (H - W))).astype(np.intp), BATCHES - 1)
             self.window_costs += np.bincount(window, weights=charged[post], minlength=BATCHES)
         self.reps = total
-        self.events += len(ev)
+        self.events += len(cell)
 
 
 def _segment_sums(values: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -316,33 +481,33 @@ def simulate(
     Deterministic given (model, config): replication i uses the Philox
     stream keyed by (seed, i), independent of the replication count.  Each
     replication is one walk over per-state event tables, holding times
-    drawn by inversion from blocks of uniforms.  The paths of a chunk of
-    replications are reduced together with array operations, and per-state
-    occupancy is merged across chunks by Chan's update, so memory is
-    O(states + one chunk).  ``cost_rate`` and ``cost_rate_se`` cover
-    (warmup, horizon]: across replications, or by batch means over
-    ``BATCHES`` equal windows of a single one.  A run whose replications x
-    horizon x peak per-state event rate passes ``EVENT_CAP`` is refused with
-    :class:`ModelError` before the first walk.
+    drawn by inversion from blocks of uniforms; the walks of a batch of
+    replications step in lockstep while at least ``LANES_MIN`` of them are
+    live, with the same arithmetic on the same uniforms.  The paths of a
+    chunk of replications are reduced together with array operations, and
+    per-state occupancy is merged across chunks by Chan's update, so memory
+    is O(states + one batch + one chunk).  ``cost_rate`` and
+    ``cost_rate_se`` cover (warmup, horizon]: across replications, or by
+    batch means over ``BATCHES`` equal windows of a single one.  A run whose
+    replications x the larger of horizon x peak per-state event rate and
+    ``BLOCK`` passes ``EVENT_CAP`` is refused with :class:`ModelError`
+    before anything of the run's size is allocated.
     """
     classes = tuple(classes)
     tables = _event_tables(space, classes)
     K, n, R, H, W = space.K, len(space), config.replications, config.horizon, config.warmup
     peak = max(tables.total)
-    if R * H * peak > EVENT_CAP:
-        raise ModelError(f"{R} replications x horizon {H:g} x peak event rate {peak:g} is "
-                         f"{R * H * peak:.3g} events, past the simulator's cap of {EVENT_CAP}")
+    # every replication costs at least one block of uniforms, whatever its events
+    per_rep = max(H * peak, BLOCK)
+    if R * per_rep > EVENT_CAP:
+        what = (f"horizon {H:g} x peak event rate {peak:g}" if H * peak >= BLOCK
+                else f"one block of {BLOCK} events")
+        raise ModelError(f"{R} replications x {what} is {R * per_rep:.3g} events, "
+                         f"past the simulator's cap of {EVENT_CAP}")
     tally = _Tally(tables, config, prices)
-
-    rng = _rng_for(config.seed, 0)
-    src, event, time, ends, finals = [], [], [], [], []
-    for rep in range(R):
-        _rekey(rng.bit_generator, config.seed, rep)
-        finals.append(_walk(tables, rng, H, src, event, time))
-        ends.append(len(src))
-        if len(src) >= CHUNK_EVENTS or len(ends) * n >= CHUNK_CELLS or rep == R - 1:
-            tally.add(src, event, time, ends, finals)
-            src, event, time, ends, finals = [], [], [], [], []
+    lanes = max(1, int(WALK_EVENTS // per_rep))
+    for first in range(0, R, lanes):
+        tally.feed(*_walks(tables, config.seed, first, min(lanes, R - first), H))
 
     occupancy_se = np.sqrt(tally.occ_m2 / (R - 1) / R) if R > 1 else np.full(n, math.nan)
     # per-replication rates, or a single run's window rates

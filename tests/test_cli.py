@@ -701,6 +701,72 @@ def test_series_manifest_records_outcome(tmp_path, text):
     assert result.converged == (text == SYM969_MODEL)
 
 
+def _warning_lines(capsys, out):
+    """The run's ``warning:`` lines on stderr, checked against the
+    manifest's count and texts."""
+    lines = capsys.readouterr().err.splitlines()
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert lines == [f"warning: {text}" for text in manifest["warning_messages"]]
+    assert manifest["warnings"] == len(lines)
+    return lines
+
+
+def test_exit_3_says_why(tmp_path, capsys):
+    # every run that exits 3 prints one warning line per cause and records
+    # the texts; a clean run prints and records none
+    from losscost import enumerate_states, series_refine, stationary
+    from losscost.model_io import load_model
+
+    asymmetric = _write(tmp_path, ASYMMETRIC_MODEL, "asymmetric.json")
+    classes, policy = load_model(asymmetric)
+    space = enumerate_states(classes, policy)
+    dist = stationary(space, classes)
+    series = series_refine(space, classes, dist.g, dist.r)
+    assert not series.converged
+    out = tmp_path / "series"
+    assert main(["shadow", "--model", asymmetric, "--out", str(out), "--method", "series"]) == 3
+    assert _warning_lines(capsys, out) == [f"warning: series did not converge: {series.message}"]
+
+    b12 = _write(tmp_path, B12_MODEL)
+    out = tmp_path / "costdist"
+    assert main(["costdist", "--model", b12, "--out", str(out), "--t", "2",
+                 "--scheme", "simple", "--rmax", "1"]) == 3
+    leakage = 1.0 - float(_read_csv(out / "total_cost.csv")[-1]["cumulative"])
+    line, = _warning_lines(capsys, out)
+    assert line == (f"warning: cost truncation leaked {leakage:.3e} probability past r_max=1, "
+                    "above LEAKAGE_WARN=1e-06")
+
+    # started empty, a short horizon fails every stationary reference
+    out = tmp_path / "simulate"
+    assert main(["simulate", "--model", b12, "--out", str(out), "--t", "0.5", "--reps", "2000",
+                 "--seed", "1"]) == 3
+    lines = _warning_lines(capsys, out)
+    failed = [r for r in _read_csv(out / "comparison.csv") if r["pass"] == "0"]
+    assert len(lines) == len(failed) == 4
+    for line, row in zip(lines, failed):
+        name, value = row["quantity"], float(row["simulated"])
+        if name == "occupancy_tv_distance":
+            assert line == f"warning: comparison {name} failed: TV distance {value:.4g}, not below 0.05"
+        else:
+            assert line == (f"warning: comparison {name} failed: simulated {value:.6g} against analytic "
+                            f"{float(row['analytic']):.6g}, z = {float(row['z']):+.2f}, |z| > 3")
+
+    for argv in (["stationary"], ["shadow"], ["costdist", "--t", "2"],
+                 ["simulate", "--t", "60", "--reps", "400", "--seed", "4"]):
+        out = tmp_path / "clean" / argv[0]
+        assert main([argv[0], "--model", _write(tmp_path, SYMMETRIC_MODEL, "symmetric.json"),
+                     "--out", str(out), *argv[1:]]) == 0
+        assert _warning_lines(capsys, out) == []
+
+
+def test_simulate_cli_counts_a_block_per_replication(tmp_path, capsys):
+    model = _write(tmp_path, B12_MODEL)
+    assert main(["simulate", "--model", model, "--out", str(tmp_path / "o"), "--t", "1e-12",
+                 "--reps", "1000000"]) == 1
+    assert capsys.readouterr().err == ("error: 1000000 replications x one block of 256 events is "
+                                       "2.56e+08 events, past the simulator's cap of 16777216\n")
+
+
 def test_risk_quantile_past_truncation_reads_rmax_plus_one(tmp_path):
     # with r_max = 1 the truncated law never reaches 0.95: both quantiles
     # read r_max + 1, and the leakage warning makes the run exit 3

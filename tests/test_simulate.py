@@ -362,6 +362,24 @@ def test_simulate_refuses_unbounded_work():
                            f"past the simulator's cap of {simulate_module.EVENT_CAP}\n")
 
 
+def test_simulate_counts_a_block_per_replication():
+    # every replication draws a block of uniforms, however short its
+    # horizon: a million of them were 5.5e-6 events by horizon alone and
+    # ran for about 20 s
+    classes, space = k2_reference()
+    with pytest.raises(lc.ModelError, match=(r"^1000000 replications x one block of 256 events is "
+                                             r"2.56e\+08 events, past the simulator's cap of 16777216$")):
+        lc.simulate(space, classes, lc.SimConfig(horizon=1e-12, replications=10**6))
+
+
+def test_event_cap_admits_a_block_per_replication(monkeypatch):
+    monkeypatch.setattr(simulate_module, "EVENT_CAP", 4 * BLOCK)
+    classes, space = k2_reference()
+    assert lc.simulate(space, classes, lc.SimConfig(horizon=1e-12, replications=4)).events == 0
+    with pytest.raises(lc.ModelError, match="^5 replications x one block"):
+        lc.simulate(space, classes, lc.SimConfig(horizon=1e-12, replications=5))
+
+
 def test_single_run_batch_means_exclude_warmup():
     # the windows cover (warmup, horizon] only; a first batch that also
     # held the warm-up cost made the error bar about 15x too wide
@@ -670,6 +688,85 @@ def test_chunked_run_equals_one_chunk(monkeypatch, events, cells):
     assert len(chunks) > 2 and sum(chunks) == cfg.replications
 
 
+LANES_MIN = simulate_module.LANES_MIN
+
+
+def _spy_lockstep(monkeypatch):
+    """Record the replication count of every lockstep phase."""
+    calls = []
+    lockstep = simulate_module._lockstep
+    monkeypatch.setattr(simulate_module, "_lockstep",
+                        lambda *args: (calls.append(args[3]), lockstep(*args))[1])
+    return calls
+
+
+@pytest.mark.parametrize("H", [30.0, 0.5])
+@pytest.mark.parametrize("R", [LANES_MIN - 1, LANES_MIN, LANES_MIN + 1])
+def test_lockstep_threshold_matches_reference(monkeypatch, R, H):
+    # one replication short of a lockstep phase, and one that ends at once
+    # or after a single replication finishes; at H = 0.5 about half of the
+    # replications see no event
+    calls = _spy_lockstep(monkeypatch)
+    classes, space = k2_reference()
+    _, prices = _prices(classes, space)
+    cfg = lc.SimConfig(horizon=H, replications=R, seed=R, warmup=H / 6)
+    assert_same_run(lc.simulate(space, classes, cfg, prices=prices),
+                    reference_simulate(space, classes, cfg, prices))
+    assert calls == ([] if R < LANES_MIN else [R])
+
+
+@pytest.mark.parametrize("name,R,H", [("k2_reference", 60, 150.0), ("k2_reference", 36, 400.0),
+                                      ("random_3", 40, 100.0)])
+def test_lockstep_across_blocks_matches_reference(monkeypatch, name, R, H):
+    # at least LANES_MIN replications draw a later block inside the
+    # lockstep phase, all in one batch
+    classes, space = REFERENCE_MODELS[name]()
+    _, prices = _prices(classes, space)
+    cfg = lc.SimConfig(horizon=H, replications=R, seed=R + 3, warmup=H / 4)
+    tables = _event_tables(space, classes)
+    counts = [len(reference_walk(tables, _rng_for(cfg.seed, rep), H)[1]) for rep in range(R)]
+    assert sum(c >= BLOCK for c in counts) >= LANES_MIN
+    calls = _spy_lockstep(monkeypatch)
+    assert_same_run(lc.simulate(space, classes, cfg, prices=prices),
+                    reference_simulate(space, classes, cfg, prices))
+    assert calls == [R]
+
+
+def test_scalar_finish_draws_later_blocks():
+    # a lockstep phase of LANES_MIN replications ends when the first one
+    # finishes, here partway through the first block; most of the others
+    # then draw their second block in the scalar finish
+    classes, space = k2_reference()
+    _, prices = _prices(classes, space)
+    cfg = lc.SimConfig(horizon=100.0, replications=LANES_MIN, seed=0, warmup=25.0)
+    tables = _event_tables(space, classes)
+    counts = [len(reference_walk(tables, _rng_for(cfg.seed, rep), cfg.horizon)[1]) for rep in range(LANES_MIN)]
+    assert (min(counts) + 1) % BLOCK > 0 and sum(c >= BLOCK for c in counts) > LANES_MIN // 2
+    assert_same_run(lc.simulate(space, classes, cfg, prices=prices),
+                    reference_simulate(space, classes, cfg, prices))
+
+
+def test_few_replications_never_step_in_lockstep(monkeypatch):
+    # the scalar walk costs less per event than a lockstep phase of fewer
+    # than LANES_MIN replications: a single replication, and every batch
+    # of fewer, stays on it
+    calls = _spy_lockstep(monkeypatch)
+    classes, space = k2_reference()
+    _, prices = _prices(classes, space)
+    single = lc.SimConfig(horizon=500.0, replications=1, seed=2, warmup=50.0)
+    assert_same_run(lc.simulate(space, classes, single, prices=prices),
+                    reference_simulate(space, classes, single, prices))
+    # a replication of fewer than BLOCK events counts as BLOCK in a batch
+    many = lc.SimConfig(horizon=20.0, replications=3 * LANES_MIN, seed=2, warmup=5.0)
+    monkeypatch.setattr(simulate_module, "WALK_EVENTS", (LANES_MIN - 1) * BLOCK)
+    assert_same_run(lc.simulate(space, classes, many, prices=prices),
+                    reference_simulate(space, classes, many, prices))
+    assert calls == []
+    monkeypatch.setattr(simulate_module, "WALK_EVENTS", LANES_MIN * BLOCK)
+    lc.simulate(space, classes, many, prices=prices)
+    assert calls == [LANES_MIN] * 3
+
+
 P_CASES = {
     "k2_pi": lc.stationary(*k2_reference()[::-1]).pi,
     "zeros": np.array([0.0, 0.3, 0.0, 0.0, 0.5, 0.2, 0.0]),
@@ -727,8 +824,11 @@ def _peak_bytes(space, classes, config):
 def test_simulate_memory_does_not_grow_with_replications(monkeypatch):
     # about 40 events per replication against chunks of 2**12 events (to keep
     # tracing cheap), so 200 replications already fill a chunk; ten times as
-    # many must not hold ten times the paths
+    # many must not hold ten times the paths.  A walk batch counts each
+    # replication as a block of BLOCK events: 2**15 of them walk 128
+    # replications at a time, so 200 fill a batch too
     monkeypatch.setattr(simulate_module, "CHUNK_EVENTS", 2**12)
+    monkeypatch.setattr(simulate_module, "WALK_EVENTS", 2**15)
     classes, space = k2_reference()
     small = _peak_bytes(space, classes, lc.SimConfig(horizon=15.0, replications=200, seed=1))
     large = _peak_bytes(space, classes, lc.SimConfig(horizon=15.0, replications=2000, seed=1))
