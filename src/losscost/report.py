@@ -11,14 +11,18 @@ residual and simulation tables, to :func:`write_table` itself.
 
 :func:`write_table` writes the bytes that ``'%.17e' % x`` and ``'%d' % n``
 give cell by cell, but formats a column at a time in numpy.  Each column of
-a chunk of rows becomes a NUL-padded uint8 block; the blocks, commas and
-line ends are joined into one matrix, written without its NULs.  Integers are
-gathered from the texts of their [min, max] range.  Floats go through an
-exact ``%.17e`` kernel, :func:`_float_block`: the 18 significant digits come
-from a 53 x 128-bit product with a table of powers of ten, rounded half to
-even.  The product is exact where the table entry is; elsewhere its error is
-below 2**-63 of the last digit, and a cell whose fraction lies within 2**-24
-of 0, 1/2 or 1 falls back to ``'%.17e' %``, as do NaN and infinities.
+a chunk of rows becomes a NUL-padded uint8 block; the blocks are copied
+between the constant text (commas, line ends) into one matrix, a row slot
+per block, and the matrix is written without its NULs.  An integer column
+whose [min, max] range is no wider than the column is gathered once from
+the texts of that range.  Floats go through a ``%.17e`` kernel,
+:func:`_float_block`, that only sees the finite nonzero cells; a zero is a
+constant text and its sign.  The 18 significant digits come from a
+double-double product with a table of powers of ten, rounded half to even.
+The product is exact for 10**k with 0 <= k <= 22; elsewhere its error is
+below 2**-44 of the last digit, and a cell whose fraction lies within
+2**-24 of 0, 1/2 or 1 falls back to ``'%.17e' %``, as do NaN and infinities.
+The digit and exponent texts are gathered from tables as whole words.
 """
 
 from __future__ import annotations
@@ -34,63 +38,77 @@ if TYPE_CHECKING:
     from .howard import BillDistribution, RelativeCosts, ShadowPriceTable
     from .model import StateSpace
 
-# rows formatted per chunk: bounds the temporaries held at once
-CHUNK = 2 ** 14
+# rows formatted per chunk: bounds the temporaries held at once, which at
+# 2**12 rows (32 KB per float64 temporary) stay in cache
+CHUNK = 2 ** 12
 _LINE_END = "\r\n"
 # cell format per numpy dtype kind; ``%.17e`` prints what format(x, ".17e") does
 _FORMATS = {"f": "%.17e", "i": "%d", "u": "%d", "b": "%d"}
-# a column chunk shorter than this is formatted cell by cell: the float
-# kernel costs a fixed ~0.3 ms per column, which per-cell formatting
-# (about 1 us a float) matches at about this many rows
+# a column chunk shorter than this is formatted cell by cell, at about
+# 0.8 us a float; the float kernel costs a fixed ~50 us per chunk and is
+# the cheaper from about 64 rows, so this cut-off errs on the safe side
 _SHORT = 256
 
-_M32 = np.uint64(0xFFFFFFFF)
-_HALF = np.uint64(1 << 63)
-# a fraction this close (in units of 2**-64) to 0, 1/2 or 1 is not
-# certified when its power of ten is inexact; see ``_float_block``
-_BAND = np.uint64(1 << 40)
-_E16, _E17, _E18 = np.uint64(10 ** 16), np.uint64(10 ** 17), np.uint64(10 ** 18)
-_E4, _E8 = np.uint64(10 ** 4), np.uint64(10 ** 8)
+# Dekker's splitting constant: 2**27 + 1 times a double splits it into two
+# halves of at most 26 significant bits each
+_SPLIT = 2.0 ** 27 + 1
+# a fraction this close to 0, 1/2 or 1 is not certified when its power of
+# ten is inexact; see ``_float_block``
+_BAND = 2.0 ** -24
+
+
+def _split(a: np.ndarray):
+    """a as high + low halves, each with at most 26 significant bits
+    (Dekker), so that the product of two halves is exact."""
+    c = _SPLIT * a
+    high = c - (c - a)
+    return high, a - high
 
 
 def _pow10_table(kmin: int, kmax: int):
-    """10**k ~ t * 2**b for kmin <= k <= kmax, with t = floor(10**k / 2**b)
-    in [2**127, 2**128): t as four arrays of 32-bit limbs, least significant
-    first; b; and whether t * 2**b == 10**k (for 0 <= k <= 55)."""
-    limbs, shifts, exact = [], [], []
+    """10**k ~ (hi + lo) * 2**b for kmin <= k <= kmax, from t =
+    floor(10**k / 2**b) in [2**127, 2**128): hi = float(t) and lo =
+    float(t - hi), so hi + lo is within 2**-106 of 10**k / 2**b, relatively,
+    and lo = 0 with the pair exact for 0 <= k <= 22 (5**k < 2**53).
+    Returns rows (hi, lo, hi's two halves) and the shifts b."""
+    hi, lo, shifts = [], [], []
     for k in range(kmin, kmax + 1):
         if k >= 0:
             p = 10 ** k
             b = p.bit_length() - 128
             t = p >> b if b >= 0 else p << -b
-            exact.append(b <= 0 or t << b == p)
         else:
             q = 10 ** -k
             b = -(127 + q.bit_length())
             t = (1 << -b) // q
-            exact.append(False)
-        limbs.append([(t >> (32 * j)) & 0xFFFFFFFF for j in range(4)])
+        h = float(t)
+        hi.append(h)
+        lo.append(float(t - int(h)))
         shifts.append(b)
-    return (tuple(np.array(limb, dtype=np.uint64) for limb in zip(*limbs)),
-            np.array(shifts, dtype=np.int64), np.array(exact))
+    hi = np.array(hi)
+    return np.stack([hi, np.array(lo), *_split(hi)], axis=1), np.array(shifts, dtype=np.int32)
 
 
 # k = 17 - e10 for every decade e10 of a nonzero double, -324..308, and one
 # past each end for a decade estimate that is one off
 _KMIN = 17 - 309
-_LIMBS, _SHIFTS, _EXACT = _pow10_table(_KMIN, 17 + 325)
+_POW10, _SHIFTS = _pow10_table(_KMIN, 17 + 325)
 
 
-def _packed(texts: list[bytes], width: int) -> np.ndarray:
-    """Byte strings, NUL-padded to ``width``, as little-endian uint32 words."""
-    return np.array(texts, dtype=f"S{width}").view("<u4").reshape(len(texts), width // 4)
+def _words(texts: list[bytes]) -> np.ndarray:
+    """Byte strings of at most 8 bytes, NUL-padded, as little-endian uint64."""
+    return np.array(texts, dtype="S8").view("<u8")
 
 
-# the first four bytes of a row from its first two digits (sign byte left
-# NUL), every four-digit group, and the exponent for each decade -324..308
-_HEADS = _packed([b"\0%d.%d" % divmod(h, 10) for h in range(100)], 4)[:, 0]
-_QUADS = _packed([b"%04d" % g for g in range(10 ** 4)], 4)[:, 0]
-_EXPONENTS = _packed([b"e%+03d" % e10 for e10 in range(-324, 309)], 8)
+# a row is four little-endian uint64 words, so that text order is byte
+# order on any host: the sign byte (NUL for +) and the first two digits
+# with the point, placed after four NULs; two words of eight digits,
+# gathered as four-digit groups; the exponent, for each decade -324..308
+_HEADS = _words([b"\0\0\0\0\0%d.%d" % divmod(h, 10) for h in range(100)])
+_QUADS = np.array([b"%04d" % g for g in range(10 ** 4)], dtype="S4").view("<u4")
+_EXPONENTS = _words([b"e%+03d" % e10 for e10 in range(-324, 309)])
+_ZERO_ROW = _words([b"\0\0\0\0\0" b"0.0", b"00000000", b"00000000", b"e+00"])
+_MINUS = np.uint64(ord("-") << 32)
 
 
 def fmt(x: float) -> str:
@@ -128,92 +146,113 @@ def _cells(a: np.ndarray) -> np.ndarray:
     return _texts([fmt % v for v in a.tolist()])
 
 
-def _scaled(m: np.ndarray, e: np.ndarray, e10: np.ndarray):
-    """m * 2**(e - 53) * 10**(17 - e10) for 53-bit m, with the power of ten
-    from the table: the integer part, the first 64 bits of the fraction,
-    whether any fraction bit below those is set, and whether the table entry
-    was exact (then all of this is exact)."""
-    i = 17 - e10 - _KMIN
-    t = [limb[i] for limb in _LIMBS]
-    # m * t as six 32-bit limbs: column sums of the 32-bit halves of the
-    # partial products over m's two limbs and t's four, then the carries
-    cols = [[] for _ in range(6)]
-    for a, half in enumerate((m & _M32, m >> np.uint64(32))):
-        for b in range(4):
-            part = half * t[b]
-            cols[a + b].append(part & _M32)
-            cols[a + b + 1].append(part >> np.uint64(32))
-    r, carry = [], np.uint64(0)
-    for col in cols:
-        acc = sum(col, carry)
-        r.append(acc & _M32)
-        carry = acc >> np.uint64(32)
-    # m * t = value * 2**(96 + s); s is in [20, 31] for values in [1e16, 1e19)
-    s = (53 - 96 - e - _SHIFTS[i]).astype(np.uint64)
-    up, down = np.uint64(64) - s, np.uint64(32) - s
-    whole = (r[5] << up) | (r[4] << down) | (r[3] >> s)
-    frac = (r[3] << up) | (r[2] << down) | (r[1] >> s)
-    sticky = ((r[1] & ((np.uint64(1) << s) - np.uint64(1))) | r[0]) != 0
-    return whole, frac, sticky, _EXACT[i]
+def _scaled(f: np.ndarray, e: np.ndarray, e10: np.ndarray):
+    """D = f * 2**e * 10**(17 - e10) rounded half to even, for doubles f in
+    [1/2, 1), with the power of ten from the table: D as int64, the
+    remainder (the scaled value minus D, in [-1/2, 1/2]), and whether the
+    table entry was inexact (lo != 0)."""
+    i = (17 - _KMIN) - e10
+    hi, lo, hh, hl = np.take(_POW10, i, axis=0).T
+    # f * hi = top + err exactly (Dekker's product), plus f * lo
+    top = f * hi
+    fh, fl = _split(f)
+    err = ((fh * hh - top) + fh * hl + fl * hh) + fl * hl + f * lo
+    # renormalise: err is below an ulp of top, so top + err rounds to a
+    # whole number (its ulp is at least 2 once scaled) and ``low`` is the
+    # exact remainder; the power-of-two scaling is exact too.  The whole
+    # part is even, so rounding low half to even rounds the sum so.
+    s = e + _SHIFTS[i]
+    whole = top + err
+    low = np.ldexp(err - (whole - top), s)
+    near = np.rint(low)
+    return np.ldexp(whole, s).astype(np.int64) + near.astype(np.int64), low - near, lo != 0
+
+
+def _digit_words(y: np.ndarray):
+    """The row words of ``'%.17e' % v`` for each finite positive double v in
+    ``y``, and which rows the kernel left uncertified."""
+    f, e = np.frexp(y)
+    # log10 is within an ulp, so its floor is the decade or one off; the
+    # integer part of the scaled value (D, less one where D was rounded up)
+    # falls outside [1e17, 1e18) exactly when it is off.  That needs D
+    # outside (1e17, 1e18]: D = 1e18 is right in either case, as a carry or
+    # as 1e18 at one decade too low, which rounds to 1e17 at the right one.
+    e10 = np.floor(np.log10(y)).astype(np.int64)
+    d, r, inexact = _scaled(f, e, e10)
+    check = np.flatnonzero((d - (10 ** 17 + 1)).view(np.uint64) >= np.uint64(9 * 10 ** 17))
+    if len(check):
+        whole = d[check] - (r[check] < 0)
+        off = (whole >= 10 ** 18).astype(np.int64) - (whole < 10 ** 17)
+        redo = check[off != 0]
+        e10[redo] += off[off != 0]
+        d[redo], r[redo], inexact[redo] = _scaled(f[redo], e[redo], e10[redo])
+        # a decade still off, which a log10 within an ulp never gives, is
+        # left to '%.17e' % with in-range indices
+        lost = redo[(d[redo] - (r[redo] < 0) - 10 ** 17).view(np.uint64) >= np.uint64(9 * 10 ** 17)]
+        d[lost], r[lost], inexact[lost], e10[lost] = 10 ** 17, 0.0, True, 0
+    # the product is exact where lo = 0; elsewhere a fraction within the
+    # band of 0, 1/2 or 1 (a remainder near 0 or +-1/2) is not certified
+    slow = inexact & (abs(abs(r) - 0.25) > 0.25 - _BAND)
+    # a carry to 19 digits moves the decade
+    carry = d == 10 ** 18
+    d[carry] = 10 ** 17
+    e10 += carry
+
+    # the first two digits, then four groups of four, one row each
+    groups = np.empty((5, len(d)), dtype=np.int64)
+    for j, scale in enumerate((10 ** 16, 10 ** 12, 10 ** 8, 10 ** 4)):
+        np.floor_divide(d, scale, out=groups[j])
+    groups[4] = d
+    groups[1:] -= groups[:-1] * 10 ** 4
+    words = np.empty((len(d), 4), dtype="<u8")
+    words[:, 0] = _HEADS[groups[0]]
+    words.view("<u4")[:, 2:6].T[...] = _QUADS[groups[1:]]
+    words[:, 3] = _EXPONENTS[e10 + 324]
+    return words, slow
 
 
 def _float_block(x: np.ndarray) -> np.ndarray:
     """``'%.17e' % v`` of each float64, as a (rows, 25) NUL-padded block.
 
-    A finite nonzero |x| is m * 2**(e - 53) with m a 53-bit integer; its 18
-    significant digits are D = round(|x| * 10**(17 - e10)), e10 its decade,
-    rounded half to even as printf does.  The power of ten is a table entry
-    t * 2**b with t = floor(10**k / 2**b) < 2**128, so the product m * t is
-    exact and carried in full.  For 0 <= k <= 55 (5**k < 2**128) the entry
-    is exact, and so are the integer part, fraction and rounding.  Otherwise
-    t is below the true value by less than 1, which puts the product below
-    the true scaled value by less than m * 2**(e - 53 + b) =
-    (m * t * 2**(e - 53 + b)) / t < 1e18 / 2**127 < 2**-67 units of the last
-    digit, and keeping 64 fraction bits adds less than 2**-64: the true
-    fraction lies in [F, F + 2**-63), F the computed one.  When F is at
-    least 2**-24 from 0, 1/2 and 1 the true value has the same integer part
-    and rounds the same way; the rest, with NaN and infinities, go through
-    ``'%.17e' %`` (about one in 2**22 cells with an inexact entry).
-    """
-    ok = np.isfinite(x) & (x != 0)
-    y = np.where(ok, np.abs(x), 1.0)
-    f, e = np.frexp(y)
-    m = np.ldexp(f, 53).astype(np.uint64)
-    # log10 is within an ulp, so its floor is the decade or one off; the
-    # integer part falls outside [1e17, 1e18) exactly when it is off
-    e10 = np.floor(np.log10(y)).astype(np.int64)
-    whole, frac, sticky, exact = _scaled(m, e, e10)
-    off = (whole >= _E18).astype(np.int64) - (whole < _E17)
-    redo = np.flatnonzero(off)
-    if len(redo):
-        e10[redo] += off[redo]
-        for a, b in zip((whole, frac, sticky, exact), _scaled(m[redo], e[redo], e10[redo])):
-            a[redo] = b
-    # round half to even; a carry to 19 digits moves the decade
-    odd = (whole & np.uint64(1)).astype(bool)
-    d = whole + ((frac > _HALF) | ((frac == _HALF) & (sticky | odd)))
-    carry = d == _E18
-    d[carry] = _E17
-    e10 += carry
-    uncertain = ~exact & ((frac < _BAND) | (frac > ~_BAND)
-                          | ((frac > _HALF - _BAND) & (frac < _HALF + _BAND)))
-    slow = ~np.isfinite(x) | (ok & (uncertain | (whole < _E17) | (whole >= _E18)))
-    # zeros, and the cells left to '%.17e' %, print as 0.00000000000000000e+00
-    fast = ok & ~slow
-    d *= fast
-    e10 *= fast
+    Only the finite nonzero cells enter the kernel; a zero row is the
+    constant text of 0.0, and every row gets its sign from the sign bit.
+    A finite nonzero |x| is f * 2**e with f in [1/2, 1); its 18 significant
+    digits are D = round(|x| * 10**k), k = 17 - e10 for its decade e10,
+    rounded half to even as printf does.  10**k is a table entry
+    (hi + lo) * 2**b: f * hi is carried exactly as a double-double
+    (Dekker's product), f * lo is added, and the sum, scaled by 2**(e + b),
+    is renormalised to a whole number plus an exact remainder.  For
+    0 <= k <= 22, lo = 0 and all of it is exact, ties included.  Elsewhere
+    the entry is within 2**-106 of 10**k / 2**b, relatively, f * lo is
+    rounded by at most 2**-106 and adding it by at most 2**-105 of the
+    product: the scaled value, below 2**60, is within 2**-104 of the true
+    one, relatively, so within 2**-44 in units of the last digit.  When its
+    fraction is at least 2**-24 from 0, 1/2 and 1 the true value has the
+    same integer part and rounds the same way; the rest, with NaN and
+    infinities, go through ``'%.17e' %`` (about one in 2**22 cells with an
+    inexact entry).
 
-    # a row is seven uint32 words: sign, digit, point, digit; four groups of
-    # four digits; "e", the exponent's sign and its two or three digits
-    head = d // _E16
-    eight = (d - head * _E16)[:, None] // np.array([_E8, np.uint64(1)])
-    eight[:, 1] -= eight[:, 0] * _E8
-    four = eight // _E4
-    words = np.empty((len(x), 7), dtype="<u4")
-    words[:, 0] = _HEADS[head] | np.signbit(x) * np.uint32(ord("-"))
-    words[:, 1:5] = _QUADS[np.stack([four, eight - four * _E4], axis=2).reshape(-1, 4)]
-    words[:, 5:7] = _EXPONENTS[e10 + 324]
-    out = words.view(np.uint8)[:, :25]
+    A row is four uint64 words, of which bytes 4..28 are the text: the
+    sign and first two digits with the point, four groups of four digits,
+    and the exponent, each gathered from a table of its texts, the
+    exponent as one word per row.
+    """
+    y = np.abs(x)
+    finite = np.isfinite(x)
+    if finite.all() and y.min() > 0:
+        words, slow = _digit_words(y)
+    else:
+        rows = np.flatnonzero(finite & (x != 0))
+        words = np.empty((len(x), 4), dtype="<u8")
+        kernel_words, kernel_slow = _digit_words(y[rows])
+        # rows placed as single 32-byte items, far faster than 2-D rows
+        items = words.view("V32")[:, 0]
+        np.put(items, rows, kernel_words.view("V32")[:, 0])
+        np.put(items, np.flatnonzero(x == 0), _ZERO_ROW.view("V32"))
+        slow = ~finite
+        slow[rows[kernel_slow]] = True
+    words[:, 0] |= np.signbit(x) * _MINUS
+    out = words.view(np.uint8)[:, 4:29]
 
     slow = np.flatnonzero(slow)
     if len(slow):
@@ -223,15 +262,18 @@ def _float_block(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _int_block(a: np.ndarray) -> np.ndarray:
-    """``'%d' % v`` of each integer, as a NUL-padded block: gathered from the
-    texts of [min, max] when that range is no wider than the column."""
+def _int_texts(a: np.ndarray, suffix: bytes = b"") -> np.ndarray | None:
+    """``'%d' % v`` of each integer followed by ``suffix``, as a NUL-padded
+    block gathered from the texts of [min, max]; None when that range is
+    wider than the column."""
+    if a.dtype.kind == "b":
+        a = a.view(np.uint8)
     lo, hi = int(a.min()), int(a.max())
     if hi - lo >= len(a):
-        return _cells(a)
-    table = _texts([b"%d" % v for v in range(lo, hi + 1)])
+        return None
+    table = _texts([b"%d%s" % (v, suffix) for v in range(lo, hi + 1)])
     # a - lo in [0, len(a)), taken modulo 2**64 so no dtype overflows
-    return table[(a.astype(np.uint64) - np.uint64(lo % 2 ** 64)).astype(np.intp)]
+    return np.take(table, (a.astype(np.uint64) - np.uint64(lo % 2 ** 64)).astype(np.intp), axis=0)
 
 
 def _block(a: np.ndarray) -> np.ndarray:
@@ -239,11 +281,18 @@ def _block(a: np.ndarray) -> np.ndarray:
     kind = a.dtype.kind
     if kind == "U":
         return _texts([_text_cell(s).encode() for s in a.tolist()])
-    if len(a) < _SHORT:
-        return _cells(a)
-    if kind == "f":
+    if kind == "f" and len(a) >= _SHORT:
         return _float_block(a.astype(np.float64, copy=False))
-    return _int_block(a.view(np.uint8) if kind == "b" else a)
+    return _cells(a)
+
+
+def _put(text: np.ndarray, start: int, block: np.ndarray) -> int:
+    """Copy ``block`` (rows, or one row for all) into the columns of ``text``
+    from ``start``, each row as one item; return the end column."""
+    width = block.shape[-1]
+    item = f"V{width}"
+    text[:, start:start + width].view(item)[...] = block.view(item)
+    return start + width
 
 
 def write_table(path: str | Path, header: Sequence[str],
@@ -259,7 +308,8 @@ def write_table(path: str | Path, header: Sequence[str],
     A chunk of rows is one uint8 matrix: each array column becomes a
     NUL-padded block of its cells' bytes, set between the constant text
     (commas, constant columns, the line end), and the matrix is written
-    without its NULs.
+    without its NULs.  An integer column of small range is formatted whole,
+    with the constant text after it, up front, and sliced per chunk.
     """
     layout, literal = [], ""
     for c in columns:
@@ -282,15 +332,26 @@ def write_table(path: str | Path, header: Sequence[str],
         raise ValueError("array columns must have equal length")
     n = lengths.pop()
     layout.append((literal[:-1] + _LINE_END).encode())
+    # an integer column of small range becomes its 2-D block, which takes in
+    # the constant text after it (every array column has some)
+    for i, part in enumerate(layout):
+        if n >= _SHORT and not isinstance(part, bytes) and part.dtype.kind in "iub":
+            texts = _int_texts(part, layout[i + 1])
+            if texts is not None:
+                layout[i:i + 2] = texts, b""
+    layout = [part for part in layout if len(part)]
     with open(path, "wb") as fh:
         fh.write((",".join(map(_cell, header)) + _LINE_END).encode())
         for start in range(0, n, CHUNK):
             rows = min(CHUNK, n - start)
-            blocks = [np.broadcast_to(np.frombuffer(part, dtype=np.uint8), (rows, len(part)))
-                      if isinstance(part, bytes) else _block(part[start:start + CHUNK])
-                      for part in layout]
-            text = np.concatenate(blocks, axis=1)
-            fh.write(text[text != 0].tobytes())
+            blocks = [np.frombuffer(part, dtype=np.uint8) if isinstance(part, bytes)
+                      else part[start:start + CHUNK] if part.ndim == 2
+                      else _block(part[start:start + CHUNK]) for part in layout]
+            text = np.empty((rows, sum(b.shape[-1] for b in blocks)), dtype=np.uint8)
+            end = 0
+            for b in blocks:
+                end = _put(text, end, b)
+            fh.write(text.tobytes().translate(None, b"\0"))
 
 
 def write_manifest(path: str | Path, manifest: dict) -> None:

@@ -4,8 +4,10 @@
 ``format(x, ".17e")``, and the ``reference_*`` functions build each file row
 by row as the row writer did.  Every writer in ``losscost.report`` must
 produce the same bytes.  The float kernel is also swept on its own: random
-bit patterns, every power of two and ten with its neighbours, exact ties,
-and a hypothesis property, each against ``format(x, ".17e")``.
+bit patterns, every power of two and ten with its neighbours, the first and
+last doubles of the decades at each end of its exact range and of the
+double range, exact ties, columns of mostly signed zeros, and a hypothesis
+property, each against ``format(x, ".17e")``.
 """
 
 import csv
@@ -24,7 +26,9 @@ from losscost.howard import BillDistribution, RelativeCosts, ShadowPriceTable
 
 CHUNK = report.CHUNK
 SHORT = report._SHORT
-LENGTHS = (0, 1, SHORT - 1, SHORT, SHORT + 1, CHUNK - 1, CHUNK, CHUNK + 1)
+# around the per-cell cut-off, one chunk and four chunks
+LENGTHS = (0, 1, SHORT - 1, SHORT, SHORT + 1, CHUNK - 1, CHUNK, CHUNK + 1,
+           4 * CHUNK - 1, 4 * CHUNK, 4 * CHUNK + 1)
 SPECIAL = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308)
 
 
@@ -310,11 +314,76 @@ def test_string_cells_reject_nul(tmp_path):
         report.write_table(path, ["a", "b"], ["x\0", [1.0, 2.0]])
 
 
-def test_pow10_table_exact_only_where_claimed():
-    ks = range(report._KMIN, report._KMIN + len(report._EXACT))
-    for i, k in enumerate(ks):
-        t = sum(int(limb[i]) << (32 * j) for j, limb in enumerate(report._LIMBS))
-        unit = Fraction(2) ** int(report._SHIFTS[i])
-        assert 2 ** 127 <= t < 2 ** 128
-        assert t * unit <= Fraction(10) ** k < (t + 1) * unit
-        assert (t * unit == Fraction(10) ** k) == bool(report._EXACT[i]) == (0 <= k <= 55)
+def significant_bits(v):
+    """Bits from the highest to the lowest set bit of a double's mantissa."""
+    numerator = abs(float(v).as_integer_ratio()[0])
+    return (numerator // (numerator & -numerator)).bit_length() if numerator else 0
+
+
+def test_pow10_table_within_claimed_error():
+    hi, lo, high, low = report._POW10.T
+    assert len(report._POW10) == len(report._SHIFTS) == 17 + 325 - report._KMIN + 1
+    for i, k in enumerate(range(report._KMIN, report._KMIN + len(report._POW10))):
+        scaled = Fraction(10) ** k / Fraction(2) ** int(report._SHIFTS[i])
+        assert 2 ** 127 <= scaled < 2 ** 128
+        pair = Fraction(hi[i]) + Fraction(lo[i])
+        assert abs(pair - scaled) <= scaled / 2 ** 106
+        # the kernel trusts its product exactly where lo is 0
+        assert (lo[i] == 0) == (0 <= k <= 22)
+        if lo[i] == 0:
+            assert pair == scaled
+        # hi's halves: exact, 26 significant bits each at most
+        assert high[i] + low[i] == hi[i]
+        assert significant_bits(high[i]) <= 26 and significant_bits(low[i]) <= 26
+
+
+def decade_ends(e10):
+    """The smallest and largest double in the decade [10**e10, 10**(e10 + 1))."""
+    first, past = Fraction(10) ** e10, Fraction(10) ** (e10 + 1)
+    small = float(first)
+    if Fraction(small) < first:
+        small = float(np.nextafter(small, math.inf))
+    large = float(past) if e10 < 308 else math.inf
+    if math.isinf(large) or Fraction(large) >= past:
+        large = float(np.nextafter(large, 0.0))
+    assert first <= Fraction(small) <= Fraction(large) < past
+    return small, large
+
+
+@pytest.mark.parametrize("e10", [18, 17, -5, -6, 308, 307, -307, -308, -323, -324])
+def test_float_kernel_decade_ends(tmp_path, fallback, e10):
+    # k = 17 - e10: -1 and 0, 22 and 23 on each side of the exact range,
+    # and the extreme decades, with each decade's first and last doubles,
+    # their neighbours, and doubles drawn across the decade
+    rng = np.random.default_rng(e10 + 400)
+    small, large = decade_ends(e10)
+    ends = []
+    for v, inward in ((small, math.inf), (large, 0.0)):
+        for _ in range(4):
+            ends += [v, -v]
+            v = float(np.nextafter(v, inward))
+    inside = np.exp(rng.uniform(math.log(small), math.log(large), SHORT))
+    x = np.concatenate([ends, inside, -inside])
+    x = x[(np.abs(x) >= small) & (np.abs(x) <= large)]
+    assert column_bytes(tmp_path, x) == reference_column(x)
+    assert all(near_boundary(v) for v in fallback)
+    if 0 <= 17 - e10 <= 22:
+        assert not fallback
+
+
+@pytest.mark.parametrize("n", [SHORT - 1, SHORT, SHORT + 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+def test_float_kernel_mostly_zero_columns(tmp_path, rng, fallback, n):
+    # zero cells take their constant text by sign, around the kernel's cells
+    x = rng.choice([0.0, -0.0], n)
+    some = rng.random(n) < 0.2
+    x[some] = floats(rng, int(some.sum()))
+    x[rng.integers(0, n, 3)] = [math.nan, math.inf, -math.inf]
+    assert column_bytes(tmp_path, x) == reference_column(x)
+    # a chunk shorter than SHORT goes cell by cell; the kernel's chunks
+    # leave only the band to it
+    tail = n % CHUNK
+    if n >= SHORT and not 0 < tail < SHORT:
+        band = [v for v in fallback if math.isfinite(v)]
+        assert all(near_boundary(v) for v in band)
+    for column in (np.zeros(n), -np.zeros(n), np.where(rng.random(n) < 0.5, -0.0, math.nan)):
+        assert column_bytes(tmp_path, column) == reference_column(column)
