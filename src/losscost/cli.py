@@ -27,8 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .model import (ModelError, NumericsError, _check_horizon, blocking_probabilities,
-                    enumerate_states, stationary)
+from .model import (ModelError, NumericsError, StateSpaceSizeError, _check_horizon,
+                    blocking_probabilities, enumerate_states, stationary)
 from .model_io import load_model
 from . import costdist as cd
 from . import howard as hw
@@ -92,11 +92,14 @@ def cmd_shadow(args) -> tuple[list[str], dict]:
     costs, history, entries = _relative_costs(space, classes, dist, args.method, meta.get("terms"))
     warnings = ([f"series did not converge: {entries['series']['message']}"]
                 if "series" in entries and not entries["series"]["converged"] else [])
+    # every computation that can fail comes before the first write, so
+    # that a failed run leaves no partial outputs
+    prices = hw.shadow_prices(costs, space)
+    bills = hw.bill_distribution(prices, dist.pi, space)
     out = Path(args.out)
     report.write_relative_costs(out / "relative_costs.csv", space, costs)
-    prices = hw.shadow_prices(costs, space)
     report.write_shadow_prices(out / "shadow_prices.csv", space, prices)
-    report.write_bill_distribution(out / "bill_dist.csv", hw.bill_distribution(prices, dist.pi, space))
+    report.write_bill_distribution(out / "bill_dist.csv", bills)
     report.write_table(out / "residuals.csv", ["method", "terms", "residual"],
                        [args.method, np.arange(len(history)), np.array(history, dtype=float)])
     return warnings, {"states": len(space), "method": args.method, **meta, **entries}
@@ -138,6 +141,14 @@ def cmd_simulate(args) -> tuple[list[str], dict]:
     costs = hw.solve_howard_exact(space, classes, dist.g, dist.r)
     prices = hw.shadow_prices(costs, space)
     result = simulate(space, classes, config, prices=prices)
+    samples = result.total_cost_samples
+    top = int(samples.max())
+    # total_cost_mc.csv has a row for every cost 0..top, like a cost law's lattice
+    if top + 1 > cd.LATTICE_CAP:
+        raise StateSpaceSizeError(f"largest sampled total cost r={top} needs {top + 1} rows in "
+                                  f"total_cost_mc.csv, past the cost lattice cap of {cd.LATTICE_CAP}")
+    # every computation that can fail comes before the first write
+    comparisons = simulation_checks(space, dist, costs, prices, result)
     out = Path(args.out)
     t, n, states = report.fmt(args.t), args.reps, report.state_header(space.K)
 
@@ -149,8 +160,7 @@ def cmd_simulate(args) -> tuple[list[str], dict]:
     report.write_table(out / "cost_dist_mc.csv", ["t"] + states + ["r", "probability", "se"],
                        [t, *space.occupancy[cells[:, 0]].T, cells[:, 1], prob,
                         np.sqrt(prob * (1.0 - prob) / n)])
-    samples = result.total_cost_samples
-    hist = empirical_total_cost_hist(samples, int(samples.max()))
+    hist = empirical_total_cost_hist(samples, top)
     report.write_table(out / "total_cost_mc.csv", ["t", "r", "probability", "wilson_low", "wilson_high"],
                        [t, np.arange(len(hist[0])), *hist])
     report.write_table(out / "risk_mc.csv", ["t", "mean", "se", "q95", "q99"],
@@ -159,7 +169,6 @@ def cmd_simulate(args) -> tuple[list[str], dict]:
     report.write_bill_distribution(out / "bill_dist_mc.csv", hw.BillDistribution(tuple(
         empirical_bill_hist(result, k) if len(result.bill_samples[k]) else () for k in range(space.K))))
 
-    comparisons = simulation_checks(space, dist, costs, prices, result)
     names, *values, passed = zip(*comparisons)
     report.write_table(out / "comparison.csv", ["quantity", "simulated", "analytic", "se", "z", "pass"],
                        [names, *(np.array(v, dtype=float) for v in values), np.array(passed, dtype=bool)])

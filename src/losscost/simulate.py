@@ -20,15 +20,15 @@ replication still live after that, or every one of a smaller batch, is
 finished by a plain Python loop from its state, time and place in its
 block.  Both do the same float operations on the same uniforms, so the
 paths do not depend on the batching.  A path is a replication's events as
-cells (source state * 2K + event) and jump times.  The paths are reduced in
-chunks with array operations; a chunk closes once it holds ``CHUNK_EVENTS``
-events or its replications x states occupancy block reaches ``CHUNK_CELLS``
-cells.  Costs, final states, post-warm-up costs, bills and window costs are
-exact reductions of the paths, so they do not depend on the chunking.
-Per-state occupancy mean and sum of squared deviations are merged across
-chunks by Chan's pairwise update, so memory is O(states + one batch + one
-chunk); the merge may move the last digits of the occupancy estimates,
-nothing else.
+cells (source state * 2K + event) and jump times.  Each batch's paths are
+reduced where they are walked, with array operations, in chunks of at most
+``CHUNK_CELLS / states`` replications, so that a chunk's replications x
+states occupancy block stays within ``CHUNK_CELLS`` cells.  Costs, final
+states, post-warm-up costs, bills and window costs are exact reductions of
+the paths, so they do not depend on the batches or chunks.  Per-state
+occupancy mean and sum of squared deviations are merged across chunks by
+Chan's pairwise update, so memory is O(states + one batch); the merge order
+may move the last digits of the occupancy estimates, nothing else.
 
 Also contains a direct sampler for the simple charging scheme (stationary
 state, then frozen compound-Poisson charges), which is the Monte Carlo
@@ -68,9 +68,8 @@ BLOCK = 256
 # equal windows of (warmup, horizon] whose cost rates estimate a single
 # run's cost rate and its batch-means error
 BATCHES = 16
-# a chunk of replications is reduced once its paths hold CHUNK_EVENTS events
-# or its (replication, state) occupancy block CHUNK_CELLS cells
-CHUNK_EVENTS = 2**16
+# a walk batch is reduced in chunks of replications whose (replication,
+# state) occupancy block holds at most CHUNK_CELLS cells
 CHUNK_CELLS = 2**18
 # replications are walked in batches of about WALK_EVENTS events, each
 # replication counted as horizon x peak event rate and at least as the BLOCK
@@ -364,7 +363,8 @@ class _Tally:
     """Run-wide sums of the paths of consecutive chunks of replications.
 
     Occupancy is merged as per-state mean and sum of squared deviations by
-    Chan's pairwise update, so memory is O(states + one chunk)."""
+    Chan's pairwise update, so the tally holds O(states + replications)
+    numbers and no path."""
 
     def __init__(self, tables: _EventTables, config: SimConfig, prices: ShadowPriceTable | None):
         R, n, K = config.replications, tables.charge.shape[0], tables.charge.shape[1] // 2
@@ -382,36 +382,6 @@ class _Tally:
         self.window_costs = np.zeros(BATCHES)
         self.reps = 0
         self.events = 0
-        # walked replications not yet in a complete chunk, as _walks returns them
-        self.held = (np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0, dtype=np.intp),
-                     np.zeros(0, dtype=np.intp))
-
-    def feed(self, cells: np.ndarray, times: np.ndarray, ends: np.ndarray, finals: np.ndarray) -> None:
-        """Take the paths of the next replications, as :func:`_walks`
-        returns them, and :meth:`add` every chunk they complete.  A chunk
-        closes at its first replication that brings its events to
-        ``CHUNK_EVENTS`` or its occupancy block to ``CHUNK_CELLS`` cells,
-        or at the run's last replication, so chunks do not depend on how
-        the replications were walked."""
-        held = self.held
-        if len(held[2]):
-            cells, times = np.concatenate((held[0], cells)), np.concatenate((held[1], times))
-            ends = np.concatenate((held[2], ends + len(held[0])))
-            finals = np.concatenate((held[3], finals))
-        per_chunk = -(-CHUNK_CELLS // self.n)
-        run_done = len(ends) == self.config.replications - self.reps
-        start = base = 0
-        while start < len(ends):
-            stop = min(int(np.searchsorted(ends, base + CHUNK_EVENTS)) + 1, start + per_chunk)
-            if stop > len(ends):
-                if not run_done:
-                    break
-                stop = len(ends)
-            self.add(cells[base:ends[stop - 1]], times[base:ends[stop - 1]],
-                     ends[start:stop] - base, finals[start:stop])
-            start, base = stop, ends[stop - 1]
-        # copies, so that the reduced chunks are freed
-        self.held = (cells[base:].copy(), times[base:].copy(), ends[start:] - base, finals[start:].copy())
 
     def add(self, cell: np.ndarray, at: np.ndarray, ends: np.ndarray, finals: np.ndarray) -> None:
         """Fold in one chunk: the paths of the next ``len(ends)``
@@ -483,15 +453,16 @@ def simulate(
     replication is one walk over per-state event tables, holding times
     drawn by inversion from blocks of uniforms; the walks of a batch of
     replications step in lockstep while at least ``LANES_MIN`` of them are
-    live, with the same arithmetic on the same uniforms.  The paths of a
-    chunk of replications are reduced together with array operations, and
-    per-state occupancy is merged across chunks by Chan's update, so memory
-    is O(states + one batch + one chunk).  ``cost_rate`` and
-    ``cost_rate_se`` cover (warmup, horizon]: across replications, or by
-    batch means over ``BATCHES`` equal windows of a single one.  A run whose
-    replications x the larger of horizon x peak per-state event rate and
-    ``BLOCK`` passes ``EVENT_CAP`` is refused with :class:`ModelError`
-    before anything of the run's size is allocated.
+    live, with the same arithmetic on the same uniforms.  Each batch's
+    paths are reduced once walked, with array operations, in chunks of at
+    most ``CHUNK_CELLS / states`` replications, and per-state occupancy is
+    merged across chunks by Chan's update, so memory is O(states + one
+    batch).  ``cost_rate`` and ``cost_rate_se`` cover (warmup, horizon]:
+    across replications, or by batch means over ``BATCHES`` equal windows
+    of a single one.  A run whose replications x the larger of horizon x
+    peak per-state event rate and ``BLOCK`` passes ``EVENT_CAP`` is refused
+    with :class:`ModelError` before anything of the run's size is
+    allocated.
     """
     classes = tuple(classes)
     tables = _event_tables(space, classes)
@@ -506,8 +477,15 @@ def simulate(
                          f"past the simulator's cap of {EVENT_CAP}")
     tally = _Tally(tables, config, prices)
     lanes = max(1, int(WALK_EVENTS // per_rep))
+    per_chunk = -(-CHUNK_CELLS // n)
     for first in range(0, R, lanes):
-        tally.feed(*_walks(tables, config.seed, first, min(lanes, R - first), H))
+        cells, times, ends, finals = _walks(tables, config.seed, first, min(lanes, R - first), H)
+        base = 0
+        for start in range(0, len(ends), per_chunk):
+            chunk = ends[start:start + per_chunk]
+            tally.add(cells[base:chunk[-1]], times[base:chunk[-1]], chunk - base,
+                      finals[start:start + per_chunk])
+            base = chunk[-1]
 
     occupancy_se = np.sqrt(tally.occ_m2 / (R - 1) / R) if R > 1 else np.full(n, math.nan)
     # per-replication rates, or a single run's window rates

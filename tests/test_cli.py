@@ -519,6 +519,21 @@ def test_simulate_refuses_unbounded_work(tmp_path):
                            "past the simulator's cap of 16777216\n")
 
 
+def test_simulate_refuses_histogram_past_lattice_cap(tmp_path, capsys, monkeypatch):
+    # total_cost_mc.csv has a row for every cost up to the largest sample;
+    # one blocked arrival at omega = 1000 already passes a cap of 1000 rows
+    from losscost import costdist as cd
+    monkeypatch.setattr(cd, "LATTICE_CAP", 1000)
+    path = _write(tmp_path, K1_MODEL.replace('"lambda": 1.0', '"lambda": 2.0')
+                  .replace('"omega": 1', '"omega": 1000'))
+    out = tmp_path / "o"
+    assert main(["simulate", "--model", path, "--out", str(out), "--t", "5", "--reps", "100"]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: largest sampled total cost r=\d+000 needs \d+001 rows in "
+                        r"total_cost_mc\.csv, past the cost lattice cap of 1000\n", err), err
+    assert not list(out.iterdir())
+
+
 # t * lambda * omega and the peak event rate times t overflow to inf
 INFINITE_PRODUCT_MODEL = HUGE_RATE_MODEL.replace('"lambda": 1e160', '"lambda": 1e308')
 
@@ -1008,6 +1023,8 @@ def test_shadow_bill_underflow_exits_2(tmp_path, capsys):
     assert main(["shadow", "--method", "general", "--model", model, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == ("numeric failure: class 2: the stationary probability "
                                        "of its admitting states underflows to zero\n")
+    # the failure comes before the first write: no partial outputs
+    assert not list((tmp_path / "o").glob("*.csv"))
 
 
 # the same load on 441 states, where an iterate meets the residual gate

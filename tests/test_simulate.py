@@ -671,14 +671,16 @@ def test_matches_per_replication_reference(name):
                 assert_same_run(got, reference_simulate(space, classes, cfg, billed))
 
 
-@pytest.mark.parametrize("events,cells", [(50, 2**18), (2**16, 40), (1, 1)],
-                         ids=["by_events", "by_cells", "every_replication"])
-def test_chunked_run_equals_one_chunk(monkeypatch, events, cells):
+@pytest.mark.parametrize("walk,cells", [(20 * BLOCK, 2**18), (2**17, 40), (2**17, 1)],
+                         ids=["by_batch", "by_cells", "every_replication"])
+def test_chunked_run_equals_one_chunk(monkeypatch, walk, cells):
+    # by_batch walks the 60 replications in 3 batches of 20 (each counts as
+    # a block of BLOCK events), each reduced as one chunk
     classes, space = k2_reference()
     _, prices = _prices(classes, space)
     cfg = lc.SimConfig(horizon=20.0, replications=60, seed=5, warmup=4.0)
     whole = lc.simulate(space, classes, cfg, prices=prices)
-    monkeypatch.setattr(simulate_module, "CHUNK_EVENTS", events)
+    monkeypatch.setattr(simulate_module, "WALK_EVENTS", walk)
     monkeypatch.setattr(simulate_module, "CHUNK_CELLS", cells)
     chunks = []
     add = simulate_module._Tally.add
@@ -822,12 +824,10 @@ def _peak_bytes(space, classes, config):
 
 
 def test_simulate_memory_does_not_grow_with_replications(monkeypatch):
-    # about 40 events per replication against chunks of 2**12 events (to keep
-    # tracing cheap), so 200 replications already fill a chunk; ten times as
-    # many must not hold ten times the paths.  A walk batch counts each
-    # replication as a block of BLOCK events: 2**15 of them walk 128
-    # replications at a time, so 200 fill a batch too
-    monkeypatch.setattr(simulate_module, "CHUNK_EVENTS", 2**12)
+    # a walk batch counts each replication as a block of BLOCK events: 2**15
+    # of them walk 128 replications at a time (to keep tracing cheap), so
+    # 200 replications already fill a batch; ten times as many must not
+    # hold ten times the paths
     monkeypatch.setattr(simulate_module, "WALK_EVENTS", 2**15)
     classes, space = k2_reference()
     small = _peak_bytes(space, classes, lc.SimConfig(horizon=15.0, replications=200, seed=1))
