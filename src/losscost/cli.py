@@ -108,7 +108,7 @@ def cmd_shadow(args) -> tuple[list[str], dict]:
 def _solver_meta(costs) -> dict:
     """The ``solver`` object of an exact solve's manifest."""
     return {"path": costs.solver, "iterations": costs.iterations,
-            "condition": costs.condition, "residual": costs.residual}
+            "condition": costs.condition, "residual": costs.residual, "tolerance": costs.tolerance}
 
 
 def cmd_costdist(args) -> tuple[list[str], dict]:

@@ -17,14 +17,14 @@ replaced at the most likely state, so no n x n matrix is formed.  One
 BiCGSTAB driver, which restarts from the true residual when it stalls, runs
 with A's inverse diagonal (Jacobi) as preconditioner and, on the systems
 where that iteration breaks down, runs out of steps or stalls past its
-restarts, once more with a SuperLU factorization.  Each attempt measures
-the residual of the v it would return, so an answer meets the residual
-gate ``RESIDUAL_TOL``; the solve also reports the anchored system's exact
-1-norm condition number, which must stay under ``COND_LIMIT``.  Besides it
-this module has the closed form for the symmetric single-service-rate case,
-two cheap closed-form approximations for asymmetric systems, and a series
-completion that refines any starting approximation term by term, each term
-one exact solve per class along that class's lines of the anchored system.
+restarts, once more with a SuperLU factorization.  Both gate the v they
+would return on the residual a backward-stable solve reaches at the data's
+scale; the solve also reports the anchored system's exact 1-norm condition
+number, which must stay under ``COND_LIMIT``.  Besides it this module has
+the closed form for the symmetric single-service-rate case, two cheap
+closed-form approximations for asymmetric systems, and a series completion
+that refines any starting approximation term by term, each term one exact
+solve per class along that class's lines of the anchored system.
 """
 
 from __future__ import annotations
@@ -67,10 +67,9 @@ __all__ = [
     "write_bill_distribution",
 ]
 
-RESIDUAL_TOL = 1e-8
 # largest 1-norm condition number of the anchored exact system
 COND_LIMIT = 1e12
-# the exact solve's Jacobi attempt accepts v once ||Q v - (g - r)||_inf is
+# both attempts of the exact solve accept v once ||Q v - (g - r)||_inf is
 # at most this multiple of ||Q||_inf ||v||_inf + ||g - r||_inf (18 units of
 # roundoff); SuperLU reaches 1e-17 to 1e-15 on the same systems
 BACKWARD_TOL = 4e-15
@@ -103,9 +102,10 @@ class RelativeCosts:
     (Jacobi-preconditioned) or ``"superlu"`` (preconditioned by SuperLU
     factors), ``iterations`` the BiCGSTAB steps of the attempt that
     answered, restarts included (1 on most SuperLU-preconditioned answers:
-    the direct solve and one refinement) and ``condition`` the 1-norm
-    condition number of the anchored system.  A closed form or series
-    leaves them at None, 0 and NaN.
+    the direct solve and one refinement), ``condition`` the 1-norm
+    condition number of the anchored system and ``tolerance`` the gate
+    ``residual`` met.  A closed form or series leaves them at None, 0, NaN
+    and NaN.
     """
 
     v: np.ndarray
@@ -114,6 +114,7 @@ class RelativeCosts:
     solver: str | None = None
     iterations: int = 0
     condition: float = math.nan
+    tolerance: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -216,15 +217,16 @@ def solve_howard_exact(
     The anchored sparse system is solved from zero by :func:`_bicgstab`, at
     most twice.  Both attempts measure the Howard residual, the dropped
     equation included, of the solution shifted so that v(``anchor``) = 0,
-    the v this returns; the shift leaves every shadow price unchanged.  The
-    first attempt is preconditioned by A's inverse diagonal (Jacobi) and
-    stops once that residual is within ``BACKWARD_TOL`` of rounding at the
-    data's scale and below a tenth of ``RESIDUAL_TOL``.  When it breaks
-    down, stalls past its restarts or runs ``BICGSTAB_MAX_ITER`` steps
-    without getting there, the second is preconditioned by SuperLU factors
-    of A and stops at ``RESIDUAL_TOL``: its first step is the direct solve,
-    further steps refine it.  ``RelativeCosts.solver`` says which attempt
-    answered.
+    the v this returns; the shift leaves every shadow price unchanged.  Both
+    stop once it is at most ``BACKWARD_TOL`` (||Q|| ||x|| + ||g - r||), max
+    norms, x the iterate anchored at q*: the residual a backward-stable
+    solve reaches (Higham 2002, ch. 7), which follows a change of time unit.
+    The first attempt is preconditioned by A's inverse diagonal (Jacobi).
+    When it breaks down, stalls past its restarts or runs
+    ``BICGSTAB_MAX_ITER`` steps without meeting that gate, the second is
+    preconditioned by SuperLU factors of A: its first step is the direct
+    solve, further steps refine it.  ``RelativeCosts.solver`` says which
+    attempt answered and ``RelativeCosts.tolerance`` the gate it met.
 
     The 1-norm condition number is exact, not estimated: with the sign of
     every row but the pivot's flipped, the anchored matrix A is a nonsingular
@@ -234,7 +236,7 @@ def solve_howard_exact(
     with :class:`ModelError` unless 0 <= ``anchor`` < the state count, and
     with :class:`NumericsError`, saying how BiCGSTAB stopped, when SuperLU
     would factor more than ``SUPERLU_STATE_CAP`` states, when the condition
-    number exceeds ``COND_LIMIT`` or when neither attempt meets its gate,
+    number exceeds ``COND_LIMIT`` or when neither attempt meets the gate,
     saying how each stopped.
     """
     n = len(space)
@@ -247,7 +249,7 @@ def solve_howard_exact(
     scale_q, scale_rhs = 2.0 * np.abs(Q.diagonal()).max(), np.abs(g - r).max()
 
     def tol(x):
-        return min(BACKWARD_TOL * (scale_q * np.abs(x).max() + scale_rhs), 0.1 * RESIDUAL_TOL)
+        return BACKWARD_TOL * (scale_q * np.abs(x).max() + scale_rhs)
 
     def shifted(x):
         # + 0.0 turns the -0.0 of a shifted zero into +0.0; no other value moves
@@ -262,7 +264,6 @@ def solve_howard_exact(
                                     f"{SUPERLU_STATE_CAP} states, not {n}")
             lu = _superlu(A)
             precondition, precondition_t = lu.solve, lambda b: lu.solve(b, trans="T")
-            tol = lambda x: RESIDUAL_TOL  # the gate a direct answer meets
         y, _, stop = _bicgstab(At.__matmul__, np.ones(n), precondition_t, lambda y: COND_SOLVE_TOL)
         if y is None:
             stops.append(f"{stop} on the transposed system")
@@ -277,11 +278,11 @@ def solve_howard_exact(
             break
         stops.append(stop)
     else:
-        raise NumericsError(f"relative-cost solve residual misses {RESIDUAL_TOL:.1e}: BiCGSTAB {stops[0]}; "
-                            f"SuperLU-preconditioned, {stops[1]}")
+        raise NumericsError(f"relative-cost solve residual misses {BACKWARD_TOL:.1e} x ({scale_q:.3e} ||v|| "
+                            f"+ {scale_rhs:.3e}): BiCGSTAB {stops[0]}; SuperLU-preconditioned, {stops[1]}")
     v = shifted(x)
     return RelativeCosts(v=v, anchor=anchor, residual=_residual(Q, v, g, r), solver=solver,
-                         iterations=iterations, condition=condition)
+                         iterations=iterations, condition=condition, tolerance=tol(x))
 
 
 def _jacobi(A: scipy.sparse.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:

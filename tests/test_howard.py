@@ -111,12 +111,12 @@ def test_exact_solve_residual_on_random_instances(rng):
 
 def test_exact_solve_heavy_load_matches_closed_form():
     # pi(empty) is tiny here: dropping the empty state's equation scaled the
-    # residual of the others by 1/pi(empty) and failed RESIDUAL_TOL
+    # residual of the others by 1/pi(empty) and failed the residual gate
     classes, space = heavy_instance(40)
     dist = lc.stationary(space, classes)
     exact = lc.solve_howard_exact(space, classes, dist.g, dist.r)
     closed = lc.symmetric_relative_costs(space, classes, dist.g)
-    assert exact.residual <= hw.RESIDUAL_TOL
+    assert exact.residual <= exact.tolerance
     assert exact.anchor == 0 and exact.v[0] == 0.0
     np.testing.assert_allclose(exact.v, closed.v, rtol=1e-10, atol=0.0)
 
@@ -133,12 +133,11 @@ def _model(lam, mu, bandwidth, omega, capacity):
     return classes, lc.enumerate_states(classes, lc.FullSharing(capacity=capacity))
 
 
-# Models on which Jacobi-preconditioned BiCGSTAB cannot meet its bound and
+# Models on which Jacobi-preconditioned BiCGSTAB cannot meet the gate and
 # the SuperLU-preconditioned attempt answers: (1) rates spread over five
 # decades, where the iteration does not converge; (2) slow mixing on 1,891
-# states, where the Howard iteration runs out of steps and the
-# SuperLU-preconditioned step reaches 1.5e-9: under RESIDUAL_TOL, but never
-# under Jacobi's bound of 1e-9.
+# states, where the Howard iteration diverges until it runs out of steps and
+# the SuperLU-preconditioned step reaches 1.55e-9 against a gate of 5.8e-8.
 FALLBACK_MODELS = {
     "spread-rates": ((0.001, 50, 1), (0.001, 10, 100), (1, 1, 2), (1, 2, 3), 15),
     "slow-mixing-60": ((1, 1), (1e-5, 1e3), (1, 1), (1, 1), 60),
@@ -180,7 +179,7 @@ def test_exact_solve_heavy_60_matches_closed_form():
     exact = lc.solve_howard_exact(space, classes, dist.g, dist.r)
     closed = lc.symmetric_relative_costs(space, classes, dist.g)
     assert exact.solver == "bicgstab" and 0 < exact.iterations <= hw.BICGSTAB_MAX_ITER
-    assert exact.residual <= hw.RESIDUAL_TOL
+    assert exact.residual <= exact.tolerance
     np.testing.assert_allclose(exact.v, closed.v, rtol=1e-10, atol=0.0)
 
 
@@ -214,7 +213,7 @@ def test_exact_solve_falls_back_to_superlu(name, monkeypatch):
     dist = lc.stationary(space, classes)
     costs = lc.solve_howard_exact(space, classes, dist.g, dist.r)
     assert costs.solver == "superlu" and costs.iterations == 1
-    assert costs.residual <= hw.RESIDUAL_TOL
+    assert costs.residual <= costs.tolerance
     want = _superlu_oracle(space, classes, dist)
     assert np.max(np.abs(costs.v - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
     with monkeypatch.context() as m:
@@ -235,7 +234,7 @@ def test_exact_solve_restarts_on_a_stall(name, monkeypatch):
         m.setattr(hw, "_superlu", lambda *a: pytest.fail("SuperLU ran"))
         costs = lc.solve_howard_exact(space, classes, dist.g, dist.r)
     assert costs.solver == "bicgstab" and 0 < costs.iterations <= hw.BICGSTAB_MAX_ITER
-    assert costs.residual <= hw.RESIDUAL_TOL
+    assert costs.residual <= costs.tolerance
     want = _superlu_oracle(space, classes, dist)
     assert np.max(np.abs(costs.v - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
 
@@ -255,16 +254,58 @@ def test_exact_solve_above_superlu_bound_fails_before_factoring(monkeypatch):
 
 
 def test_exact_solve_gates_the_v_it_returns():
-    # 1,681 states at lambda_1 = 3e5: an iterate meets the residual gate
-    # before the shift to v(empty) = 0 and misses it after (1.02e-8), so an
-    # attempt that measured the unshifted iterate gave an answer the gate
-    # then refused; measured after the shift, the SuperLU step is refined
+    # 1,681 states at lambda_1 = 3e5: the residual of the SuperLU step is
+    # 1.02e-8 on the v shifted to v(empty) = 0, against a gate of 1.9e-7 at
+    # this data's scale; the residual reported, and gated, is the one of the
+    # v returned
     classes, space = _model((3e5, 1), (1, 1), (1, 2), (1, 1), 80)
     dist, costs = _solved(classes, space)
-    assert costs.residual <= hw.RESIDUAL_TOL
+    assert costs.residual <= costs.tolerance
     assert costs.residual == lc.howard_residual(space, classes, costs.v, dist.g, dist.r)
     want = _superlu_oracle(space, classes, dist)
     assert np.max(np.abs(costs.v - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
+
+
+# lambda_1 = 1e6 beside a unit class 2 of bandwidth 100 (102 states) or 2
+# (441 states): the residual no float64 solve gets under, about
+# eps (||Q|| ||v|| + ||g - r||), is above 1e-8
+BILL_UNDERFLOW_MODELS = {
+    "b2-100": ((1e6, 1), (1, 1), (1, 100), (1, 1), 100),
+    "b2-2": ((1e6, 1), (1, 1), (1, 2), (1, 1), 40),
+}
+
+
+@pytest.mark.parametrize("name", BILL_UNDERFLOW_MODELS)
+def test_exact_solve_answers_at_the_scale_of_its_data(name):
+    # the accuracy, not the path: on b2-100 Jacobi accepts at step 299 of 300
+    classes, space = _model(*BILL_UNDERFLOW_MODELS[name])
+    dist, costs = _solved(classes, space)
+    assert costs.residual <= costs.tolerance
+    want = _superlu_oracle(space, classes, dist)
+    assert np.max(np.abs(costs.v - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
+
+
+# bench shapes: mixed (1,041 states), the small montecarlo model (358) and
+# heavy(25) (3,276)
+TIME_UNIT_MODELS = {
+    "mixed": ((4.0, 2.0, 1.0), (1.0, 1.5, 2.0), (1, 2, 3), (1, 2, 3), 30),
+    "mc-small": (tuple(0.85 * 20 / 11 * x for x in (4.0, 2.0, 1.0)), (1.0,) * 3, (1, 2, 3), (1, 2, 3), 20),
+    "heavy-25": ((6.25,) * 3, (1.0,) * 3, (1,) * 3, (1, 2, 3), 25),
+}
+
+
+@pytest.mark.parametrize("name", TIME_UNIT_MODELS)
+def test_exact_solve_does_not_depend_on_the_time_unit(name):
+    # every rate times 2^k leaves v unchanged: Q, g - r and the gate scale
+    # together, so Jacobi answers at every k
+    lam, mu, *rest = TIME_UNIT_MODELS[name]
+    base = None
+    for k in (0, -20, 10, 20):
+        classes, space = _model([l * 2.0**k for l in lam], [m * 2.0**k for m in mu], *rest)
+        dist, costs = _solved(classes, space)
+        assert costs.solver == "bicgstab" and costs.residual <= costs.tolerance
+        base = costs.v if base is None else base
+        assert np.max(np.abs(costs.v - base)) <= 1e-12 * np.max(np.abs(base))
 
 
 def _assert_implied_costs(space, classes, dist, v, floor=0.0):
@@ -426,7 +467,7 @@ def test_exact_solve_fails_when_both_paths_miss_the_gate(monkeypatch):
     calls = []
     superlu = hw._superlu
     monkeypatch.setattr(hw, "_superlu", lambda *a: calls.append(1) or superlu(*a))
-    monkeypatch.setattr(hw, "RESIDUAL_TOL", 0.0)
+    monkeypatch.setattr(hw, "BACKWARD_TOL", 0.0)
     with pytest.raises(lc.NumericsError, match="residual"):
         lc.solve_howard_exact(space, classes, dist.g, dist.r)
     assert calls == [1]

@@ -159,7 +159,7 @@ def test_hand_built_down_set():
     ref = np.linalg.solve(A, np.eye(len(space))[-1])
     np.testing.assert_allclose(dist.pi, ref, rtol=1e-12, atol=0)
     costs = lc.solve_howard_exact(space, classes, dist.g, dist.r)
-    assert costs.residual <= lc.howard.RESIDUAL_TOL
+    assert costs.residual <= costs.tolerance
 
 
 @pytest.mark.parametrize("states, match", [
